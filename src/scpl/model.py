@@ -230,9 +230,12 @@ class Violation:
 # --- machine indexing -----------------------------------------------------
 
 class MachineIndex:
-    """Precomputed lookup tables over one machine.
+    """Precomputed lookup tables over one machine, built in one pass over
+    the whole tree.
 
-    Cheap to rebuild after a rewrite step; never shared across machines.
+    The index describes the machine it was built from and goes stale once
+    the machine changes: rewriting edits a ``rewrite.WorkingTree`` instead,
+    which takes over these maps and keeps them current.
     """
 
     def __init__(self, sc: StateChart):
@@ -300,10 +303,6 @@ class MachineIndex:
                 return prev
             prev = anc
         return None
-
-    def transitions_touching(self, names: set[str]) -> list[Transition]:
-        return [t for t in self.transitions.values()
-                if t.source in names or t.target in names]
 
 
 # --- well-formedness ------------------------------------------------------

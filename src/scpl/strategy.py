@@ -18,36 +18,19 @@ from typing import NamedTuple, Sequence
 
 from .binding import nsc as compute_nsc
 from .binding import validate_imp
-from .errors import InvalidInputError, NoInitialError, RewriteError, ScplError
+from .errors import InvalidInputError, RewriteError, ScplError
 from .features import (build_configuration, kernel, validate_configuration,
                        validate_feature_model)
 from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
                     ImpEntry, ImpMapping, InState, MachineIndex, OrState,
                     RewriteTrace, SimpleState, State, StateChart, TraceStep,
                     Transition, canonicalize, check_well_formed, var_elems)
-from .rewrite import (PendingSet, delete_and_state, delete_or_state,
-                      delete_simple_state, delete_transition,
-                      finalize_optionals, prune_conditions, repair_initial)
+from .rewrite import PendingSet, WorkingTree
 
 
 class InstantiationResult(NamedTuple):
     statechart: StateChart
     trace: RewriteTrace
-
-
-def _diff_step(rule: str, subject: str, before: MachineIndex,
-               after: MachineIndex, detail: str = "") -> TraceStep:
-    return TraceStep(
-        rule=rule,
-        subject=subject,
-        removed_states=tuple(sorted(before.states.keys()
-                                    - after.states.keys())),
-        removed_transitions=tuple(sorted(before.transitions.keys()
-                                         - after.transitions.keys())),
-        added_transitions=tuple(sorted(after.transitions.keys()
-                                       - before.transitions.keys())),
-        detail=detail,
-    )
 
 
 def validate_inputs(fm: FeatureModel, conf: Configuration, sc: StateChart,
@@ -72,6 +55,9 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
     application.  Raises InvalidInputError when a validator objects,
     NoInitialError or EmptyCompositeError when a deletion cannot be
     repaired.
+
+    Every rule edits one working tree in place and returns its own trace
+    step; the tree is built once from ``sc`` and frozen once at the end.
     """
     if validate:
         violations = validate_inputs(fm, conf, sc, imp)
@@ -88,13 +74,12 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
             return (name,)
         return (rank.get(name, len(rank)), name)
 
-    idx = MachineIndex(sc)
-    n_states = len(idx.states)
-    pending_states = sorted((n for n in pending.remaining if n in idx.states),
+    tree = WorkingTree(sc)
+    pending_states = sorted((n for n in pending.remaining if n in tree.states),
                             key=key)
     # Safety net for the termination argument: every recorded step must
     # consume budget, and the budget is linear in the machine.
-    budget = len(doomed) + n_states + len(pending_states) + 2
+    budget = len(doomed) + len(tree.states) + len(pending_states) + 2
     steps: list[TraceStep] = []
 
     def record(step: TraceStep) -> None:
@@ -102,76 +87,38 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
         if len(steps) > budget:
             raise RewriteError("rule application budget exceeded")
 
-    # Layer 1a: prune in-state atoms about every doomed state.
-    for name in pending_states:
-        new_sc = prune_conditions(name, sc)
-        if new_sc != sc:
-            before = MachineIndex(sc)
-            sc = new_sc
-            record(_diff_step("prune_conditions", name, before,
-                              MachineIndex(sc), detail="in-state atoms removed"))
+    # Layer 1a: prune in-state atoms about every doomed state, one step per
+    # state whose subtree an atom named (first such state in key order).
+    for name in tree.prune_conditions(pending_states):
+        record(TraceStep("prune_conditions", name,
+                         detail="in-state atoms removed"))
 
     # Layer 1b: repair initial markers of surviving composites whose
-    # initial substate is doomed, iterating through chains.
-    repaired_step: dict[str, int] = {}
-    for _ in range(2 * n_states + 2):
-        idx = MachineIndex(sc)
-        candidates = sorted(
-            name for name, st in idx.states.items()
-            if isinstance(st, OrState) and st.initial in pending
-            and name not in pending
-            and not any(a in pending for a in idx.ancestors(name)))
-        if not candidates:
-            break
-        name = candidates[0]
-        st = idx.states[name]
-        old = st.initial
-        sc = repair_initial(name, sc, pending)
-        new = MachineIndex(sc).states[name].initial
-        if name in repaired_step:
-            # Chains coalesce into one trace step per repaired composite.
-            i = repaired_step[name]
-            steps[i] = TraceStep("repair_initial", name,
-                                 detail=f"initial {steps[i].detail.split()[1]}"
-                                        f" -> {new}")
-        else:
-            repaired_step[name] = len(steps)
-            record(TraceStep("repair_initial", name,
-                             detail=f"initial {old} -> {new}"))
-    else:
-        raise NoInitialError("cycle of doomed initial substates")
+    # initial substate is doomed, walking each chain to a survivor.
+    # Repairs leave every other composite's candidacy as it was.
+    for name in sorted(
+            name for name, init in tree.initial.items()
+            if init in pending and name not in pending
+            and not any(a in pending for a in tree.ancestors(name))):
+        record(tree.repair_initial(name, pending))
 
     # Layer 2: state deletions; elements nested inside a doomed composite
-    # are swallowed by the composite's own deletion.
-    while True:
-        idx = MachineIndex(sc)
-        eligible = [n for n in pending.remaining
-                    if n in idx.states
-                    and not any(a in pending for a in idx.ancestors(n))]
-        if not eligible:
-            break
-        name = min(eligible, key=key)
-        st = idx.states[name]
-        if isinstance(st, SimpleState):
-            rule, fn = "delete_simple_state", delete_simple_state
-        elif isinstance(st, OrState):
-            rule, fn = "delete_or_state", delete_or_state
-        else:
-            rule, fn = "delete_and_state", delete_and_state
-        sc = fn(name, sc, pending, include_pending=include_pending)
-        record(_diff_step(rule, name, idx, MachineIndex(sc)))
+    # are swallowed by the composite's own deletion.  A deletion changes no
+    # other pending state's ancestors, so the eligible set and its order
+    # are fixed up front.
+    for name in [n for n in pending_states
+                 if not any(a in pending for a in tree.ancestors(n))]:
+        record(tree.delete_state(name, pending,
+                                 include_pending=include_pending))
 
     # Layer 3: remaining pending elements are transitions.
-    while pending:
-        name = min(pending.remaining, key=key)
-        idx = MachineIndex(sc)
-        sc = delete_transition(name, sc, pending)
-        record(_diff_step("delete_transition", name, idx, MachineIndex(sc)))
+    for name in sorted(pending.remaining, key=key):
+        record(tree.delete_transition(name, pending))
 
     # Layer 4: the optional-flag sweep, applied once.
-    sc = finalize_optionals(sc)
-    record(TraceStep("finalize_optionals", sc.root.name))
+    record(tree.finalize_optionals())
 
+    sc = tree.freeze()
     sop, top = var_elems(sc)
     leftovers = check_well_formed(sc)
     if sop or top or leftovers:

@@ -1,8 +1,9 @@
 import pytest
 
 from scpl import datasets
-from scpl.model import (Condition, OrState, SimpleState, StateChart,
-                        Transition)
+from scpl.features import build_configuration
+from scpl.model import (Condition, FeatureModel, ImpEntry, ImpMapping,
+                        OrState, SimpleState, StateChart, Transition)
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +36,18 @@ def simple_chain(*, e1_optional=True, e2_optional=True):
         ),
     )
     return StateChart(root)
+
+
+def line_for(sc, doomed_feature_elements):
+    """A minimal fm/conf/imp deselecting one feature that maps to the
+    given machine elements."""
+    fm = FeatureModel(
+        funcs=frozenset({"R", "F"}), root="R",
+        opt=frozenset({("R", frozenset({"F"}))}))
+    conf = build_configuration(fm, frozenset({"R"}))
+    imp = ImpMapping.from_dict(
+        {"F": ImpEntry(frozenset(doomed_feature_elements))})
+    return fm, conf, imp
 
 
 @pytest.fixture

@@ -127,6 +127,20 @@ def test_delete_simple_chain_both_orders_agree(chain):
     assert t.trigger == ("a", "b", "c")
 
 
+def test_delete_simple_state_refuses_a_duplicate_composed_name():
+    # A user transition may itself be named comp(...); bridging E would
+    # create a second transition of that name.
+    root = OrState(
+        "Root",
+        (SimpleState("A"), SimpleState("E", optional=True), SimpleState("B")),
+        "A",
+        (T("a", "A", "E"), T("b", "E", "B"), T("comp(a,b)", "A", "B")))
+    pending = PendingSet({"E"})
+    with pytest.raises(RewriteError, match="duplicate"):
+        delete_simple_state("E", StateChart(root), pending)
+    assert pending.remaining == {"E"}
+
+
 def test_delete_simple_state_guards():
     root = OrState(
         "Root", (SimpleState("A"), SimpleState("E", optional=True)), "A")
@@ -357,10 +371,22 @@ def test_repair_initial_walks_doomed_chains():
         "I",
         (T("t1", "I", "J"), T("t2", "J", "A")))
     pending = PendingSet({"I", "J"})
+    # One call walks the whole chain I -> J -> A.
     sc = repair_initial("Root", StateChart(root), pending)
-    assert sc.root.initial == "J"
-    sc = repair_initial("Root", sc, pending)
     assert sc.root.initial == "A"
+    with pytest.raises(RewriteError):
+        repair_initial("Root", sc, pending)  # A is not pending
+
+
+def test_repair_initial_refuses_a_cycle_of_doomed_initials():
+    root = OrState(
+        "Root",
+        (SimpleState("I", optional=True), SimpleState("J", optional=True),
+         SimpleState("A")),
+        "I",
+        (T("t1", "I", "J"), T("t2", "J", "I"), T("t3", "A", "I")))
+    with pytest.raises(NoInitialError, match="cycle"):
+        repair_initial("Root", StateChart(root), PendingSet({"I", "J"}))
 
 
 def test_repair_initial_without_successor_fails():

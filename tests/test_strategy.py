@@ -2,26 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import line_for
 from scpl.errors import InvalidInputError
-from scpl.features import build_configuration
-from scpl.model import (Configuration, FeatureModel, ImpEntry, ImpMapping,
-                        MachineIndex, OrState, SimpleState, StateChart,
-                        Transition, canonicalize, check_well_formed,
-                        var_elems)
+from scpl.model import (Configuration, ImpMapping, MachineIndex, OrState,
+                        SimpleState, StateChart, Transition, canonicalize,
+                        check_well_formed, var_elems)
 from scpl.strategy import (check_confluence, generate_random_product_line,
                            instantiate, validate_inputs)
-
-
-def line_for(sc, doomed_feature_elements):
-    """A minimal fm/conf/imp deselecting one feature that maps to the
-    given machine elements."""
-    fm = FeatureModel(
-        funcs=frozenset({"R", "F"}), root="R",
-        opt=frozenset({("R", frozenset({"F"}))}))
-    conf = build_configuration(fm, frozenset({"R"}))
-    imp = ImpMapping.from_dict(
-        {"F": ImpEntry(frozenset(doomed_feature_elements))})
-    return fm, conf, imp
 
 
 def test_full_selection_is_finalize_only(mp, mp_full):
