@@ -24,6 +24,8 @@ def _loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise FormatSyntaxError("document nests too deeply") from exc
 
 
 def _expect(value, types, path: str):

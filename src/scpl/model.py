@@ -14,20 +14,20 @@ And-state.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Union
 
 # Characters with structural meaning in names: dots separate hierarchy
 # levels on input, parentheses and commas build composed-transition names.
-_RESERVED = set("(),")
+# ``\s`` matches exactly the characters for which ``str.isspace`` holds.
+_NAME = re.compile(r"[^\s(),.]+").fullmatch
 
 
 def valid_name(name: str) -> bool:
     """Opaque identifier: non-empty, no whitespace, no reserved characters."""
-    if not name or name != name.strip():
-        return False
-    return not any(ch.isspace() or ch in _RESERVED or ch == "." for ch in name)
+    return _NAME(name) is not None
 
 
 def valid_transition_name(name: str) -> bool:

@@ -12,6 +12,14 @@ returns its delta -- removed states, removed and added transitions -- as a
 ``TraceStep``.  ``strategy.instantiate`` builds one working tree, runs every
 rule on it and freezes it once.
 
+Deleting an And-state pairs its entries and exits over region tuples, but
+an exit asks only which coordinates its own region reaches.  So the
+deletion searches the regions one coupled component at a time -- regions
+are coupled only through in-state atoms naming each other's states, never
+through shared triggers -- and costs the product of each component's
+coordinates, not of all regions'.  ``reachable_and`` still returns the
+full tuple set, searching every region as one component.
+
 The public rules below keep the pure machine-in, machine-out form: each
 builds a working tree from its input, applies the shared rule and freezes
 the result.  The working set of elements still slated for deletion travels
@@ -107,6 +115,88 @@ def _boundary_transitions(transitions: Iterable[Transition], doomed: set[str],
         elif t.source in doomed and t.target not in doomed:
             exits.append(t)
     return entries, exits
+
+
+# --- And-state reachability -----------------------------------------------
+
+# A move of one And-region: source coordinate, trigger, requirements and
+# target coordinate.  A requirement (j, node) holds while region j's
+# coordinate is ``node``.
+Move = tuple[str, tuple[str, ...], tuple[tuple[int, str], ...], str]
+
+
+def _tuple_search(region_indices: Sequence[int], start: tuple[str, ...],
+                  moves: list[list[Move]]) -> set[tuple[str, ...]]:
+    """Tuples over the given regions reachable from ``start`` by maximal
+    synchronous steps: per trigger, every region with an enabled move
+    fires, the others stay put, and at least one region fires.  Every
+    requirement of a move of the given regions must name one of them."""
+    position = {j: p for p, j in enumerate(region_indices)}
+    out_of: list[dict[str, list]] = []
+    for j in region_indices:
+        table: dict[str, list] = {}
+        for u, trigger, needs, v in moves[j]:
+            table.setdefault(u, []).append(
+                (trigger, tuple((position[i], node) for i, node in needs), v))
+        out_of.append(table)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        cur = frontier.pop()
+        enabled: dict[tuple[str, ...], dict[int, set[str]]] = {}
+        for p, node in enumerate(cur):
+            for trigger, needs, v in out_of[p].get(node, ()):
+                if all(cur[q] == need for q, need in needs):
+                    enabled.setdefault(trigger, {}).setdefault(p, set()).add(v)
+        for fired in enabled.values():
+            for nxt in product(*(fired.get(p) or (node,)
+                                 for p, node in enumerate(cur))):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return seen
+
+
+def _components(moves: list[list[Move]]) -> list[list[int]]:
+    """Regions partitioned by union-find: a region joins every region its
+    moves require a coordinate of.  Whether a move is enabled depends on its
+    own region's coordinate and its requirements alone, and a trigger fires
+    every region that has an enabled move for it, whatever the other
+    regions do; so shared triggers couple nothing, and each component's
+    reachable tuples are the projections of the whole And-state's."""
+    parent = list(range(len(moves)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, rt in enumerate(moves):
+        for _, _, needs, _ in rt:
+            for j, _ in needs:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(len(moves)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _projections(components: list[list[int]], moves: list[list[Move]],
+                 start: tuple[str, ...], searched: dict) -> list[set[str]]:
+    """Per region, the coordinates that tuples reachable from ``start``
+    take there, searching one component at a time.  ``searched`` caches a
+    component's projections by its part of the start tuple."""
+    reach: list[set[str]] = [set() for _ in start]
+    for c, regions in enumerate(components):
+        key = (c, tuple(start[j] for j in regions))
+        if key not in searched:
+            found = _tuple_search(regions, key[1], moves)
+            searched[key] = [{tup[p] for tup in found}
+                             for p in range(len(regions))]
+        for j, coords in zip(regions, searched[key]):
+            reach[j] = coords
+    return reach
 
 
 # --- the working tree -----------------------------------------------------
@@ -247,79 +337,58 @@ class WorkingTree:
     def reachable_and(self, elem: str, start: tuple[str, ...],
                       pending: PendingSet,
                       include_pending: bool = False) -> set[tuple[str, ...]]:
-        """The module-level ``reachable_and``, on this tree."""
-        st = self.states.get(elem)
-        if not isinstance(st, AndState):
-            raise NotAndError(f"{elem!r} is not an And-state")
-        regions = list(self.children[elem])
+        """The module-level ``reachable_and``, on this tree: every region
+        searched as one component."""
+        regions, moves = self._region_moves(elem, pending, include_pending)
         if len(start) != len(regions):
             raise NotSubstateError(
                 f"start tuple has {len(start)} coordinates for "
                 f"{len(regions)} regions")
+        for region, coord in zip(regions, start):
+            if coord not in (self.children[region]
+                             if isinstance(self.states[region], OrState)
+                             else (region,)):
+                raise NotSubstateError(
+                    f"{coord!r} is not a substate of region {region!r}")
+        return _tuple_search(range(len(regions)), start, moves)
 
-        nodes: list[set[str]] = []
-        moves: list[list[tuple[str, tuple[str, ...], Condition, str]]] = []
-        for region in regions:
+    def _region_moves(self, elem: str, pending: PendingSet,
+                      include_pending: bool,
+                      ) -> tuple[list[str], list[list[Move]]]:
+        """An And-state's regions and, per region, its usable internal
+        transitions as moves between the region's coordinates (its direct
+        substates; a region that is not an Or-state is its own only
+        coordinate).  In-state atoms become requirements on one region's
+        coordinate; an atom that always holds inside the And-state (naming
+        it, a region, or a state inside a region that is not an Or-state)
+        and an atom about a foreign state become none."""
+        st = self.states.get(elem)
+        if not isinstance(st, AndState):
+            raise NotAndError(f"{elem!r} is not an And-state")
+        regions = list(self.children[elem])
+        coordinate: dict[str, tuple[int, str]] = {}
+        for j, region in enumerate(regions):
             if isinstance(self.states[region], OrState):
-                nodes.append(set(self.children[region]))
-                rt = []
+                for node in self.children[region]:
+                    for name in (node, *self.descendants(node)):
+                        coordinate[name] = (j, node)
+        moves: list[list[Move]] = []
+        for region in regions:
+            rt: list[Move] = []
+            if isinstance(self.states[region], OrState):
                 for t in self.owned[region].values():
                     if not include_pending and t.name in pending:
                         continue
                     u = self.direct_child_within(region, t.source)
                     v = self.direct_child_within(region, t.target)
-                    if u is not None and v is not None:
-                        rt.append((u, t.trigger, t.cond, v))
-                moves.append(rt)
-            else:
-                nodes.append({region})
-                moves.append([])
-        for i, coord in enumerate(start):
-            if coord not in nodes[i]:
-                raise NotSubstateError(
-                    f"{coord!r} is not a substate of region {regions[i]!r}")
-
-        inside = {elem} | self.descendants(elem)
-        is_within = self.is_within
-
-        def atoms_ok(cond: Condition, cur: tuple[str, ...]) -> bool:
-            for atom in cond.atoms:
-                if not isinstance(atom, InState):
-                    continue
-                if atom.state not in inside:
-                    continue  # foreign state: statically unknown
-                if not any(is_within(c, atom.state) or
-                           is_within(atom.state, c) for c in cur):
-                    return False
-            return True
-
-        labels = {trig for rt in moves for _, trig, _, _ in rt}
-
-        def successors(cur: tuple[str, ...]):
-            for label in labels:
-                per_region: list[list[str]] = []
-                fired = False
-                for i in range(len(regions)):
-                    enabled = [v for u, trig, cond, v in moves[i]
-                               if u == cur[i] and trig == label
-                               and atoms_ok(cond, cur)]
-                    if enabled:
-                        fired = True
-                        per_region.append(sorted(set(enabled)))
-                    else:
-                        per_region.append([cur[i]])
-                if fired:
-                    yield from product(*per_region)
-
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in successors(cur):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
+                    if u is None or v is None:
+                        continue
+                    needs = tuple(coordinate[a.state] for a in t.cond.atoms
+                                  if isinstance(a, InState)
+                                  and a.state in coordinate)
+                    rt.append((u, t.trigger, needs, v))
+            moves.append(rt)
+        return regions, moves
 
     # -- state deletion --
 
@@ -413,13 +482,17 @@ class WorkingTree:
         starts at its initial substate and an exit leaving the composite as
         a unit pairs with every entry; inside an And-state, reachability
         runs over region tuples, starting from the tuple of region initials
-        with the entry's target substituted in its region."""
+        with the entry's target substituted in its region, and an exit
+        needs only its own region's projection of the reachable tuples, so
+        each component of coupled regions is searched on its own."""
         elem = st.name
+        if not (entries and exits):
+            return []
         if isinstance(st, SimpleState):
             return [comp(te, ts) for te in entries for ts in exits]
         out: list[Transition] = []
-        reach_from: dict = {}
         if isinstance(st, OrState):
+            reach_from: dict[str, set[str]] = {}
             for te in entries:
                 start = (self.initial[elem] if te.target == elem
                          else self.direct_child_within(elem, te.target))
@@ -433,14 +506,13 @@ class WorkingTree:
                         out.append(comp(replace(te, target=elem),
                                         replace(ts, source=elem)))
             return out
-        regions = list(self.children[elem])
+        regions, moves = self._region_moves(elem, pending, include_pending)
+        components = _components(moves)
+        searched: dict = {}
         default = tuple(self._region_node(r, r) for r in regions)
         for te in entries:
             start = self._substitute_coordinate(regions, default, te.target)
-            if start not in reach_from:
-                reach_from[start] = self.reachable_and(
-                    elem, start, pending, include_pending)
-            reach = reach_from[start]
+            reach = _projections(components, moves, start, searched)
             for ts in exits:
                 if self._exit_reached(elem, regions, reach, ts.source):
                     out.append(comp(replace(te, target=elem),
@@ -470,15 +542,16 @@ class WorkingTree:
         return tuple(out)
 
     def _exit_reached(self, elem: str, regions: list[str],
-                      reach: set[tuple[str, ...]], source: str) -> bool:
+                      reach: list[set[str]], source: str) -> bool:
+        """Whether an exit from ``source`` leaves some reachable
+        configuration: ``reach`` holds, per region, the coordinates that
+        reachable tuples take there."""
         if source == elem:
-            return bool(reach)
+            return True
         for j, region in enumerate(regions):
             if self.is_within(source, region):
-                if source == region:
-                    return bool(reach)
-                node = self._region_node(region, source)
-                return any(tup[j] == node for tup in reach)
+                return (source == region
+                        or self._region_node(region, source) in reach[j])
         return False
 
     def _lca_or_owner(self, source: str, target: str) -> str:
@@ -654,7 +727,10 @@ def delete_and_state(elem: str, sc: StateChart, pending: PendingSet, *,
     over region tuples: the start tuple is the default tuple of region
     initials with the entry's target substituted in its region, and an
     exit is reachable when some reachable tuple holds its source substate
-    at that region's coordinate."""
+    at that region's coordinate.  Only that per-region projection is
+    computed: regions are partitioned into components joined by in-state
+    atoms naming a state of another region, and each component's tuples
+    are searched from the start tuple's projection onto it."""
     return _delete(AndState, elem, sc, pending, include_pending)
 
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 from typing import NamedTuple, Sequence
 
 from .binding import nsc as compute_nsc
 from .binding import validate_imp
-from .errors import InvalidInputError, RewriteError, ScplError
+from .errors import InvalidInputError, RewriteError, ScplError, TooLargeError
 from .features import (build_configuration, kernel, validate_configuration,
                        validate_feature_model)
 from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
@@ -26,6 +27,11 @@ from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
                     RewriteTrace, SimpleState, State, StateChart, TraceStep,
                     Transition, canonicalize, check_well_formed, var_elems)
 from .rewrite import PendingSet, WorkingTree
+
+
+# Largest NSC that ``check_confluence(exhaustive=True)`` runs every order
+# of: 8! = 40,320 instantiations.
+EXHAUSTIVE_CAP = 8
 
 
 class InstantiationResult(NamedTuple):
@@ -144,7 +150,9 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
                      include_pending: bool = False) -> ConfluenceReport:
     """Runs many instantiations under permuted within-layer orders and
     reports whether all canonical results agree.  Errors count as outcomes
-    too: a run that fails must fail identically under every order."""
+    too: a run that fails must fail identically under every order.
+    ``exhaustive`` runs every order instead of ``trials`` sampled ones and
+    raises TooLargeError when NSC holds more than EXHAUSTIVE_CAP elements."""
     violations = validate_inputs(fm, conf, sc, imp)
     if violations:
         raise InvalidInputError(violations)
@@ -161,24 +169,32 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
             return f"error:{exc.code}"
 
     if exhaustive:
-        orders = [tuple(p) for p in permutations(base)]
+        if len(base) > EXHAUSTIVE_CAP:
+            raise TooLargeError(
+                f"{len(base)} NSC elements exceed the exhaustive cap of "
+                f"{EXHAUSTIVE_CAP}")
+        total = factorial(len(base))
+        orders = permutations(base)
     else:
         rng = random.Random(seed)
-        orders = [base]
+        sampled = [base]
         for _ in range(max(0, trials - 1)):
             shuffled = list(base)
             rng.shuffle(shuffled)
-            orders.append(tuple(shuffled))
+            sampled.append(tuple(shuffled))
+        total = len(sampled)
+        orders = iter(sampled)
 
-    reference = outcome(orders[0])
-    for order in orders[1:]:
+    first = next(orders)
+    reference = outcome(first)
+    for order in orders:
         got = outcome(order)
         if got != reference:
             return ConfluenceReport(
-                confluent=False, trials=len(orders), nsc_size=len(base),
-                divergent_orders=(orders[0], order),
+                confluent=False, trials=total, nsc_size=len(base),
+                divergent_orders=(first, order),
                 divergent_outcomes=(_describe(reference), _describe(got)))
-    return ConfluenceReport(confluent=True, trials=len(orders),
+    return ConfluenceReport(confluent=True, trials=total,
                             nsc_size=len(base))
 
 

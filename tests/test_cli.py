@@ -92,3 +92,30 @@ def test_confluence_exit_zero(paths, capsys):
 def test_fuzz(capsys):
     assert main(["fuzz", "--seed", "3", "--count", "5"]) == 0
     assert "5/5 seeds passed" in capsys.readouterr().out
+
+
+def _nested_line(depth: int) -> str:
+    """A product line whose root holds a chain of ``depth`` nested
+    Or-states."""
+    opens = [f'{{"kind": "or", "name": "N{i}", "initial": "N{i + 1}", '
+             f'"substates": [' for i in range(depth)]
+    return ('{"feature_model": {"funcs": ["F"], "root": "F"}, '
+            '"statechart": {"root": ' + "".join(opens)
+            + f'{{"kind": "simple", "name": "N{depth}"}}' + "]}" * depth
+            + '}, "imp": {}}')
+
+
+@pytest.mark.parametrize("command", ["validate", "instantiate"])
+def test_too_deeply_nested_document_is_a_syntax_error(command, tmp_path,
+                                                      capsys):
+    line = tmp_path / "deep.pl.json"
+    line.write_text(_nested_line(20_000), encoding="utf-8")
+    conf = tmp_path / "deep.conf.json"
+    conf.write_text('{"selected": ["F"]}', encoding="utf-8")
+    argv = [command, str(line)]
+    if command == "instantiate":
+        argv += [str(conf), "-o", str(tmp_path / "out.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["syntax error: document nests too deeply"]
+    assert "Traceback" not in err

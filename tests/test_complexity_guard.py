@@ -2,13 +2,18 @@
 
 One instantiation may index and rebuild the machine a constant number of
 times (validation, the working tree, the final checks), never once per
-rule application.
+rule application.  Deleting an And-state searches each coupled component
+of its regions on its own, never the product of all regions.
 """
 
+import random
 import sys
 
 import scpl.model
-from scpl.model import MachineIndex
+import scpl.rewrite
+from conftest import line_for
+from scpl.model import (AndState, MachineIndex, OrState, SimpleState,
+                        StateChart, Transition)
 from scpl.strategy import generate_random_product_line, instantiate
 
 # The benchmark ladder's line of about 1k states: 1,009 states, 267 NSC
@@ -44,3 +49,43 @@ def test_instantiate_indexes_and_rebuilds_a_constant_number_of_times(
     assert len(result.trace) > 100
     assert indexes[0] <= 6
     assert passes[0] <= 2
+
+
+def test_and_state_deletion_searches_uncoupled_regions_apart(monkeypatch):
+    # 12 rings of 6 substates over three shared triggers, no in-state
+    # atoms: 6**12 (about 2.2e9) tuples, but 12 components of 6 each.  The
+    # triggers are drawn at random: a periodic pattern would keep the
+    # regions in lockstep, and even the full product search small.
+    rng = random.Random(3)
+    regions = []
+    for i in range(12):
+        names = [f"R{i}S{j}" for j in range(6)]
+        ring = tuple(Transition(f"r{i}t{j}", names[j], names[(j + 1) % 6],
+                                (rng.choice("abc"),)) for j in range(6))
+        regions.append(OrState(f"R{i}", tuple(SimpleState(n) for n in names),
+                               names[0], ring))
+    root = OrState(
+        "Root",
+        (SimpleState("In"), AndState("A", tuple(regions), True),
+         SimpleState("OutX"), SimpleState("OutY")),
+        "In",
+        (Transition("enter", "In", "A", ("go",)),
+         Transition("exitX", "R0S3", "OutX", ("x",)),
+         Transition("exitY", "A", "OutY", ("y",))))
+    sc = StateChart(root)
+    orig = scpl.rewrite._tuple_search
+    visited = [0]
+
+    def counting(region_indices, start, moves):
+        # Refuse a coupled search up front: it would run for hours.
+        assert len(region_indices) == 1, "uncoupled regions searched jointly"
+        found = orig(region_indices, start, moves)
+        visited[0] += len(found)
+        return found
+
+    monkeypatch.setattr(scpl.rewrite, "_tuple_search", counting)
+    fm, conf, imp = line_for(sc, {"A"})
+    result = instantiate(fm, conf, sc, imp)
+    assert 0 < visited[0] <= 72
+    assert set(MachineIndex(result.statechart).transitions) == {
+        "comp(enter,exitX)", "comp(enter,exitY)"}

@@ -16,6 +16,24 @@ def test_valid_name_rejects_structural_characters():
         assert not valid_name(name)
 
 
+def _valid_name_by_characters(name: str) -> bool:
+    """The definition, character by character."""
+    if not name or name != name.strip():
+        return False
+    return not any(ch.isspace() or ch in "()," or ch == "." for ch in name)
+
+
+def test_valid_name_agrees_with_its_definition_on_every_code_point():
+    disagree = [cp for cp in range(0x110000)
+                if valid_name(chr(cp)) != _valid_name_by_characters(chr(cp))]
+    assert disagree == []
+    spaces = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]
+    for name in ("", "ab", *(w + "ab" for w in spaces),
+                 *("ab" + w for w in spaces), *("a" + w + "b" for w in spaces),
+                 "\ud800ab", "ab\udfff"):
+        assert valid_name(name) == _valid_name_by_characters(name), repr(name)
+
+
 @given(st.lists(st.sampled_from([Guard("g"), InState("s")]), max_size=4),
        st.lists(st.sampled_from([Guard("h"), InState("t")]), max_size=4),
        st.lists(st.sampled_from([Guard("k"), InState("u")]), max_size=4))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -348,6 +350,47 @@ def test_reachable_and_matches_oracle(seed):
     got = reachable_and("E", start, sc, PendingSet(set()))
     want = and_closure(region_nodes, region_moves, start, instate_ok)
     assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.data())
+def test_delete_and_state_pairs_exits_by_projection_oracle(seed, data):
+    sc, comp_state = random_and_composite(seed, max_regions=4,
+                                          max_substates=4)
+    region_nodes = [[s.name for s in r.substates] for r in comp_state.regions]
+    region_moves = [
+        [(t.source, t.trigger,
+          [a for a in t.cond.atoms if isinstance(a, InState)], t.target)
+         for t in r.transitions]
+        for r in comp_state.regions]
+    regions = [r.name for r in comp_state.regions]
+    ends = st.sampled_from(["E", *regions, *(n for nodes in region_nodes
+                                             for n in nodes)])
+    entries = [T(f"in{i}", "Out", tgt) for i, tgt in
+               enumerate(data.draw(st.lists(ends, min_size=1, max_size=3)))]
+    exits = [T(f"out{i}", src, "Out") for i, src in
+             enumerate(data.draw(st.lists(ends, min_size=1, max_size=3)))]
+    root = OrState("Root", (SimpleState("Out"), replace(comp_state,
+                                                        optional=True)),
+                   "Out", tuple(entries + exits))
+
+    def instate_ok(atom, cur):
+        return atom.state in cur
+
+    want = set()
+    for te in entries:
+        start = [nodes[0] for nodes in region_nodes]
+        for r, nodes in enumerate(region_nodes):
+            if te.target in nodes:
+                start[r] = te.target
+        reach = and_closure(region_nodes, region_moves, tuple(start),
+                            instate_ok)
+        for ts in exits:
+            if ts.source == "E" or ts.source in regions or any(
+                    ts.source in tup for tup in reach):
+                want.add(comp_name(te.name, ts.name))
+    out = delete_and_state("E", StateChart(root), PendingSet({"E"}))
+    assert set(MachineIndex(out).transitions) == want
 
 
 # --- repair, prune, transition deletion, finalize -------------------------

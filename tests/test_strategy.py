@@ -3,12 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import line_for
-from scpl.errors import InvalidInputError
+from scpl import strategy
+from scpl.errors import InvalidInputError, RewriteError, TooLargeError
 from scpl.model import (Configuration, ImpMapping, MachineIndex, OrState,
                         SimpleState, StateChart, Transition, canonicalize,
                         check_well_formed, var_elems)
-from scpl.strategy import (check_confluence, generate_random_product_line,
-                           instantiate, validate_inputs)
+from scpl.strategy import (EXHAUSTIVE_CAP, check_confluence,
+                           generate_random_product_line, instantiate,
+                           validate_inputs)
 
 
 def test_full_selection_is_finalize_only(mp, mp_full):
@@ -125,6 +127,38 @@ def test_check_confluence_single_trial_is_trivially_confluent(mp, mp_no_poly):
     fm, sc, imp = mp
     report = check_confluence(fm, mp_no_poly, sc, imp, trials=1)
     assert report.confluent and report.trials == 1
+
+
+def _line_dooming(n: int):
+    """A line whose NSC holds ``n`` optional simple states."""
+    doomed = [f"S{i}" for i in range(n)]
+    sc = StateChart(OrState(
+        "Root", (SimpleState("A"), *(SimpleState(s, True) for s in doomed)),
+        "A"))
+    fm, conf, imp = line_for(sc, doomed)
+    return fm, conf, sc, imp
+
+
+def test_exhaustive_confluence_refuses_more_than_the_cap(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("no order may run past the cap")
+
+    monkeypatch.setattr(strategy, "instantiate", unreachable)
+    with pytest.raises(TooLargeError, match="exhaustive cap of 8"):
+        check_confluence(*_line_dooming(EXHAUSTIVE_CAP + 1), exhaustive=True)
+
+
+def test_exhaustive_confluence_runs_every_order_at_the_cap(monkeypatch):
+    calls = [0]
+
+    def failing(*args, **kwargs):
+        calls[0] += 1
+        raise RewriteError("stub")
+
+    monkeypatch.setattr(strategy, "instantiate", failing)
+    report = check_confluence(*_line_dooming(EXHAUSTIVE_CAP), exhaustive=True)
+    assert report.confluent
+    assert report.trials == calls[0] == 40_320
 
 
 def test_generator_is_reproducible():
