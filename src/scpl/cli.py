@@ -34,12 +34,20 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatSyntaxError(
+            f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
 def _load_line(path: str):
-    return parse_product_line(Path(path).read_text(encoding="utf-8"))
+    return parse_product_line(_read(path))
 
 
 def _load_conf(path: str):
-    return parse_configuration(Path(path).read_text(encoding="utf-8"))
+    return parse_configuration(_read(path))
 
 
 def _violation_payload(violations) -> list[dict]:

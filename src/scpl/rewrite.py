@@ -12,13 +12,17 @@ returns its delta -- removed states, removed and added transitions -- as a
 ``TraceStep``.  ``strategy.instantiate`` builds one working tree, runs every
 rule on it and freezes it once.
 
-Deleting an And-state pairs its entries and exits over region tuples, but
-an exit asks only which coordinates its own region reaches.  So the
-deletion searches the regions one coupled component at a time -- regions
-are coupled only through in-state atoms naming each other's states, never
-through shared triggers -- and costs the product of each component's
-coordinates, not of all regions'.  ``reachable_and`` still returns the
-full tuple set, searching every region as one component.
+Deleting a state of any kind pairs its entries and exits by one rule.
+The state is read as a product of regions -- an And-state's regions, an
+Or-state as its own single region, none for a simple state -- and an exit
+pairs with an entry when some region tuple reachable from where the entry
+lands holds the exit's source.  An exit asks only which coordinates its
+own region reaches, so the deletion searches the regions one coupled
+component at a time -- regions are coupled only through in-state atoms
+naming each other's states, never through shared triggers -- and costs the
+product of each component's coordinates, not of all regions'.
+``reachable_and`` still returns the full tuple set, searching every region
+as one component; ``reachable_or`` is the one-region search.
 
 The public rules below keep the pure machine-in, machine-out form: each
 builds a working tree from its input, applies the shared rule and freezes
@@ -117,9 +121,9 @@ def _boundary_transitions(transitions: Iterable[Transition], doomed: set[str],
     return entries, exits
 
 
-# --- And-state reachability -----------------------------------------------
+# --- reachability over region tuples --------------------------------------
 
-# A move of one And-region: source coordinate, trigger, requirements and
+# A move of one region: source coordinate, trigger, requirements and
 # target coordinate.  A requirement (j, node) holds while region j's
 # coordinate is ``node``.
 Move = tuple[str, tuple[str, ...], tuple[tuple[int, str], ...], str]
@@ -309,36 +313,23 @@ class WorkingTree:
 
     def reachable_or(self, elem: str, start: str, pending: PendingSet,
                      include_pending: bool = False) -> set[str]:
-        """The module-level ``reachable_or``, on this tree."""
-        st = self.states.get(elem)
-        if not isinstance(st, OrState):
+        """The module-level ``reachable_or``, on this tree: the one-region
+        projection of the tuple search."""
+        if not isinstance(self.states.get(elem), OrState):
             raise RewriteError(f"{elem!r} is not an Or-state")
         if start not in self.children[elem]:
             raise NotSubstateError(
                 f"{start!r} is not a direct substate of {elem!r}")
-        edges: dict[str, set[str]] = {}
-        for t in self.owned[elem].values():
-            if not include_pending and t.name in pending:
-                continue
-            u = self.direct_child_within(elem, t.source)
-            v = self.direct_child_within(elem, t.target)
-            if u is not None and v is not None:
-                edges.setdefault(u, set()).add(v)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in edges.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return seen
+        _, moves = self._region_moves(elem, pending, include_pending)
+        return {node for node, in _tuple_search([0], (start,), moves)}
 
     def reachable_and(self, elem: str, start: tuple[str, ...],
                       pending: PendingSet,
                       include_pending: bool = False) -> set[tuple[str, ...]]:
         """The module-level ``reachable_and``, on this tree: every region
         searched as one component."""
+        if not isinstance(self.states.get(elem), AndState):
+            raise NotAndError(f"{elem!r} is not an And-state")
         regions, moves = self._region_moves(elem, pending, include_pending)
         if len(start) != len(regions):
             raise NotSubstateError(
@@ -355,23 +346,26 @@ class WorkingTree:
     def _region_moves(self, elem: str, pending: PendingSet,
                       include_pending: bool,
                       ) -> tuple[list[str], list[list[Move]]]:
-        """An And-state's regions and, per region, its usable internal
-        transitions as moves between the region's coordinates (its direct
-        substates; a region that is not an Or-state is its own only
-        coordinate).  In-state atoms become requirements on one region's
-        coordinate; an atom that always holds inside the And-state (naming
-        it, a region, or a state inside a region that is not an Or-state)
-        and an atom about a foreign state become none."""
-        st = self.states.get(elem)
-        if not isinstance(st, AndState):
-            raise NotAndError(f"{elem!r} is not an And-state")
-        regions = list(self.children[elem])
+        """A state's regions -- an And-state's children, an Or-state
+        itself, none for a simple state -- and, per region, its usable
+        internal transitions as moves between the region's coordinates (its
+        direct substates; a region that is not an Or-state is its own only
+        coordinate).  Inside an And-state, in-state atoms become
+        requirements on one region's coordinate; an atom that always holds
+        there (naming the And-state, a region, or a state inside a region
+        that is not an Or-state) and an atom about a foreign state become
+        none.  An Or-state's moves carry none: its reachability ignores
+        conditions."""
+        st = self.states[elem]
+        regions = (list(self.children[elem]) if isinstance(st, AndState)
+                   else [elem] if isinstance(st, OrState) else [])
         coordinate: dict[str, tuple[int, str]] = {}
-        for j, region in enumerate(regions):
-            if isinstance(self.states[region], OrState):
-                for node in self.children[region]:
-                    for name in (node, *self.descendants(node)):
-                        coordinate[name] = (j, node)
+        if isinstance(st, AndState):
+            for j, region in enumerate(regions):
+                if isinstance(self.states[region], OrState):
+                    for node in self.children[region]:
+                        for name in (node, *self.descendants(node)):
+                            coordinate[name] = (j, node)
         moves: list[list[Move]] = []
         for region in regions:
             rt: list[Move] = []
@@ -397,8 +391,9 @@ class WorkingTree:
                      kind: type | None = None) -> TraceStep:
         """Deletes an optional state with its whole subtree and every
         transition touching it, bridging usable entry/exit pairs of the
-        parent Or-state with their compositions.  ``kind``, when given,
-        refuses a state of any other kind."""
+        parent Or-state with their compositions (``_compositions``, the
+        same rule for every kind).  ``kind``, when given, refuses a state
+        of any other kind."""
         st, parent = self._deletion_preamble(elem, pending)
         if kind is not None and not isinstance(st, kind):
             _, error, what = _DELETION[kind]
@@ -412,7 +407,7 @@ class WorkingTree:
                  if self.owner[n] == parent), key=lambda t: self.seq[t.name])
             entries, exits = _boundary_transitions(candidates, doomed, pending,
                                                    include_pending)
-            additions = self._compositions(st, entries, exits, pending,
+            additions = self._compositions(elem, entries, exits, pending,
                                            include_pending)
         owners = [self._lca_or_owner(t.source, t.target) for t in additions]
         # A name may repeat only when a user transition is itself named
@@ -474,49 +469,32 @@ class WorkingTree:
                 "fewer than 2 regions")
         return st, parent
 
-    def _compositions(self, st, entries: list[Transition],
+    def _compositions(self, elem: str, entries: list[Transition],
                       exits: list[Transition], pending: PendingSet,
                       include_pending: bool) -> list[Transition]:
         """Composes each entry with every exit reachable from where the
-        entry lands.  Inside an Or-state, an entry landing on the composite
-        starts at its initial substate and an exit leaving the composite as
-        a unit pairs with every entry; inside an And-state, reachability
-        runs over region tuples, starting from the tuple of region initials
-        with the entry's target substituted in its region, and an exit
-        needs only its own region's projection of the reachable tuples, so
-        each component of coupled regions is searched on its own."""
-        elem = st.name
+        entry lands, over the state's regions (``_region_moves``): the
+        search starts from the tuple of region initials with the entry's
+        target substituted in its region, and an exit needs only its own
+        region's projection of the reachable tuples, so each component of
+        coupled regions is searched on its own.  An exit leaving the state
+        or a region as a unit pairs with every entry; a simple state has
+        no regions, so all its entries and exits pair."""
         if not (entries and exits):
             return []
-        if isinstance(st, SimpleState):
-            return [comp(te, ts) for te in entries for ts in exits]
-        out: list[Transition] = []
-        if isinstance(st, OrState):
-            reach_from: dict[str, set[str]] = {}
-            for te in entries:
-                start = (self.initial[elem] if te.target == elem
-                         else self.direct_child_within(elem, te.target))
-                if start not in reach_from:
-                    reach_from[start] = self.reachable_or(
-                        elem, start, pending, include_pending)
-                for ts in exits:
-                    anchor = (None if ts.source == elem
-                              else self.direct_child_within(elem, ts.source))
-                    if anchor is None or anchor in reach_from[start]:
-                        out.append(comp(replace(te, target=elem),
-                                        replace(ts, source=elem)))
-            return out
         regions, moves = self._region_moves(elem, pending, include_pending)
         components = _components(moves)
         searched: dict = {}
         default = tuple(self._region_node(r, r) for r in regions)
+        leaving = [replace(ts, source=elem) for ts in exits]
+        out: list[Transition] = []
         for te in entries:
             start = self._substitute_coordinate(regions, default, te.target)
             reach = _projections(components, moves, start, searched)
-            for ts in exits:
+            entering = replace(te, target=elem)
+            for ts, leave in zip(exits, leaving):
                 if self._exit_reached(elem, regions, reach, ts.source):
-                    out.append(comp(replace(te, target=elem),
-                                    replace(ts, source=elem)))
+                    out.append(comp(entering, leave))
         return out
 
     def _region_node(self, region: str, name: str) -> str:
@@ -706,18 +684,20 @@ def _delete(kind: type, elem: str, sc: StateChart, pending: PendingSet,
 def delete_simple_state(elem: str, sc: StateChart, pending: PendingSet, *,
                         include_pending: bool = False) -> StateChart:
     """Removes an optional simple state, drops every transition adjacent to
-    it, and bridges each usable entry/exit pair with their composition."""
+    it, and bridges each usable entry/exit pair with their composition: a
+    simple state has no regions to search, so every pair is bridged."""
     return _delete(SimpleState, elem, sc, pending, include_pending)
 
 
 def delete_or_state(elem: str, sc: StateChart, pending: PendingSet, *,
                     include_pending: bool = False) -> StateChart:
-    """Removes an optional Or-state with everything inside it.  An entry
-    composes with an exit when the exit's source substate is reachable
-    from the entry's target substate over the composite's internal
-    transitions; entries landing on the composite itself enter at its
-    initial substate, exits leaving the composite as a unit pair with
-    every entry."""
+    """Removes an optional Or-state with everything inside it, pairing as
+    ``delete_and_state`` does with the Or-state as its own single region:
+    an entry composes with an exit when the exit's source substate is
+    reachable from the entry's target substate over the composite's
+    internal transitions, whose in-state atoms are ignored; entries
+    landing on the composite itself enter at its initial substate, exits
+    leaving the composite as a unit pair with every entry."""
     return _delete(OrState, elem, sc, pending, include_pending)
 
 
@@ -737,8 +717,9 @@ def delete_and_state(elem: str, sc: StateChart, pending: PendingSet, *,
 def reachable_or(elem: str, start: str, sc: StateChart, pending: PendingSet,
                  *, include_pending: bool = False) -> set[str]:
     """Reflexive-transitive closure over an Or-state's internal transitions,
-    projected onto its direct substates.  Pending transitions grant no
-    reachability."""
+    projected onto its direct substates: the region-tuple search of
+    ``reachable_and`` with the Or-state as its one region.  Conditions are
+    ignored; pending transitions grant no reachability."""
     return WorkingTree(sc).reachable_or(elem, start, pending, include_pending)
 
 

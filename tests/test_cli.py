@@ -105,11 +105,22 @@ def _nested_line(depth: int) -> str:
             + '}, "imp": {}}')
 
 
-@pytest.mark.parametrize("command", ["validate", "instantiate"])
-def test_too_deeply_nested_document_is_a_syntax_error(command, tmp_path,
+_DEEP = (_nested_line(20_000).encode("utf-8"), "document nests too deeply")
+_NOT_UTF8 = (b'{"a": "\xff"}',
+             "{line}: not UTF-8 (invalid start byte at byte 7)")
+
+
+@pytest.mark.parametrize("command, document, message", [
+    pytest.param("validate", *_DEEP, id="validate"),
+    pytest.param("instantiate", *_DEEP, id="instantiate"),
+    pytest.param("validate", *_NOT_UTF8, id="validate-not-utf8"),
+    pytest.param("instantiate", *_NOT_UTF8, id="instantiate-not-utf8"),
+])
+def test_too_deeply_nested_document_is_a_syntax_error(command, document,
+                                                      message, tmp_path,
                                                       capsys):
     line = tmp_path / "deep.pl.json"
-    line.write_text(_nested_line(20_000), encoding="utf-8")
+    line.write_bytes(document)
     conf = tmp_path / "deep.conf.json"
     conf.write_text('{"selected": ["F"]}', encoding="utf-8")
     argv = [command, str(line)]
@@ -117,5 +128,5 @@ def test_too_deeply_nested_document_is_a_syntax_error(command, tmp_path,
         argv += [str(conf), "-o", str(tmp_path / "out.json")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.splitlines() == ["syntax error: document nests too deeply"]
+    assert err.splitlines() == ["syntax error: " + message.format(line=line)]
     assert "Traceback" not in err

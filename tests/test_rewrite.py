@@ -8,8 +8,9 @@ from conftest import simple_chain
 from generators import random_and_composite, random_or_composite
 from oracles import and_closure, closure
 from scpl.errors import (EmptyCompositeError, IsInitialError, NoInitialError,
-                         NotOptionalError, NotSimpleError,
-                         OptionalComposeError, RewriteError)
+                         NotAndError, NotOptionalError, NotSimpleError,
+                         NotSubstateError, OptionalComposeError,
+                         RewriteError)
 from scpl.model import (AndState, Condition, Guard, History, InState,
                         MachineIndex, OrState, SimpleState, StateChart,
                         Transition, canonicalize)
@@ -302,6 +303,47 @@ def test_delete_and_state_exit_blocked_without_synchronous_partner():
     assert set(MachineIndex(out2).transitions) == set()
 
 
+# --- reachability error paths ---------------------------------------------
+
+def _reachability_machine():
+    e = OrState("E", (SimpleState("A"), OrState("N", (SimpleState("Na"),),
+                                                "Na")), "A")
+    p = AndState("P", (OrState("R0", (SimpleState("X"), SimpleState("Y")),
+                               "X"), SimpleState("R1")))
+    return StateChart(OrState("Root", (SimpleState("Out"), e, p), "Out"))
+
+
+@pytest.mark.parametrize("rule, elem, start, error, message", [
+    (reachable_or, "Out", "Out",
+     RewriteError, "'Out' is not an Or-state"),
+    (reachable_or, "P", "R0",
+     RewriteError, "'P' is not an Or-state"),
+    (reachable_or, "Ghost", "A",
+     RewriteError, "'Ghost' is not an Or-state"),
+    (reachable_or, "E", "Na",
+     NotSubstateError, "'Na' is not a direct substate of 'E'"),
+    (reachable_or, "E", "Out",
+     NotSubstateError, "'Out' is not a direct substate of 'E'"),
+    (reachable_and, "E", ("A",),
+     NotAndError, "'E' is not an And-state"),
+    (reachable_and, "Ghost", ("A",),
+     NotAndError, "'Ghost' is not an And-state"),
+    (reachable_and, "P", ("X",),
+     NotSubstateError, "start tuple has 1 coordinates for 2 regions"),
+    (reachable_and, "P", ("X", "R1", "R1"),
+     NotSubstateError, "start tuple has 3 coordinates for 2 regions"),
+    (reachable_and, "P", ("A", "R1"),
+     NotSubstateError, "'A' is not a substate of region 'R0'"),
+    (reachable_and, "P", ("X", "Y"),
+     NotSubstateError, "'Y' is not a substate of region 'R1'"),
+])
+def test_reachability_rejects_bad_input(rule, elem, start, error, message):
+    with pytest.raises(RewriteError) as caught:
+        rule(elem, start, _reachability_machine(), PendingSet(set()))
+    assert type(caught.value) is error
+    assert caught.value.message == message
+
+
 # --- reachability against the brute-force oracle --------------------------
 
 def _project(comp_state, name):
@@ -390,6 +432,46 @@ def test_delete_and_state_pairs_exits_by_projection_oracle(seed, data):
                     ts.source in tup for tup in reach):
                 want.add(comp_name(te.name, ts.name))
     out = delete_and_state("E", StateChart(root), PendingSet({"E"}))
+    assert set(MachineIndex(out).transitions) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.data())
+def test_delete_or_state_pairs_exits_by_closure_oracle(seed, data):
+    sc, comp_state = random_or_composite(seed)
+    names = [s.name for s in comp_state.substates]
+    nested = [n.name for s in comp_state.substates
+              if isinstance(s, OrState) for n in s.substates]
+    # In-state atoms on internal transitions must not gate Or-reachability.
+    atoms = data.draw(st.lists(st.sampled_from([None, *names, *nested]),
+                               min_size=len(comp_state.transitions),
+                               max_size=len(comp_state.transitions)))
+    internal = tuple(t if a is None else replace(t, cond=Condition(
+        (InState(a),))) for t, a in zip(comp_state.transitions, atoms))
+    edges = set()
+    for t in internal:
+        u, v = _project(comp_state, t.source), _project(comp_state, t.target)
+        if u and v:
+            edges.add((u, v))
+    ends = st.sampled_from(["E", *names, *nested])
+    entries = [T(f"in{i}", "Out", tgt) for i, tgt in
+               enumerate(data.draw(st.lists(ends, min_size=1, max_size=3)))]
+    exits = [T(f"out{i}", src, "Out") for i, src in
+             enumerate(data.draw(st.lists(ends, min_size=1, max_size=3)))]
+    root = OrState("Root", (SimpleState("Out"),
+                            replace(comp_state, transitions=internal,
+                                    optional=True)),
+                   "Out", tuple(entries + exits))
+
+    want = set()
+    for te in entries:
+        start = (comp_state.initial if te.target == "E"
+                 else _project(comp_state, te.target))
+        reach = closure(names, edges, start)
+        for ts in exits:
+            if ts.source == "E" or _project(comp_state, ts.source) in reach:
+                want.add(comp_name(te.name, ts.name))
+    out = delete_or_state("E", StateChart(root), PendingSet({"E"}))
     assert set(MachineIndex(out).transitions) == want
 
 
