@@ -173,6 +173,19 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK if not failures else EXIT_INVALID
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scpl",
@@ -216,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
             "check order-independence of the instantiation")
     p.add_argument("product_line")
     p.add_argument("configuration")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--paper-literal", action="store_true",
                    help="let pending transitions grant reachability")
@@ -224,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("fuzz", cmd_fuzz,
             "generate random product lines and run the property pipeline")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_at_least(0), default=20)
 
     return parser
 

@@ -340,7 +340,7 @@ def serialize_configuration(conf: Configuration) -> str:
 # --- DOT export -----------------------------------------------------------
 
 def _quote(name: str) -> str:
-    return '"' + name.replace('"', '\\"') + '"'
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _edge_label(t: Transition) -> str:
@@ -359,14 +359,17 @@ def _edge_label(t: Transition) -> str:
     return label
 
 
-def _anchor(state: State) -> str:
-    """Deterministic leaf node used to attach edges to a composite."""
-    if isinstance(state, SimpleState):
-        return state.name
-    if isinstance(state, OrState):
-        by_name = {s.name: s for s in state.substates}
-        return _anchor(by_name[state.initial])
-    return _anchor(min(state.regions, key=lambda r: r.name))
+def _anchor(idx: MachineIndex, name: str) -> str:
+    """Deterministic leaf node used to attach edges to a composite: the
+    initial substate of an Or-state, the least-named region of an
+    And-state, and so on down to a simple state."""
+    while name in idx.children:
+        kids = idx.children[name]
+        head = idx.initial[name] if name in idx.initial else min(kids)
+        if head not in kids:
+            raise ValueError(f"{name!r} has no direct substate {head!r}")
+        name = head
+    return name
 
 
 def export_dot(sc: StateChart) -> str:
@@ -377,51 +380,39 @@ def export_dot(sc: StateChart) -> str:
     lines = ["digraph statechart {", "  compound=true;", "  rankdir=LR;",
              "  node [shape=box];"]
 
-    def emit_state(state: State, depth: int) -> None:
+    def emit_state(name: str, depth: int) -> None:
         pad = "  " * depth
-        if isinstance(state, SimpleState):
-            style = "dashed" if state.optional else "solid"
-            lines.append(f"{pad}{_quote(state.name)} [style={style}];")
+        style = "dashed" if idx.states[name].optional else "solid"
+        if name not in idx.children:
+            lines.append(f"{pad}{_quote(name)} [style={style}];")
             return
-        lines.append(f"{pad}subgraph {_quote('cluster_' + state.name)} {{")
-        lines.append(f"{pad}  label={_quote(state.name)};")
-        lines.append(f"{pad}  style="
-                     f"{'dashed' if state.optional else 'solid'};")
-        if isinstance(state, OrState):
-            init_node = "__initial_" + state.name
-            lines.append(f"{pad}  {_quote(init_node)} [shape=point];")
-            for sub in sorted(state.substates, key=lambda s: s.name):
-                emit_state(sub, depth + 1)
-        else:
-            for region in sorted(state.regions, key=lambda r: r.name):
-                emit_state(region, depth + 1)
+        lines.append(f"{pad}subgraph {_quote('cluster_' + name)} {{")
+        lines.append(f"{pad}  label={_quote(name)};")
+        lines.append(f"{pad}  style={style};")
+        if name in idx.initial:
+            lines.append(f"{pad}  {_quote('__initial_' + name)} [shape=point];")
+        for child in sorted(idx.children[name]):
+            emit_state(child, depth + 1)
         lines.append(f"{pad}}}")
 
-    emit_state(sc.root, 1)
+    emit_state(sc.root.name, 1)
 
     edges: list[str] = []
-    for name, state in sorted(idx.states.items()):
-        if isinstance(state, OrState):
-            by_name = {s.name: s for s in state.substates}
-            init = by_name[state.initial]
-            head = _anchor(init)
-            attrs = ""
-            if not isinstance(init, SimpleState):
-                attrs = f", lhead={_quote('cluster_' + init.name)}"
-            edges.append(f"  {_quote('__initial_' + name)} -> {_quote(head)} "
-                         f"[style=solid{attrs}];")
+    for name, init in sorted(idx.initial.items()):
+        attrs = ""
+        if init in idx.children:
+            attrs = f", lhead={_quote('cluster_' + init)}"
+        edges.append(f"  {_quote('__initial_' + name)} -> "
+                     f"{_quote(_anchor(idx, name))} [style=solid{attrs}];")
     for tname, t in sorted(idx.transitions.items()):
-        src_state = idx.states[t.source]
-        tgt_state = idx.states[t.target]
-        tail = _anchor(src_state)
-        head = _anchor(tgt_state)
         attrs = [f"label={_quote(_edge_label(t))}",
                  f"style={'dashed' if t.optional else 'solid'}"]
-        if not isinstance(src_state, SimpleState):
+        if t.source in idx.children:
             attrs.append(f"ltail={_quote('cluster_' + t.source)}")
-        if not isinstance(tgt_state, SimpleState):
+        if t.target in idx.children:
             attrs.append(f"lhead={_quote('cluster_' + t.target)}")
-        edges.append(f"  {_quote(tail)} -> {_quote(head)} "
+        edges.append(f"  {_quote(_anchor(idx, t.source))} -> "
+                     f"{_quote(_anchor(idx, t.target))} "
                      f"[{', '.join(attrs)}];")
     lines.extend(edges)
     lines.append("}")

@@ -230,41 +230,60 @@ class Violation:
 # --- machine indexing -----------------------------------------------------
 
 class MachineIndex:
-    """Precomputed lookup tables over one machine, built in one pass over
-    the whole tree.
+    """Lookup tables over one machine, built in one pass over the whole
+    tree and kept in machine order.
+
+    ``children`` maps each composite to its substates or regions (a dict
+    used as an ordered set), ``owned`` each Or-state to its transitions by
+    name, and ``initial`` each Or-state to its initial marker as given.
+    A repeated name is listed in ``duplicate_states`` or
+    ``duplicate_transitions`` and registered at its first occurrence only,
+    so ``parent`` and ``children`` always describe a tree.
 
     The index describes the machine it was built from and goes stale once
-    the machine changes: rewriting edits a ``rewrite.WorkingTree`` instead,
-    which takes over these maps and keeps them current.
+    the machine changes: ``rewrite.WorkingTree`` extends it with the edits
+    that rewriting needs, which keep these maps current.
     """
 
     def __init__(self, sc: StateChart):
         self.states: dict[str, State] = {}
         self.parent: dict[str, str | None] = {}
+        self.children: dict[str, dict[str, None]] = {}
+        self.initial: dict[str, str] = {}
         self.transitions: dict[str, Transition] = {}
         self.owner: dict[str, str] = {}  # transition name -> owning Or-state
+        self.owned: dict[str, dict[str, Transition]] = {}
         self.duplicate_states: list[str] = []
         self.duplicate_transitions: list[str] = []
-        self._walk(sc.root, None)
+        self._walk(sc.root, None, {})  # the root is no composite's child
 
-    def _walk(self, state: State, parent: str | None) -> None:
-        if state.name in self.states:
-            self.duplicate_states.append(state.name)
+    def _walk(self, state: State, parent: str | None,
+              siblings: dict[str, None]) -> None:
+        name = state.name
+        if name in self.states:
+            self.duplicate_states.append(name)
         else:
-            self.states[state.name] = state
-            self.parent[state.name] = parent
+            self.states[name] = state
+            self.parent[name] = parent
+            siblings[name] = None
+        if isinstance(state, SimpleState):
+            return
+        kids = self.children.setdefault(name, {})
         if isinstance(state, OrState):
+            self.initial.setdefault(name, state.initial)
+            owned = self.owned.setdefault(name, {})
             for t in state.transitions:
                 if t.name in self.transitions:
                     self.duplicate_transitions.append(t.name)
                 else:
                     self.transitions[t.name] = t
-                    self.owner[t.name] = state.name
+                    self.owner[t.name] = name
+                    owned[t.name] = t
             for sub in state.substates:
-                self._walk(sub, state.name)
-        elif isinstance(state, AndState):
+                self._walk(sub, name, kids)
+        else:
             for region in state.regions:
-                self._walk(region, state.name)
+                self._walk(region, name, kids)
 
     # -- hierarchy queries --
 
@@ -281,16 +300,10 @@ class MachineIndex:
     def descendants(self, name: str) -> set[str]:
         """Names of all states strictly inside ``name``."""
         out: set[str] = set()
-        stack = [self.states[name]]
+        stack = [name]
         while stack:
-            st = stack.pop()
-            children: tuple[State, ...] = ()
-            if isinstance(st, OrState):
-                children = st.substates
-            elif isinstance(st, AndState):
-                children = st.regions
-            for child in children:
-                out.add(child.name)
+            for child in self.children.get(stack.pop(), ()):
+                out.add(child)
                 stack.append(child)
         return out
 
@@ -312,9 +325,12 @@ def check_well_formed(sc: StateChart) -> list[Violation]:
 
     Violations are data, not failures: callers decide whether to stop.
     """
-    out: list[Violation] = []
-    idx = MachineIndex(sc)
+    return well_formed_violations(MachineIndex(sc))
 
+
+def well_formed_violations(idx: MachineIndex) -> list[Violation]:
+    """``check_well_formed`` over a fresh index of the machine."""
+    out: list[Violation] = []
     for name in idx.duplicate_states:
         out.append(Violation(name, "duplicate state name"))
     for name in idx.duplicate_transitions:
@@ -385,7 +401,11 @@ def _check_endpoints(idx: MachineIndex, t: Transition) -> list[Violation]:
 
 def var_elems(sc: StateChart) -> tuple[frozenset[str], frozenset[str]]:
     """Names of optional states and optional transitions, at any depth."""
-    idx = MachineIndex(sc)
+    return optional_elements(MachineIndex(sc))
+
+
+def optional_elements(idx: MachineIndex) -> tuple[frozenset[str], frozenset[str]]:
+    """``var_elems`` over an index of the machine."""
     sop = frozenset(n for n, s in idx.states.items() if s.optional)
     top = frozenset(n for n, t in idx.transitions.items() if t.optional)
     return sop, top

@@ -4,13 +4,15 @@ transition deletion, initial-state repair, condition pruning, and the
 final optional-flag sweep.
 
 Each rule is implemented once, as a local edit of a ``WorkingTree``: the
-machine held as mutable maps (states, parents, children, transitions and
-their owners, plus the transitions adjacent to each state).  Pruning and
-the final sweep make one pass over the transitions; every other edit costs
-work proportional to the elements it touches, not to the machine.  A rule
-returns its delta -- removed states, removed and added transitions -- as a
-``TraceStep``.  ``strategy.instantiate`` builds one working tree, runs every
-rule on it and freezes it once.
+machine's ``model.MachineIndex``, whose maps (states, parents, children,
+initial markers, transitions, their owners and each Or-state's
+transitions) the rules edit in place, plus the transitions adjacent to
+each state.  Pruning and the final sweep make one pass over the
+transitions; every other edit costs work proportional to the elements it
+touches, not to the machine.  A rule returns its delta -- removed states,
+removed and added transitions -- as a ``TraceStep``.
+``strategy.instantiate`` builds one working tree, runs every rule on it
+and freezes it once.
 
 Deleting a state of any kind pairs its entries and exits by one rule.
 The state is read as a product of regions -- an And-state's regions, an
@@ -214,45 +216,24 @@ _DELETION = {
 }
 
 
-class WorkingTree:
-    """A machine as mutable maps that the rules edit in place.
+class WorkingTree(MachineIndex):
+    """A machine index that the rules edit in place.
 
-    ``states`` maps each name to its state object from the input, kept for
-    the kind and the optional flag only; children, initial markers and
-    owned transitions live in the tree's own maps.  ``owned`` keeps each
-    Or-state's transitions in machine order, ``adjacent`` names the
-    transitions with each state as an endpoint, and ``seq`` numbers the
-    transitions in machine order so that a few can be put back in that
-    order without a scan.
+    ``states`` keeps each name's state object from the input for its kind
+    and optional flag only: the shape of the machine lives in the index
+    maps (``children``, ``initial``, ``owned``), which the edits keep
+    current.  ``adjacent`` names the transitions with each state as an
+    endpoint, and ``seq`` numbers the transitions in machine order so that
+    a few can be put back in that order without a scan.
     """
 
-    # The hierarchy queries of MachineIndex read only ``parent``.
-    ancestors = MachineIndex.ancestors
-    is_within = MachineIndex.is_within
-    direct_child_within = MachineIndex.direct_child_within
-
     def __init__(self, sc: StateChart):
-        idx = MachineIndex(sc)
+        super().__init__(sc)
         self.root = sc.root.name
-        self.states = idx.states
-        self.parent = idx.parent
-        self.transitions = idx.transitions
-        self.owner = idx.owner
-        self.children: dict[str, dict[str, None]] = {}
-        self.initial: dict[str, str] = {}
-        self.owned: dict[str, dict[str, Transition]] = {}
         self.adjacent: dict[str, set[str]] = {}
-        for name, st in self.states.items():
-            if isinstance(st, OrState):
-                self.children[name] = dict.fromkeys(s.name for s in st.substates)
-                self.initial[name] = st.initial
-                self.owned[name] = {}
-            elif isinstance(st, AndState):
-                self.children[name] = dict.fromkeys(r.name for r in st.regions)
         self._counter = count()
         self.seq: dict[str, int] = {}
-        for name, t in self.transitions.items():
-            self.owned[self.owner[name]][name] = t
+        for t in self.transitions.values():
             self._link(t)
 
     def freeze(self) -> StateChart:
@@ -273,16 +254,6 @@ class WorkingTree:
                             tuple(self._frozen(c) for c in self.children[name]),
                             st.optional)
         return st
-
-    def descendants(self, name: str) -> set[str]:
-        """Names of all states strictly inside ``name``."""
-        out: set[str] = set()
-        stack = [name]
-        while stack:
-            for child in self.children.get(stack.pop(), ()):
-                out.add(child)
-                stack.append(child)
-        return out
 
     # -- edits --
 

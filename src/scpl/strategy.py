@@ -25,7 +25,8 @@ from .features import (build_configuration, kernel, validate_configuration,
 from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
                     ImpEntry, ImpMapping, InState, MachineIndex, OrState,
                     RewriteTrace, SimpleState, State, StateChart, TraceStep,
-                    Transition, canonicalize, check_well_formed, var_elems)
+                    Transition, canonicalize, check_well_formed,
+                    optional_elements, well_formed_violations)
 from .rewrite import PendingSet, WorkingTree
 
 
@@ -125,8 +126,9 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
     record(tree.finalize_optionals())
 
     sc = tree.freeze()
-    sop, top = var_elems(sc)
-    leftovers = check_well_formed(sc)
+    idx = MachineIndex(sc)
+    sop, top = optional_elements(idx)
+    leftovers = well_formed_violations(idx)
     if sop or top or leftovers:
         raise RewriteError(
             f"instantiation produced an inconsistent machine: {leftovers}")

@@ -6,6 +6,12 @@ from scpl.model import (Condition, FeatureModel, ImpEntry, ImpMapping,
                         OrState, SimpleState, StateChart, Transition)
 
 
+# The benchmark ladder's line of about 1k states: 1,009 states, 267 NSC
+# elements, several hundred rule applications.
+S1K_SEED = 1
+S1K_GENERATOR = {"max_depth": 7, "max_substates": 8, "max_features": 24}
+
+
 @pytest.fixture(scope="session")
 def mp():
     """(fm, sc, imp) of the bundled mobile-phone product line."""

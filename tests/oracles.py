@@ -145,7 +145,7 @@ def parse_dot(text: str) -> DotGraph:
 
     def unquote(tok: str) -> str:
         if tok.startswith('"'):
-            return tok[1:-1].replace('\\"', '"')
+            return re.sub(r"\\(.)", r"\1", tok[1:-1], flags=re.S)
         return tok
 
     def expect(tok: str):

@@ -94,6 +94,28 @@ def test_fuzz(capsys):
     assert "5/5 seeds passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["fuzz", "--count", "-2"],
+                 "argument --count: must be at least 0, got -2",
+                 id="fuzz-negative-count"),
+    pytest.param(["confluence", "{line}", "{conf}", "--trials", "-4"],
+                 "argument --trials: must be at least 1, got -4",
+                 id="confluence-negative-trials"),
+    pytest.param(["confluence", "{line}", "{conf}", "--trials", "0"],
+                 "argument --trials: must be at least 1, got 0",
+                 id="confluence-zero-trials"),
+])
+def test_out_of_range_counts_are_usage_errors(argv, message, paths, capsys):
+    argv = [a.format(line=paths["mp.pl.json"],
+                     conf=paths["mp-no-poly.conf.json"]) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(message)
+
+
 def _nested_line(depth: int) -> str:
     """A product line whose root holds a chain of ``depth`` nested
     Or-states."""

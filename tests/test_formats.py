@@ -9,7 +9,8 @@ from scpl.errors import (DuplicateNameError, FormatSyntaxError,
                          UnknownReferenceError)
 from scpl.formats import (export_dot, parse_configuration, parse_product_line,
                           serialize_configuration, serialize_product_line)
-from scpl.model import ImpMapping
+from scpl.model import (OrState, SimpleState, StateChart, Transition,
+                        check_well_formed)
 from scpl.strategy import generate_random_product_line, instantiate
 
 MINIMAL = """
@@ -140,6 +141,18 @@ def test_export_dot_styles_and_structure(mp):
     labels = [attrs.get("label", "") for _, _, attrs in g.edges]
     assert any("TStopAlert-IncomingMess-MainDisplay" in l for l in labels)
     assert any("in MessagesState" in l for l in labels)
+
+
+def test_export_dot_escapes_names_ending_in_a_backslash():
+    # valid_name accepts a backslash, so a quoted name may end in one.
+    root = OrState("Top", (SimpleState("A"), SimpleState("B\\")), "A",
+                   (Transition("t", "A", "B\\", ("e",), actions=("log\\",)),))
+    sc = StateChart(root)
+    assert check_well_formed(sc) == []
+    g = parse_dot(export_dot(sc))
+    assert g.nodes["B\\"] == {"style": "solid"}
+    assert [(a, b, attrs["label"]) for a, b, attrs in g.edges
+            if a == "A"] == [("A", "B\\", "t: e / log\\")]
 
 
 def test_export_dot_is_deterministic(mp):

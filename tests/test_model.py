@@ -1,9 +1,13 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import S1K_GENERATOR, S1K_SEED
 from scpl.model import (AndState, Condition, Guard, InState, MachineIndex,
                         OrState, SimpleState, StateChart, Transition,
                         canonicalize, check_well_formed, valid_name, var_elems)
+from scpl.rewrite import WorkingTree
+from scpl.strategy import generate_random_product_line
 
 
 def test_valid_name_accepts_ordinary_identifiers():
@@ -82,6 +86,62 @@ def test_index_transition_ownership():
     assert idx.owner["t2"] == "Root"
     assert idx.owner["ti"] == "Inner"
     assert idx.owner["tr"] == "R1"
+
+
+def _maps_from_objects(sc):
+    """children, initial, owned and each state's descendants, read off the
+    state objects in machine order."""
+    children, initial, owned, inside = {}, {}, {}, {}
+
+    def walk(state) -> set:
+        kids = ()
+        if isinstance(state, OrState):
+            kids = state.substates
+            initial[state.name] = state.initial
+            owned[state.name] = [(t.name, t) for t in state.transitions]
+        elif isinstance(state, AndState):
+            kids = state.regions
+        if not isinstance(state, SimpleState):
+            children[state.name] = [k.name for k in kids]
+        below = set()
+        for kid in kids:
+            below |= {kid.name} | walk(kid)
+        inside[state.name] = below
+        return below
+
+    walk(sc.root)
+    return children, initial, owned, inside
+
+
+@pytest.mark.parametrize("seeds, generator", [
+    pytest.param(range(200), {}, id="default-seeds-0-199"),
+    pytest.param([S1K_SEED], S1K_GENERATOR, id="s1k"),
+])
+def test_index_maps_match_the_state_objects(seeds, generator):
+    for seed in seeds:
+        sc = generate_random_product_line(seed, **generator).sc
+        idx = MachineIndex(sc)
+        children, initial, owned, inside = _maps_from_objects(sc)
+        assert [(k, list(v)) for k, v in idx.children.items()] == \
+            list(children.items()), seed
+        assert list(idx.initial.items()) == list(initial.items()), seed
+        assert [(k, list(v.items())) for k, v in idx.owned.items()] == \
+            list(owned.items()), seed
+        assert {name: idx.descendants(name) for name in idx.states} == \
+            inside, seed
+        assert WorkingTree(sc).freeze() == sc, seed
+
+
+def test_index_of_a_state_nested_in_its_namesake():
+    inner = OrState("A", (SimpleState("B"),), "B")
+    sc = StateChart(OrState("Root", (OrState("A", (inner,), "A"),), "A"))
+    idx = MachineIndex(sc)
+    assert idx.duplicate_states == ["A"]
+    assert idx.children == {"Root": {"A": None}, "A": {"B": None}}
+    assert idx.descendants("Root") == {"A", "B"}
+    assert idx.descendants("A") == {"B"}
+    assert [str(v) for v in check_well_formed(sc)] == [
+        "A: duplicate state name"]
 
 
 def test_well_formed_on_good_machine():
