@@ -18,13 +18,16 @@ Deleting a state of any kind pairs its entries and exits by one rule.
 The state is read as a product of regions -- an And-state's regions, an
 Or-state as its own single region, none for a simple state -- and an exit
 pairs with an entry when some region tuple reachable from where the entry
-lands holds the exit's source.  An exit asks only which coordinates its
-own region reaches, so the deletion searches the regions one coupled
-component at a time -- regions are coupled only through in-state atoms
-naming each other's states, never through shared triggers -- and costs the
-product of each component's coordinates, not of all regions'.
-``reachable_and`` still returns the full tuple set, searching every region
-as one component; ``reachable_or`` is the one-region search.
+lands holds the exit's source.  One map per deletion places every state
+nested in a region that is an Or-state at its region and coordinate, the
+region's direct substate holding it; a state inside any other region is
+reached with that region, so it needs no place.  An exit asks only which
+coordinates its own region reaches, so the deletion searches the regions
+one coupled component at a time -- regions are coupled only through
+in-state atoms naming each other's states, never through shared triggers
+-- and costs the product of each component's coordinates, not of all
+regions'.  ``reachable_and`` still returns the full tuple set, searching
+every region as one component; ``reachable_or`` is the one-region search.
 
 The public rules below keep the pure machine-in, machine-out form: each
 builds a working tree from its input, applies the shared rule and freezes
@@ -280,80 +283,47 @@ class WorkingTree(MachineIndex):
         self.transitions[t.name] = t
         self.owned[self.owner[t.name]][t.name] = t
 
-    # -- reachability --
-
-    def reachable_or(self, elem: str, start: str, pending: PendingSet,
-                     include_pending: bool = False) -> set[str]:
-        """The module-level ``reachable_or``, on this tree: the one-region
-        projection of the tuple search."""
-        if not isinstance(self.states.get(elem), OrState):
-            raise RewriteError(f"{elem!r} is not an Or-state")
-        if start not in self.children[elem]:
-            raise NotSubstateError(
-                f"{start!r} is not a direct substate of {elem!r}")
-        _, moves = self._region_moves(elem, pending, include_pending)
-        return {node for node, in _tuple_search([0], (start,), moves)}
-
-    def reachable_and(self, elem: str, start: tuple[str, ...],
-                      pending: PendingSet,
-                      include_pending: bool = False) -> set[tuple[str, ...]]:
-        """The module-level ``reachable_and``, on this tree: every region
-        searched as one component."""
-        if not isinstance(self.states.get(elem), AndState):
-            raise NotAndError(f"{elem!r} is not an And-state")
-        regions, moves = self._region_moves(elem, pending, include_pending)
-        if len(start) != len(regions):
-            raise NotSubstateError(
-                f"start tuple has {len(start)} coordinates for "
-                f"{len(regions)} regions")
-        for region, coord in zip(regions, start):
-            if coord not in (self.children[region]
-                             if isinstance(self.states[region], OrState)
-                             else (region,)):
-                raise NotSubstateError(
-                    f"{coord!r} is not a substate of region {region!r}")
-        return _tuple_search(range(len(regions)), start, moves)
+    # -- region projection --
 
     def _region_moves(self, elem: str, pending: PendingSet,
                       include_pending: bool,
-                      ) -> tuple[list[str], list[list[Move]]]:
+                      ) -> tuple[list[str], dict, list[list[Move]]]:
         """A state's regions -- an And-state's children, an Or-state
-        itself, none for a simple state -- and, per region, its usable
-        internal transitions as moves between the region's coordinates (its
-        direct substates; a region that is not an Or-state is its own only
-        coordinate).  Inside an And-state, in-state atoms become
-        requirements on one region's coordinate; an atom that always holds
-        there (naming the And-state, a region, or a state inside a region
-        that is not an Or-state) and an atom about a foreign state become
-        none.  An Or-state's moves carry none: its reachability ignores
-        conditions."""
+        itself, none for a simple state -- with ``where``, the one map from
+        every state strictly inside a region that is an Or-state to its
+        region's index and coordinate (the region's direct substate holding
+        it), and, per region, its usable internal transitions as moves
+        between coordinates.  A region that is not an Or-state is its own
+        only coordinate and has no moves, so whatever lies inside it is
+        reached with the region and needs no entry.  A transition with an
+        end outside its owner (possible on an unvalidated machine) is no
+        move.  Inside an And-state an in-state atom naming a state in
+        ``where`` requires that coordinate; any other atom always holds
+        there or is about a foreign state.  An Or-state's moves carry no
+        requirements: its reachability ignores conditions."""
         st = self.states[elem]
         regions = (list(self.children[elem]) if isinstance(st, AndState)
                    else [elem] if isinstance(st, OrState) else [])
-        coordinate: dict[str, tuple[int, str]] = {}
-        if isinstance(st, AndState):
-            for j, region in enumerate(regions):
-                if isinstance(self.states[region], OrState):
-                    for node in self.children[region]:
-                        for name in (node, *self.descendants(node)):
-                            coordinate[name] = (j, node)
+        where: dict[str, tuple[int, str]] = {}
+        for j, region in enumerate(regions):
+            if region in self.initial:
+                for node in self.children[region]:
+                    where.update(dict.fromkeys(
+                        (node, *self.descendants(node)), (j, node)))
+        coupling = where if isinstance(st, AndState) else {}
         moves: list[list[Move]] = []
-        for region in regions:
+        for j, region in enumerate(regions):
             rt: list[Move] = []
-            if isinstance(self.states[region], OrState):
-                for t in self.owned[region].values():
-                    if not include_pending and t.name in pending:
-                        continue
-                    u = self.direct_child_within(region, t.source)
-                    v = self.direct_child_within(region, t.target)
-                    if u is None or v is None:
-                        continue
-                    needs = tuple(coordinate[a.state] for a in t.cond.atoms
+            for t in self.owned.get(region, {}).values():
+                u, v = where.get(t.source), where.get(t.target)
+                if (u and v and u[0] == v[0] == j
+                        and (include_pending or t.name not in pending)):
+                    needs = tuple(coupling[a.state] for a in t.cond.atoms
                                   if isinstance(a, InState)
-                                  and a.state in coordinate)
-                    rt.append((u, t.trigger, needs, v))
+                                  and a.state in coupling)
+                    rt.append((u[1], t.trigger, needs, v[1]))
             moves.append(rt)
-        return regions, moves
+        return regions, where, moves
 
     # -- state deletion --
 
@@ -445,63 +415,34 @@ class WorkingTree(MachineIndex):
                       include_pending: bool) -> list[Transition]:
         """Composes each entry with every exit reachable from where the
         entry lands, over the state's regions (``_region_moves``): the
-        search starts from the tuple of region initials with the entry's
-        target substituted in its region, and an exit needs only its own
-        region's projection of the reachable tuples, so each component of
-        coupled regions is searched on its own.  An exit leaving the state
-        or a region as a unit pairs with every entry; a simple state has
-        no regions, so all its entries and exits pair."""
+        search starts from the tuple of region initials with the entry
+        target's coordinate (from ``where``) substituted in its region.  An
+        exit pairs when its source has no coordinate -- it is the state, a
+        region, or inside a region that is not an Or-state -- or when its
+        coordinate is in its region's projection of the reachable tuples,
+        so each component of coupled regions is searched on its own.  A
+        simple state has no regions, so all its entries and exits pair."""
         if not (entries and exits):
             return []
-        regions, moves = self._region_moves(elem, pending, include_pending)
+        regions, where, moves = self._region_moves(elem, pending,
+                                                   include_pending)
         components = _components(moves)
         searched: dict = {}
-        default = tuple(self._region_node(r, r) for r in regions)
+        default = [self.initial.get(r, r) for r in regions]
         leaving = [replace(ts, source=elem) for ts in exits]
         out: list[Transition] = []
         for te in entries:
-            start = self._substitute_coordinate(regions, default, te.target)
-            reach = _projections(components, moves, start, searched)
+            start = list(default)
+            if te.target in where:
+                j, node = where[te.target]
+                start[j] = node
+            reach = _projections(components, moves, tuple(start), searched)
             entering = replace(te, target=elem)
             for ts, leave in zip(exits, leaving):
-                if self._exit_reached(elem, regions, reach, ts.source):
+                at = where.get(ts.source)
+                if at is None or at[1] in reach[at[0]]:
                     out.append(comp(entering, leave))
         return out
-
-    def _region_node(self, region: str, name: str) -> str:
-        """Projects a state name inside (or equal to) a region onto that
-        region's coordinate space: the region's initial substate for the
-        region itself, else the direct substate holding the name."""
-        if name == region:
-            return self.initial.get(region, region)
-        if region in self.initial:
-            node = self.direct_child_within(region, name)
-            if node is not None:
-                return node
-        return region
-
-    def _substitute_coordinate(self, regions: list[str],
-                               default: tuple[str, ...],
-                               target: str) -> tuple[str, ...]:
-        out = list(default)
-        for i, region in enumerate(regions):
-            if self.is_within(target, region):
-                out[i] = self._region_node(region, target)
-                break
-        return tuple(out)
-
-    def _exit_reached(self, elem: str, regions: list[str],
-                      reach: list[set[str]], source: str) -> bool:
-        """Whether an exit from ``source`` leaves some reachable
-        configuration: ``reach`` holds, per region, the coordinates that
-        reachable tuples take there."""
-        if source == elem:
-            return True
-        for j, region in enumerate(regions):
-            if self.is_within(source, region):
-                return (source == region
-                        or self._region_node(region, source) in reach[j])
-        return False
 
     def _lca_or_owner(self, source: str, target: str) -> str:
         """Owning Or-state for a transition between the two states, or an
@@ -691,7 +632,14 @@ def reachable_or(elem: str, start: str, sc: StateChart, pending: PendingSet,
     projected onto its direct substates: the region-tuple search of
     ``reachable_and`` with the Or-state as its one region.  Conditions are
     ignored; pending transitions grant no reachability."""
-    return WorkingTree(sc).reachable_or(elem, start, pending, include_pending)
+    tree = WorkingTree(sc)
+    if not isinstance(tree.states.get(elem), OrState):
+        raise RewriteError(f"{elem!r} is not an Or-state")
+    if start not in tree.children[elem]:
+        raise NotSubstateError(
+            f"{start!r} is not a direct substate of {elem!r}")
+    _, _, moves = tree._region_moves(elem, pending, include_pending)
+    return {node for node, in _tuple_search([0], (start,), moves)}
 
 
 def reachable_and(elem: str, start: tuple[str, ...], sc: StateChart,
@@ -704,8 +652,23 @@ def reachable_and(elem: str, start: tuple[str, ...], sc: StateChart,
     in-state atoms hold for the current tuple fires (maximal synchronous
     step), the others stay put, and at least one region must move.  Opaque
     guards and in-state atoms about foreign states are assumed satisfiable.
+    Every region is searched as one component.
     """
-    return WorkingTree(sc).reachable_and(elem, start, pending, include_pending)
+    tree = WorkingTree(sc)
+    if not isinstance(tree.states.get(elem), AndState):
+        raise NotAndError(f"{elem!r} is not an And-state")
+    regions, _, moves = tree._region_moves(elem, pending, include_pending)
+    if len(start) != len(regions):
+        raise NotSubstateError(
+            f"start tuple has {len(start)} coordinates for "
+            f"{len(regions)} regions")
+    for region, coord in zip(regions, start):
+        if coord not in (tree.children[region]
+                         if isinstance(tree.states[region], OrState)
+                         else (region,)):
+            raise NotSubstateError(
+                f"{coord!r} is not a substate of region {region!r}")
+    return _tuple_search(range(len(regions)), start, moves)
 
 
 def repair_initial(parent: str, sc: StateChart, pending: PendingSet) -> StateChart:

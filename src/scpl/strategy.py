@@ -25,7 +25,7 @@ from .features import (build_configuration, kernel, validate_configuration,
 from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
                     ImpEntry, ImpMapping, InState, MachineIndex, OrState,
                     RewriteTrace, SimpleState, State, StateChart, TraceStep,
-                    Transition, canonicalize, check_well_formed,
+                    Transition, Violation, canonicalize, check_well_formed,
                     optional_elements, well_formed_violations)
 from .rewrite import PendingSet, WorkingTree
 
@@ -154,7 +154,11 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
     reports whether all canonical results agree.  Errors count as outcomes
     too: a run that fails must fail identically under every order.
     ``exhaustive`` runs every order instead of ``trials`` sampled ones and
-    raises TooLargeError when NSC holds more than EXHAUSTIVE_CAP elements."""
+    raises TooLargeError when NSC holds more than EXHAUSTIVE_CAP elements;
+    otherwise ``trials`` below 1 is refused with InvalidInputError."""
+    if not exhaustive and trials < 1:
+        raise InvalidInputError(
+            [Violation("trials", f"must be at least 1, got {trials}")])
     violations = validate_inputs(fm, conf, sc, imp)
     if violations:
         raise InvalidInputError(violations)
@@ -180,7 +184,7 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
     else:
         rng = random.Random(seed)
         sampled = [base]
-        for _ in range(max(0, trials - 1)):
+        for _ in range(trials - 1):
             shuffled = list(base)
             rng.shuffle(shuffled)
             sampled.append(tuple(shuffled))

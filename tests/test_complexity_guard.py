@@ -7,44 +7,27 @@ of its regions on its own, never the product of all regions.
 """
 
 import random
-import sys
 
-import scpl.model
 import scpl.rewrite
 from conftest import S1K_GENERATOR, S1K_SEED, line_for
 from scpl.model import (AndState, MachineIndex, OrState, SimpleState,
                         StateChart, Transition)
+from scpl.rewrite import WorkingTree
 from scpl.strategy import generate_random_product_line, instantiate
 
 
-def _count_calls(monkeypatch, attr: str) -> list[int]:
-    """Replaces ``attr`` in every scpl module that binds it by a wrapper
-    counting its calls."""
-    orig = getattr(scpl.model, attr)
+def _count_calls(monkeypatch, cls: type, method: str) -> list[int]:
+    """Wraps a method by a counter, so that every call counts, a
+    subclass's included: an index walk through the working tree's
+    constructor counts as a ``MachineIndex.__init__`` call."""
+    orig = getattr(cls, method)
     calls = [0]
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return orig(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if ((name == "scpl" or name.startswith("scpl."))
-                and getattr(module, attr, None) is orig):
-            monkeypatch.setattr(module, attr, counting)
-    return calls
-
-
-def _count_index_walks(monkeypatch) -> list[int]:
-    """Wraps ``MachineIndex.__init__`` by a counter, so that every index
-    walk counts, a subclass's (the working tree's) included."""
-    orig = MachineIndex.__init__
-    calls = [0]
-
-    def counting(self, sc):
-        calls[0] += 1
-        orig(self, sc)
-
-    monkeypatch.setattr(MachineIndex, "__init__", counting)
+    monkeypatch.setattr(cls, method, counting)
     return calls
 
 
@@ -52,12 +35,12 @@ def test_instantiate_indexes_and_rebuilds_a_constant_number_of_times(
         monkeypatch):
     line = generate_random_product_line(S1K_SEED, **S1K_GENERATOR)
     assert len(MachineIndex(line.sc).states) == 1009
-    indexes = _count_index_walks(monkeypatch)
-    passes = _count_calls(monkeypatch, "map_states")
+    indexes = _count_calls(monkeypatch, MachineIndex, "__init__")
+    freezes = _count_calls(monkeypatch, WorkingTree, "freeze")
     result = instantiate(*line)
     assert len(result.trace) > 100
-    assert indexes[0] <= 6
-    assert passes[0] <= 2
+    assert indexes[0] <= 4
+    assert freezes[0] == 1
 
 
 def test_and_state_deletion_searches_uncoupled_regions_apart(monkeypatch):

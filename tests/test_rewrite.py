@@ -245,6 +245,37 @@ def test_delete_or_state_pending_internal_transition_blocks_reachability():
     assert not pending
 
 
+def test_transition_leaving_its_owner_grants_no_reachability():
+    # Only an unvalidated machine lets E own ``bad``, whose source X lies
+    # outside E: it is no move of E's region, and deleting E drops it.
+    e = OrState("E", (SimpleState("A"), SimpleState("B")), "A",
+                (T("ab", "A", "B"), T("bad", "X", "B")), optional=True)
+    sc = StateChart(OrState(
+        "Root", (SimpleState("X"), e), "X",
+        (T("inA", "X", "A"), T("inB", "X", "B"),
+         T("outA", "A", "X"), T("outB", "B", "X"))))
+    assert reachable_or("E", "A", sc, PendingSet(set())) == {"A", "B"}
+    assert reachable_or("E", "B", sc, PendingSet(set())) == {"B"}
+    out = MachineIndex(delete_or_state("E", sc, PendingSet({"E"})))
+    assert set(out.states) == {"Root", "X"}
+    assert set(out.transitions) == {
+        "comp(inA,outA)", "comp(inA,outB)", "comp(inB,outB)"}
+
+    # Likewise a region's transition into a sibling region.
+    par = AndState("P", (
+        OrState("R1", (SimpleState("A"), SimpleState("B")), "A",
+                (T("ab", "A", "B"), T("bad", "B", "V"))),
+        OrState("R2", (SimpleState("U"), SimpleState("V")), "U")),
+        optional=True)
+    sc2 = StateChart(OrState(
+        "Root", (SimpleState("X"), par), "X",
+        (T("in", "X", "P"), T("outB", "B", "X"), T("outV", "V", "X"))))
+    assert reachable_and("P", ("A", "U"), sc2, PendingSet(set())) == {
+        ("A", "U"), ("B", "U")}
+    out2 = delete_and_state("P", sc2, PendingSet({"P"}))
+    assert set(MachineIndex(out2).transitions) == {"comp(in,outB)"}
+
+
 # --- delete_and_state -----------------------------------------------------
 
 def _and_composite():
@@ -399,37 +430,68 @@ def test_reachable_and_matches_oracle(seed):
 def test_delete_and_state_pairs_exits_by_projection_oracle(seed, data):
     sc, comp_state = random_and_composite(seed, max_regions=4,
                                           max_substates=4)
-    region_nodes = [[s.name for s in r.substates] for r in comp_state.regions]
+    # The last substate of region 0, and of each region the draw picks,
+    # becomes an Or-state over two deeper states.  Region moves, in-state
+    # atoms, entries and exits may name those, and each projects onto the
+    # region's direct substate holding it.
+    picks = data.draw(st.lists(st.booleans(), min_size=len(comp_state.regions),
+                               max_size=len(comp_state.regions)))
+    project: dict[str, str] = {}
+    substates = []
+    for r, (region, pick) in enumerate(zip(comp_state.regions, picks)):
+        subs = list(region.substates)
+        project.update((sub.name, sub.name) for sub in subs)
+        if r == 0 or pick:
+            node = subs[-1].name
+            deep = [f"{node}a", f"{node}b"]
+            subs[-1] = OrState(node, tuple(map(SimpleState, deep)), deep[0],
+                               (T(f"{node}ab", *deep),))
+            project.update(dict.fromkeys(deep, node))
+        substates.append(tuple(subs))
+
+    def deeper(name):
+        return data.draw(st.sampled_from(
+            [n for n, node in project.items() if node == name]))
+
+    nested_regions = [
+        replace(region, substates=subs, transitions=tuple(
+            replace(t, source=deeper(t.source), target=deeper(t.target),
+                    cond=Condition(tuple(InState(deeper(a.state))
+                                         for a in t.cond.atoms)))
+            for t in region.transitions))
+        for region, subs in zip(comp_state.regions, substates)]
+    region_nodes = [[s.name for s in r.substates] for r in nested_regions]
     region_moves = [
-        [(t.source, t.trigger,
-          [a for a in t.cond.atoms if isinstance(a, InState)], t.target)
+        [(project[t.source], t.trigger,
+          [a for a in t.cond.atoms if isinstance(a, InState)],
+          project[t.target])
          for t in r.transitions]
-        for r in comp_state.regions]
-    regions = [r.name for r in comp_state.regions]
-    ends = st.sampled_from(["E", *regions, *(n for nodes in region_nodes
-                                             for n in nodes)])
+        for r in nested_regions]
+    regions = [r.name for r in nested_regions]
+    ends = st.sampled_from(["E", *regions, *project])
     entries = [T(f"in{i}", "Out", tgt) for i, tgt in
                enumerate(data.draw(st.lists(ends, min_size=1, max_size=3)))]
     exits = [T(f"out{i}", src, "Out") for i, src in
              enumerate(data.draw(st.lists(ends, min_size=1, max_size=3)))]
-    root = OrState("Root", (SimpleState("Out"), replace(comp_state,
-                                                        optional=True)),
+    root = OrState("Root", (SimpleState("Out"), replace(
+                        comp_state, regions=tuple(nested_regions),
+                        optional=True)),
                    "Out", tuple(entries + exits))
 
     def instate_ok(atom, cur):
-        return atom.state in cur
+        return project[atom.state] in cur
 
     want = set()
     for te in entries:
         start = [nodes[0] for nodes in region_nodes]
         for r, nodes in enumerate(region_nodes):
-            if te.target in nodes:
-                start[r] = te.target
+            if project.get(te.target) in nodes:
+                start[r] = project[te.target]
         reach = and_closure(region_nodes, region_moves, tuple(start),
                             instate_ok)
         for ts in exits:
             if ts.source == "E" or ts.source in regions or any(
-                    ts.source in tup for tup in reach):
+                    project[ts.source] in tup for tup in reach):
                 want.add(comp_name(te.name, ts.name))
     out = delete_and_state("E", StateChart(root), PendingSet({"E"}))
     assert set(MachineIndex(out).transitions) == want

@@ -129,6 +129,21 @@ def test_check_confluence_single_trial_is_trivially_confluent(mp, mp_no_poly):
     assert report.confluent and report.trials == 1
 
 
+@pytest.mark.parametrize("trials", [0, -4])
+def test_check_confluence_refuses_fewer_than_one_trial(mp, mp_no_poly,
+                                                       monkeypatch, trials):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("trials must be checked first")
+
+    monkeypatch.setattr(strategy, "validate_inputs", unreachable)
+    monkeypatch.setattr(strategy, "instantiate", unreachable)
+    fm, sc, imp = mp
+    with pytest.raises(InvalidInputError) as caught:
+        check_confluence(fm, mp_no_poly, sc, imp, trials=trials)
+    assert caught.value.message == (
+        f"invalid input: trials: must be at least 1, got {trials}")
+
+
 def _line_dooming(n: int):
     """A line whose NSC holds ``n`` optional simple states."""
     doomed = [f"S{i}" for i in range(n)]
