@@ -6,8 +6,8 @@ set that drives rewriting.
 from __future__ import annotations
 
 from .features import kernel, nsf
-from .model import (Configuration, FeatureModel, ImpMapping, StateChart,
-                    Violation, var_elems)
+from .model import (Configuration, FeatureModel, ImpMapping, MachineIndex,
+                    StateChart, Violation, optional_elements)
 
 
 def expanded_elements(imp: ImpMapping, feature: str,
@@ -27,9 +27,15 @@ def expanded_elements(imp: ImpMapping, feature: str,
 def validate_imp(fm: FeatureModel, sc: StateChart, imp: ImpMapping) -> list[Violation]:
     """Empty iff the mapping is a legal partial function: defined only on
     non-kernel features of the model, mapping to optional machine elements."""
+    return imp_violations(fm, MachineIndex(sc), imp)
+
+
+def imp_violations(fm: FeatureModel, idx: MachineIndex,
+                   imp: ImpMapping) -> list[Violation]:
+    """``validate_imp`` over an index of the machine."""
     out: list[Violation] = []
     kern = kernel(fm)
-    sop, top = var_elems(sc)
+    sop, top = optional_elements(idx)
     variable = sop | top
     for feature, entry in imp.entries:
         if feature not in fm.funcs:

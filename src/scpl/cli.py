@@ -12,14 +12,14 @@ import json
 import sys
 from pathlib import Path
 
-from .binding import nsc, validate_imp
+from .binding import nsc
 from .errors import FormatSyntaxError, InvalidInputError, RewriteError, ScplError
 from .features import kernel, nsf, validate_configuration, validate_feature_model
 from .formats import (export_dot, parse_configuration, parse_product_line,
                       serialize_product_line)
-from .model import ImpMapping, check_well_formed
+from .model import ImpMapping, MachineIndex
 from .strategy import (check_confluence, generate_random_product_line,
-                       instantiate, validate_inputs)
+                       input_violations, instantiate, validate_inputs)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -56,9 +56,7 @@ def _violation_payload(violations) -> list[dict]:
 
 def cmd_validate(args) -> int:
     fm, sc, imp = _load_line(args.product_line)
-    violations = list(validate_feature_model(fm)) + check_well_formed(sc)
-    if not violations:
-        violations += validate_imp(fm, sc, imp)
+    violations = input_violations(fm, None, MachineIndex(sc), imp)
     _emit(args, {"violations": _violation_payload(violations)},
           "\n".join(str(v) for v in violations) or "ok")
     return EXIT_OK if not violations else EXIT_INVALID

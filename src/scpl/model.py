@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Union
+from typing import Collection, Iterable, Iterator, Union
 
 # Characters with structural meaning in names: dots separate hierarchy
 # levels on input, parentheses and commas build composed-transition names.
@@ -294,9 +294,6 @@ class MachineIndex:
             yield cur
             cur = self.parent.get(cur)
 
-    def is_within(self, name: str, ancestor: str) -> bool:
-        return name == ancestor or ancestor in self.ancestors(name)
-
     def descendants(self, name: str) -> set[str]:
         """Names of all states strictly inside ``name``."""
         out: set[str] = set()
@@ -310,11 +307,12 @@ class MachineIndex:
     def direct_child_within(self, ancestor: str, name: str) -> str | None:
         """The direct substate of ``ancestor`` whose subtree holds ``name``,
         or None when ``name`` is not strictly inside ``ancestor``."""
-        prev = name
-        for anc in self.ancestors(name):
-            if anc == ancestor:
+        parent = self.parent
+        prev, cur = name, parent.get(name)
+        while cur is not None:
+            if cur == ancestor:
                 return prev
-            prev = anc
+            prev, cur = cur, parent.get(cur)
         return None
 
 
@@ -344,28 +342,73 @@ def well_formed_violations(idx: MachineIndex) -> list[Violation]:
         if not valid_name(name):
             out.append(Violation(name, "invalid state name"))
         if isinstance(st, OrState):
-            if not st.substates:
-                out.append(Violation(name, "Or-state has no substates"))
-            elif st.initial not in {s.name for s in st.substates}:
-                out.append(Violation(
-                    name, f"initial {st.initial!r} is not a direct substate"))
+            out += _or_violations(name, [s.name for s in st.substates],
+                                  st.initial)
         elif isinstance(st, AndState):
-            if len(st.regions) < 2:
-                out.append(Violation(name, "And-state has fewer than 2 regions"))
+            out += _and_violations(name, st.regions)
 
-    for tname, t in idx.transitions.items():
-        if not valid_transition_name(tname):
-            out.append(Violation(tname, "invalid transition name"))
-        if not t.trigger:
-            out.append(Violation(tname, "empty trigger"))
-        for ev in t.trigger:
-            if not valid_name(ev):
-                out.append(Violation(tname, f"invalid event name {ev!r}"))
-        out.extend(_check_endpoints(idx, t))
-        for atom in t.cond.atoms:
-            if isinstance(atom, InState) and atom.state not in idx.states:
-                out.append(Violation(
-                    tname, f"condition names unknown state {atom.state!r}"))
+    for t in idx.transitions.values():
+        out += _transition_violations(idx, t)
+    return out
+
+
+def touched_violations(idx: MachineIndex, composites: Iterable[str],
+                       transitions: Iterable[str]) -> list[Violation]:
+    """``well_formed_violations`` over the named composites and transitions
+    alone, read from the index maps, which an edited index keeps current;
+    names no longer in the index are skipped.
+
+    On a machine that was well-formed before edits that only deleted whole
+    subtrees (with every transition touching them and, beforehand, every
+    in-state atom naming them), moved initial markers and added
+    transitions, the two checks agree when ``composites`` holds every
+    composite that lost a child or had its initial marker moved and
+    ``transitions`` every added transition: nothing else can have changed.
+    """
+    out: list[Violation] = []
+    for name in composites:
+        if name in idx.initial:
+            out += _or_violations(name, idx.children[name], idx.initial[name])
+        elif name in idx.children:
+            out += _and_violations(name, idx.children[name])
+    for name in transitions:
+        if name in idx.transitions:
+            out += _transition_violations(idx, idx.transitions[name])
+    return out
+
+
+def _or_violations(name: str, substates: Collection[str],
+                   initial: str) -> list[Violation]:
+    if not substates:
+        return [Violation(name, "Or-state has no substates")]
+    if initial not in substates:
+        return [Violation(
+            name, f"initial {initial!r} is not a direct substate")]
+    return []
+
+
+def _and_violations(name: str, regions: Collection) -> list[Violation]:
+    if len(regions) < 2:
+        return [Violation(name, "And-state has fewer than 2 regions")]
+    return []
+
+
+def _transition_violations(idx: MachineIndex,
+                           t: Transition) -> list[Violation]:
+    out: list[Violation] = []
+    tname = t.name
+    if not valid_transition_name(tname):
+        out.append(Violation(tname, "invalid transition name"))
+    if not t.trigger:
+        out.append(Violation(tname, "empty trigger"))
+    for ev in t.trigger:
+        if not valid_name(ev):
+            out.append(Violation(tname, f"invalid event name {ev!r}"))
+    out.extend(_check_endpoints(idx, t))
+    for atom in t.cond.atoms:
+        if isinstance(atom, InState) and atom.state not in idx.states:
+            out.append(Violation(
+                tname, f"condition names unknown state {atom.state!r}"))
     return out
 
 

@@ -227,7 +227,11 @@ class WorkingTree(MachineIndex):
     maps (``children``, ``initial``, ``owned``), which the edits keep
     current.  ``adjacent`` names the transitions with each state as an
     endpoint, and ``seq`` numbers the transitions in machine order so that
-    a few can be put back in that order without a scan.
+    a few can be put back in that order without a scan.  ``reshaped``
+    records the composites that lost a child or had their initial marker
+    moved, and ``added`` the transitions the edits added, in edit order:
+    ``model.touched_violations`` checks the edited machine over these
+    alone.
     """
 
     def __init__(self, sc: StateChart):
@@ -236,6 +240,8 @@ class WorkingTree(MachineIndex):
         self.adjacent: dict[str, set[str]] = {}
         self._counter = count()
         self.seq: dict[str, int] = {}
+        self.reshaped: dict[str, None] = {}
+        self.added: dict[str, None] = {}
         for t in self.transitions.values():
             self._link(t)
 
@@ -269,6 +275,7 @@ class WorkingTree(MachineIndex):
         self.transitions[t.name] = t
         self.owner[t.name] = owner
         self.owned[owner][t.name] = t
+        self.added[t.name] = None
         self._link(t)
 
     def _drop_transition(self, name: str) -> None:
@@ -369,6 +376,7 @@ class WorkingTree(MachineIndex):
         for name in touching:
             self._drop_transition(name)
         del self.children[parent][elem]
+        self.reshaped[parent] = None
         for name in doomed:
             del self.states[name], self.parent[name]
             self.adjacent.pop(name, None)
@@ -483,6 +491,7 @@ class WorkingTree(MachineIndex):
                 raise NoInitialError("cycle of doomed initial substates")
             visited.add(cur)
         self.initial[parent] = cur
+        self.reshaped[parent] = None
         return TraceStep("repair_initial", parent,
                          detail=f"initial {old} -> {cur}")
 

@@ -12,21 +12,22 @@ change the result (the confluence harness checks exactly that).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import permutations
 from math import factorial
 from typing import NamedTuple, Sequence
 
+from .binding import imp_violations
 from .binding import nsc as compute_nsc
-from .binding import validate_imp
 from .errors import InvalidInputError, RewriteError, ScplError, TooLargeError
 from .features import (build_configuration, kernel, validate_configuration,
                        validate_feature_model)
 from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
-                    ImpEntry, ImpMapping, InState, MachineIndex, OrState,
-                    RewriteTrace, SimpleState, State, StateChart, TraceStep,
-                    Transition, Violation, canonicalize, check_well_formed,
-                    optional_elements, well_formed_violations)
+                    History, ImpEntry, ImpMapping, InState, MachineIndex,
+                    OrState, RewriteTrace, SimpleState, State, StateChart,
+                    TraceStep, Transition, Violation, canonicalize,
+                    optional_elements, touched_violations,
+                    well_formed_violations)
 from .rewrite import PendingSet, WorkingTree
 
 
@@ -43,11 +44,19 @@ class InstantiationResult(NamedTuple):
 def validate_inputs(fm: FeatureModel, conf: Configuration, sc: StateChart,
                     imp: ImpMapping):
     """All validator violations over the four artifacts, in one list."""
+    return input_violations(fm, conf, MachineIndex(sc), imp)
+
+
+def input_violations(fm: FeatureModel, conf: Configuration | None,
+                     idx: MachineIndex, imp: ImpMapping) -> list[Violation]:
+    """``validate_inputs`` over an index of the machine, which it walks no
+    further; a ``conf`` of None leaves the configuration unchecked."""
     out = list(validate_feature_model(fm))
-    out += check_well_formed(sc)
+    out += well_formed_violations(idx)
     if not out:
-        out += validate_configuration(fm, conf)
-        out += validate_imp(fm, sc, imp)
+        if conf is not None:
+            out += validate_configuration(fm, conf)
+        out += imp_violations(fm, idx, imp)
     return out
 
 
@@ -64,14 +73,26 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
     repaired.
 
     Every rule edits one working tree in place and returns its own trace
-    step; the tree is built once from ``sc`` and frozen once at the end.
+    step; the tree is built once from ``sc``, validated before any edit
+    and frozen once at the end.  Validated input gets its output checked
+    over the edits alone (``model.touched_violations``); with
+    ``validate=False`` the output gets the full well-formedness check.
     """
+    tree = WorkingTree(sc)
     if validate:
-        violations = validate_inputs(fm, conf, sc, imp)
+        violations = input_violations(fm, conf, tree, imp)
         if violations:
             raise InvalidInputError(violations)
+    return _rewrite(tree, compute_nsc(fm, conf, sc, imp), order,
+                    include_pending, validated=validate)
 
-    doomed = compute_nsc(fm, conf, sc, imp)
+
+def _rewrite(tree: WorkingTree, doomed: frozenset[str],
+             order: Sequence[str] | None, include_pending: bool, *,
+             validated: bool) -> InstantiationResult:
+    """The four layers on a fresh working tree, then the post-check: over
+    the edits alone when the input was ``validated``, else over a fresh
+    index of the whole output."""
     pending = PendingSet(set(doomed))
     rank = ({name: i for i, name in enumerate(order)} if order is not None
             else None)
@@ -81,7 +102,6 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
             return (name,)
         return (rank.get(name, len(rank)), name)
 
-    tree = WorkingTree(sc)
     pending_states = sorted((n for n in pending.remaining if n in tree.states),
                             key=key)
     # Safety net for the termination argument: every recorded step must
@@ -126,10 +146,19 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
     record(tree.finalize_optionals())
 
     sc = tree.freeze()
-    idx = MachineIndex(sc)
-    sop, top = optional_elements(idx)
-    leftovers = well_formed_violations(idx)
-    if sop or top or leftovers:
+    if validated:
+        # Every deleted state sat in a subtree whose atoms layer 1 pruned,
+        # so only the reshaped composites and the added transitions can
+        # break what validation established; the sweep has cleared every
+        # optional flag.
+        assert not any(optional_elements(tree))
+        stray = False
+        leftovers = touched_violations(tree, tree.reshaped, tree.added)
+    else:
+        idx = MachineIndex(sc)
+        stray = any(optional_elements(idx))
+        leftovers = well_formed_violations(idx)
+    if stray or leftovers:
         raise RewriteError(
             f"instantiation produced an inconsistent machine: {leftovers}")
     return InstantiationResult(sc, RewriteTrace(tuple(steps)))
@@ -155,21 +184,27 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
     too: a run that fails must fail identically under every order.
     ``exhaustive`` runs every order instead of ``trials`` sampled ones and
     raises TooLargeError when NSC holds more than EXHAUSTIVE_CAP elements;
-    otherwise ``trials`` below 1 is refused with InvalidInputError."""
+    otherwise ``trials`` below 1 is refused with InvalidInputError.
+
+    The inputs are validated once, on the first order's working tree;
+    every order's output is checked over its edits alone.
+    ``divergent_outcomes`` gives, per outcome, the first few elements and
+    fields on which the two differ with that outcome's values."""
     if not exhaustive and trials < 1:
         raise InvalidInputError(
             [Violation("trials", f"must be at least 1, got {trials}")])
-    violations = validate_inputs(fm, conf, sc, imp)
+    tree = WorkingTree(sc)
+    violations = input_violations(fm, conf, tree, imp)
     if violations:
         raise InvalidInputError(violations)
 
-    base = tuple(sorted(compute_nsc(fm, conf, sc, imp)))
+    doomed = compute_nsc(fm, conf, sc, imp)
+    base = tuple(sorted(doomed))
 
-    def outcome(order):
+    def outcome(order, tree: WorkingTree):
         try:
-            result = instantiate(fm, conf, sc, imp, order=order,
-                                 validate=False,
-                                 include_pending=include_pending)
+            result = _rewrite(tree, doomed, order, include_pending,
+                              validated=True)
             return canonicalize(result.statechart)
         except ScplError as exc:
             return f"error:{exc.code}"
@@ -192,24 +227,75 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
         orders = iter(sampled)
 
     first = next(orders)
-    reference = outcome(first)
+    reference = outcome(first, tree)
     for order in orders:
-        got = outcome(order)
+        got = outcome(order, WorkingTree(sc))
         if got != reference:
             return ConfluenceReport(
                 confluent=False, trials=total, nsc_size=len(base),
                 divergent_orders=(first, order),
-                divergent_outcomes=(_describe(reference), _describe(got)))
+                divergent_outcomes=_diff(reference, got))
     return ConfluenceReport(confluent=True, trials=total,
                             nsc_size=len(base))
 
 
-def _describe(outcome) -> str:
+# Differences that ``_diff`` spells out; the rest are counted.
+_DIFF_LINES = 4
+
+
+def _diff(a, b) -> tuple[str, str]:
+    """Two outcomes side by side, one line per differing element field:
+    "<kind> <name> <field>: <value>" with each outcome's own value, and
+    "absent" for an element the outcome lacks.  An error outcome is its
+    code, and a machine set against one is summarised by its size."""
+    if isinstance(a, str) or isinstance(b, str):
+        return _summary(a), _summary(b)
+    left, right = _fields(a), _fields(b)
+    rows: list[tuple[str, str, str]] = []
+    for element in sorted(left.keys() | right.keys()):
+        x, y = left.get(element), right.get(element)
+        if x is None or y is None:
+            rows.append((element, "absent" if x is None else "present",
+                         "absent" if y is None else "present"))
+        else:
+            rows += [(f"{element} {f}", x[f], y[f]) for f in x if x[f] != y[f]]
+    shown = rows[:_DIFF_LINES]
+    more = ([f"... and {len(rows) - len(shown)} more"]
+            if len(rows) > len(shown) else [])
+    left_text, right_text = (
+        "\n".join([f"{row[0]}: {row[k]}" for row in shown] + more)
+        for k in (1, 2))
+    return left_text, right_text
+
+
+def _summary(outcome) -> str:
     if isinstance(outcome, str):
         return outcome
     idx = MachineIndex(outcome)
-    return (f"machine with states {sorted(idx.states)} and transitions "
-            f"{sorted(idx.transitions)}")
+    return (f"machine with {len(idx.states)} states and "
+            f"{len(idx.transitions)} transitions")
+
+
+def _fields(sc: StateChart) -> dict[str, dict[str, str]]:
+    """Every element of a machine by "<kind> <name>", with its fields
+    rendered as text: a state's kind, parent, initial marker and flag, a
+    transition's owner and every attribute but its name."""
+    idx = MachineIndex(sc)
+    out: dict[str, dict[str, str]] = {}
+    for name, st in idx.states.items():
+        out[f"state {name}"] = {
+            "kind": type(st).__name__, "parent": repr(idx.parent[name]),
+            "initial": repr(idx.initial.get(name)),
+            "optional": repr(st.optional)}
+    for name, t in idx.transitions.items():
+        row = {"owner": repr(idx.owner[name])}
+        for f in fields(Transition):
+            if f.name != "name":
+                value = getattr(t, f.name)
+                row[f.name] = (value.value if isinstance(value, History)
+                               else repr(value))
+        out[f"transition {name}"] = row
+    return out
 
 
 # --- random product lines -------------------------------------------------

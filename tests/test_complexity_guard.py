@@ -1,19 +1,24 @@
 """Guards against whole-machine work creeping back into the rewrite steps.
 
-One instantiation may index and rebuild the machine a constant number of
-times (validation, the working tree, the final checks), never once per
-rule application.  Deleting an And-state searches each coupled component
-of its regions on its own, never the product of all regions.
+One instantiation walks its input once, into the working tree that
+validation reads and the rules edit, and rebuilds the machine once, never
+once per rule application; its output is checked over the edits alone.  A
+confluence check validates its input once, not once per order.  Deleting
+an And-state searches each coupled component of its regions on its own,
+never the product of all regions.
 """
 
 import random
 
+import scpl.model
 import scpl.rewrite
+import scpl.strategy
 from conftest import S1K_GENERATOR, S1K_SEED, line_for
 from scpl.model import (AndState, MachineIndex, OrState, SimpleState,
                         StateChart, Transition)
 from scpl.rewrite import WorkingTree
-from scpl.strategy import generate_random_product_line, instantiate
+from scpl.strategy import (check_confluence, generate_random_product_line,
+                           instantiate)
 
 
 def _count_calls(monkeypatch, cls: type, method: str) -> list[int]:
@@ -39,8 +44,24 @@ def test_instantiate_indexes_and_rebuilds_a_constant_number_of_times(
     freezes = _count_calls(monkeypatch, WorkingTree, "freeze")
     result = instantiate(*line)
     assert len(result.trace) > 100
-    assert indexes[0] <= 4
+    assert indexes[0] == 1
     assert freezes[0] == 1
+
+
+def test_check_confluence_checks_well_formedness_once(monkeypatch):
+    line = generate_random_product_line(S1K_SEED, **S1K_GENERATOR)
+    calls = [0]
+    orig = scpl.model.well_formed_violations
+
+    def counting(idx):
+        calls[0] += 1
+        return orig(idx)
+
+    for module in (scpl.model, scpl.strategy):
+        monkeypatch.setattr(module, "well_formed_violations", counting)
+    report = check_confluence(*line, trials=10)
+    assert report.trials == 10
+    assert calls[0] == 1
 
 
 def test_and_state_deletion_searches_uncoupled_regions_apart(monkeypatch):

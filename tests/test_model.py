@@ -74,8 +74,8 @@ def test_index_hierarchy_queries():
     assert idx.parent["X"] == "Inner"
     assert idx.parent["R1"] == "Par"
     assert list(idx.ancestors("Q")) == ["R1", "Par", "Root"]
-    assert idx.is_within("Q", "Par")
-    assert not idx.is_within("Q", "Inner")
+    assert idx.direct_child_within("Par", "Q") == "R1"
+    assert idx.direct_child_within("Inner", "Q") is None
     assert idx.descendants("Par") == {"R1", "R2", "P", "Q", "U"}
     assert idx.direct_child_within("Root", "Y") == "Inner"
     assert idx.direct_child_within("Root", "Root") is None

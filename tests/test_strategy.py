@@ -6,8 +6,8 @@ from conftest import line_for
 from scpl import strategy
 from scpl.errors import InvalidInputError, RewriteError, TooLargeError
 from scpl.model import (Configuration, ImpMapping, MachineIndex, OrState,
-                        SimpleState, StateChart, Transition, canonicalize,
-                        check_well_formed, var_elems)
+                        RewriteTrace, SimpleState, StateChart, Transition,
+                        canonicalize, check_well_formed, var_elems)
 from scpl.strategy import (EXHAUSTIVE_CAP, check_confluence,
                            generate_random_product_line, instantiate,
                            validate_inputs)
@@ -135,8 +135,8 @@ def test_check_confluence_refuses_fewer_than_one_trial(mp, mp_no_poly,
     def unreachable(*args, **kwargs):
         raise AssertionError("trials must be checked first")
 
-    monkeypatch.setattr(strategy, "validate_inputs", unreachable)
-    monkeypatch.setattr(strategy, "instantiate", unreachable)
+    monkeypatch.setattr(strategy, "input_violations", unreachable)
+    monkeypatch.setattr(strategy, "_rewrite", unreachable)
     fm, sc, imp = mp
     with pytest.raises(InvalidInputError) as caught:
         check_confluence(fm, mp_no_poly, sc, imp, trials=trials)
@@ -158,7 +158,7 @@ def test_exhaustive_confluence_refuses_more_than_the_cap(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("no order may run past the cap")
 
-    monkeypatch.setattr(strategy, "instantiate", unreachable)
+    monkeypatch.setattr(strategy, "_rewrite", unreachable)
     with pytest.raises(TooLargeError, match="exhaustive cap of 8"):
         check_confluence(*_line_dooming(EXHAUSTIVE_CAP + 1), exhaustive=True)
 
@@ -170,10 +170,44 @@ def test_exhaustive_confluence_runs_every_order_at_the_cap(monkeypatch):
         calls[0] += 1
         raise RewriteError("stub")
 
-    monkeypatch.setattr(strategy, "instantiate", failing)
+    monkeypatch.setattr(strategy, "_rewrite", failing)
     report = check_confluence(*_line_dooming(EXHAUSTIVE_CAP), exhaustive=True)
     assert report.confluent
     assert report.trials == calls[0] == 40_320
+
+
+def _two_states(*triggers: str) -> StateChart:
+    """Root holds A and B, with one transition A -> B per trigger."""
+    return StateChart(OrState(
+        "Root", (SimpleState("A"), SimpleState("B")), "A",
+        tuple(Transition(f"t{i}", "A", "B", (e,))
+              for i, e in enumerate(triggers))))
+
+
+def test_divergent_outcomes_name_the_field_that_differs(monkeypatch):
+    outcomes = iter([_two_states("a"), _two_states("b")])
+
+    def rewrite(*args, **kwargs):
+        return strategy.InstantiationResult(next(outcomes), RewriteTrace())
+
+    monkeypatch.setattr(strategy, "_rewrite", rewrite)
+    report = check_confluence(*_line_dooming(2), trials=2)
+    assert not report.confluent
+    assert report.divergent_outcomes == ("transition t0 trigger: ('a',)",
+                                         "transition t0 trigger: ('b',)")
+
+
+def test_outcome_diff_is_capped_and_summarises_errors():
+    few, many = _two_states("a"), _two_states(*"abcdef")
+    left, right = strategy._diff(few, many)
+    assert left.splitlines() == ["transition t1: absent",
+                                 "transition t2: absent",
+                                 "transition t3: absent",
+                                 "transition t4: absent",
+                                 "... and 1 more"]
+    assert right.splitlines()[0] == "transition t1: present"
+    assert strategy._diff("error:no_initial", few) == (
+        "error:no_initial", "machine with 3 states and 1 transitions")
 
 
 def test_generator_is_reproducible():
