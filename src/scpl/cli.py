@@ -150,14 +150,13 @@ def cmd_fuzz(args) -> int:
     for i in range(args.count):
         seed = args.seed + i
         line = generate_random_product_line(seed)
-        violations = validate_inputs(line.fm, line.conf, line.sc, line.imp)
-        if violations:
-            failures.append({"seed": seed, "stage": "validate",
-                             "detail": [str(v) for v in violations]})
-            continue
         try:
             report = check_confluence(line.fm, line.conf, line.sc, line.imp,
                                       trials=20, seed=seed)
+        except InvalidInputError as exc:
+            failures.append({"seed": seed, "stage": "validate",
+                             "detail": [str(v) for v in exc.violations]})
+            continue
         except ScplError as exc:
             failures.append({"seed": seed, "stage": "instantiate",
                              "detail": [exc.message]})

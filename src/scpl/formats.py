@@ -200,10 +200,10 @@ def _state_to_json(state: State) -> dict:
 
 # --- dotted-path resolution ----------------------------------------------
 
-def _resolve_names(sc: StateChart) -> StateChart:
-    """Resolves dotted state paths in endpoints, initial markers, in-state
-    atoms, and rejects duplicate names."""
-    idx = MachineIndex(sc)
+def _resolve_names(idx: MachineIndex) -> MachineIndex:
+    """Resolves dotted state paths in the index's transitions (in-state
+    atoms, then source and target) and then in its initial markers, in
+    place, and rejects duplicate names; returns the index."""
     if idx.duplicate_states:
         raise DuplicateNameError(
             f"duplicate state name(s): {', '.join(sorted(set(idx.duplicate_states)))}")
@@ -215,57 +215,40 @@ def _resolve_names(sc: StateChart) -> StateChart:
     def resolve(name: str, context: str) -> str:
         if name in idx.states:
             return name
-        if "." in name:
-            parts = name.split(".")
-            cursor = parts[0]
-            if cursor not in idx.states:
+        if "." not in name:
+            raise UnknownReferenceError(f"{context}: unknown state {name!r}")
+        cursor, *rest = name.split(".")
+        if cursor not in idx.states:
+            raise UnknownReferenceError(
+                f"{context}: unknown state {cursor!r} in path {name!r}")
+        for part in rest:
+            if part not in idx.states or idx.parent.get(part) != cursor:
                 raise UnknownReferenceError(
-                    f"{context}: unknown state {parts[0]!r} in path {name!r}")
-            for part in parts[1:]:
-                nxt = f"{part}"
-                if nxt not in idx.states or idx.parent.get(nxt) != cursor:
-                    raise UnknownReferenceError(
-                        f"{context}: {name!r} does not follow the hierarchy")
-                cursor = nxt
-            return cursor
-        raise UnknownReferenceError(f"{context}: unknown state {name!r}")
+                    f"{context}: {name!r} does not follow the hierarchy")
+            cursor = part
+        return cursor
 
-    def fix_transition(t: Transition) -> Transition:
+    for name, t in idx.transitions.items():
         atoms = tuple(
-            InState(resolve(a.state, f"transition {t.name!r} condition"))
+            InState(resolve(a.state, f"transition {name!r} condition"))
             if isinstance(a, InState) else a
             for a in t.cond.atoms)
-        return Transition(t.name,
-                          resolve(t.source, f"transition {t.name!r} source"),
-                          resolve(t.target, f"transition {t.name!r} target"),
-                          t.trigger, Condition(atoms), t.actions, t.history,
-                          t.optional)
-
-    def fix_state(state: State) -> State:
-        if isinstance(state, SimpleState):
-            return state
-        if isinstance(state, OrState):
-            return OrState(state.name,
-                           tuple(fix_state(s) for s in state.substates),
-                           resolve(state.initial,
-                                   f"initial of {state.name!r}"),
-                           tuple(fix_transition(t) for t in state.transitions),
-                           state.optional)
-        return AndState(state.name,
-                        tuple(fix_state(r) for r in state.regions),
-                        state.optional)
-
-    root = fix_state(sc.root)
-    assert isinstance(root, OrState)
-    return StateChart(root)
+        fixed = Transition(name,
+                           resolve(t.source, f"transition {name!r} source"),
+                           resolve(t.target, f"transition {name!r} target"),
+                           t.trigger, Condition(atoms), t.actions, t.history,
+                           t.optional)
+        idx.transitions[name] = idx.owned[idx.owner[name]][name] = fixed
+    for name, initial in idx.initial.items():
+        idx.initial[name] = resolve(initial, f"initial of {name!r}")
+    return idx
 
 
 # --- mappings -------------------------------------------------------------
 
-def _imp_from_json(doc, path: str, sc: StateChart) -> ImpMapping:
+def _imp_from_json(doc, path: str, idx: MachineIndex) -> ImpMapping:
     _expect(doc, dict, path)
-    idx = MachineIndex(sc)
-    known = set(idx.states) | set(idx.transitions)
+    known = idx.states.keys() | idx.transitions.keys()
     entries: dict[str, ImpEntry] = {}
     for feature, raw in doc.items():
         _expect(raw, dict, f"{path}.{feature}")
@@ -304,9 +287,9 @@ def parse_product_line(text: str) -> tuple[FeatureModel, StateChart, ImpMapping]
     root = _state_from_json(sc_doc.get("root", {}), "$.statechart.root")
     if not isinstance(root, OrState):
         raise FormatSyntaxError("$.statechart.root: root must be an Or-state")
-    sc = _resolve_names(StateChart(root))
-    imp = _imp_from_json(doc.get("imp", {}), "$.imp", sc)
-    return fm, sc, imp
+    idx = _resolve_names(MachineIndex(StateChart(root)))
+    imp = _imp_from_json(doc.get("imp", {}), "$.imp", idx)
+    return fm, idx.freeze(), imp
 
 
 def serialize_product_line(fm: FeatureModel, sc: StateChart,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Union
 
 # Characters with structural meaning in names: dots separate hierarchy
@@ -240,12 +241,13 @@ class MachineIndex:
     ``duplicate_transitions`` and registered at its first occurrence only,
     so ``parent`` and ``children`` always describe a tree.
 
-    The index describes the machine it was built from and goes stale once
-    the machine changes: ``rewrite.WorkingTree`` extends it with the edits
-    that rewriting needs, which keep these maps current.
+    The maps describe the machine they were built from until edited:
+    ``rewrite.WorkingTree`` extends the index with the edits that rewriting
+    needs, and ``freeze`` rebuilds the machine the maps then describe.
     """
 
     def __init__(self, sc: StateChart):
+        self.root = sc.root.name
         self.states: dict[str, State] = {}
         self.parent: dict[str, str | None] = {}
         self.children: dict[str, dict[str, None]] = {}
@@ -284,6 +286,25 @@ class MachineIndex:
         else:
             for region in state.regions:
                 self._walk(region, name, kids)
+
+    def freeze(self) -> StateChart:
+        """Rebuilds the machine the maps describe, in their order."""
+        return StateChart(self._frozen(self.root))
+
+    def _frozen(self, name: str):
+        # A method, not a nested function: a recursive closure would tie
+        # the index into a reference cycle that outlives the call.
+        st = self.states[name]
+        if isinstance(st, OrState):
+            return OrState(name,
+                           tuple(self._frozen(c) for c in self.children[name]),
+                           self.initial[name],
+                           tuple(self.owned[name].values()), st.optional)
+        if isinstance(st, AndState):
+            return AndState(name,
+                            tuple(self._frozen(c) for c in self.children[name]),
+                            st.optional)
+        return st
 
     # -- hierarchy queries --
 
@@ -459,30 +480,20 @@ def optional_elements(idx: MachineIndex) -> tuple[frozenset[str], frozenset[str]
 def canonicalize(sc: StateChart) -> StateChart:
     """Canonical machine for equality: substates, regions, and transitions
     sorted by name.  The initial marker and all flags are preserved."""
+    return map_states(sc, _sorted_composite)
 
-    def canon(state: State) -> State:
-        if isinstance(state, SimpleState):
-            return state
-        if isinstance(state, OrState):
-            return OrState(
-                name=state.name,
-                substates=tuple(sorted((canon(s) for s in state.substates),
-                                       key=lambda s: s.name)),
-                initial=state.initial,
-                transitions=tuple(sorted(state.transitions,
-                                         key=lambda t: t.name)),
-                optional=state.optional,
-            )
-        return AndState(
-            name=state.name,
-            regions=tuple(sorted((canon(r) for r in state.regions),
-                                 key=lambda r: r.name)),
-            optional=state.optional,
-        )
 
-    root = canon(sc.root)
-    assert isinstance(root, OrState)
-    return StateChart(root)
+def _by_name(elements) -> tuple:
+    return tuple(sorted(elements, key=attrgetter("name")))
+
+
+def _sorted_composite(state: State) -> State:
+    if isinstance(state, OrState):
+        return OrState(state.name, _by_name(state.substates), state.initial,
+                       _by_name(state.transitions), state.optional)
+    if isinstance(state, AndState):
+        return AndState(state.name, _by_name(state.regions), state.optional)
+    return state
 
 
 def map_states(sc: StateChart, fn) -> StateChart:

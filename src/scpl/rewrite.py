@@ -236,7 +236,6 @@ class WorkingTree(MachineIndex):
 
     def __init__(self, sc: StateChart):
         super().__init__(sc)
-        self.root = sc.root.name
         self.adjacent: dict[str, set[str]] = {}
         self._counter = count()
         self.seq: dict[str, int] = {}
@@ -244,25 +243,6 @@ class WorkingTree(MachineIndex):
         self.added: dict[str, None] = {}
         for t in self.transitions.values():
             self._link(t)
-
-    def freeze(self) -> StateChart:
-        """The machine as immutable values, in the tree's current order."""
-        return StateChart(self._frozen(self.root))
-
-    def _frozen(self, name: str):
-        # A method, not a nested function: a recursive closure would tie
-        # the tree into a reference cycle that outlives the call.
-        st = self.states[name]
-        if isinstance(st, OrState):
-            return OrState(name,
-                           tuple(self._frozen(c) for c in self.children[name]),
-                           self.initial[name],
-                           tuple(self.owned[name].values()), st.optional)
-        if isinstance(st, AndState):
-            return AndState(name,
-                            tuple(self._frozen(c) for c in self.children[name]),
-                            st.optional)
-        return st
 
     # -- edits --
 
@@ -453,9 +433,11 @@ class WorkingTree(MachineIndex):
         return out
 
     def _lca_or_owner(self, source: str, target: str) -> str:
-        """Owning Or-state for a transition between the two states, or an
-        error when no Or-state may legally own it (e.g. it would cross
-        And-regions)."""
+        """Owning Or-state for a transition between the two states: their
+        nearest common proper ancestor, or an error when there is none or
+        it is an And-state, whose regions the transition would cross.  The
+        endpoints never both lie strictly inside one child of the owner:
+        that child would be a nearer common ancestor."""
         target_anc = set(self.ancestors(target))
         owner = next((a for a in self.ancestors(source) if a in target_anc),
                      None)
@@ -466,11 +448,6 @@ class WorkingTree(MachineIndex):
             raise RewriteError(
                 f"composition {source!r} -> {target!r} would cross regions "
                 f"of {owner!r}")
-        cs = self.direct_child_within(owner, source)
-        ct = self.direct_child_within(owner, target)
-        if cs == ct and source != cs and target != ct:
-            raise RewriteError(
-                f"composition {source!r} -> {target!r} has no legal owner")
         return owner
 
     # -- repairs, pruning, transition deletion, the sweep --

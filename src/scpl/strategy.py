@@ -25,9 +25,8 @@ from .features import (build_configuration, kernel, validate_configuration,
 from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
                     History, ImpEntry, ImpMapping, InState, MachineIndex,
                     OrState, RewriteTrace, SimpleState, State, StateChart,
-                    TraceStep, Transition, Violation, canonicalize,
-                    optional_elements, touched_violations,
-                    well_formed_violations)
+                    TraceStep, Transition, Violation, optional_elements,
+                    touched_violations, well_formed_violations)
 from .rewrite import PendingSet, WorkingTree
 
 
@@ -83,16 +82,27 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
         violations = input_violations(fm, conf, tree, imp)
         if violations:
             raise InvalidInputError(violations)
-    return _rewrite(tree, compute_nsc(fm, conf, sc, imp), order,
-                    include_pending, validated=validate)
+    trace = _rewrite(tree, compute_nsc(fm, conf, sc, imp), order,
+                     include_pending, validated=validate)
+    out = tree.freeze()
+    if not validate:
+        idx = MachineIndex(out)
+        _refuse(well_formed_violations(idx), any(optional_elements(idx)))
+    return InstantiationResult(out, trace)
+
+
+def _refuse(leftovers: list[Violation], stray: bool = False) -> None:
+    if stray or leftovers:
+        raise RewriteError(
+            f"instantiation produced an inconsistent machine: {leftovers}")
 
 
 def _rewrite(tree: WorkingTree, doomed: frozenset[str],
              order: Sequence[str] | None, include_pending: bool, *,
-             validated: bool) -> InstantiationResult:
-    """The four layers on a fresh working tree, then the post-check: over
-    the edits alone when the input was ``validated``, else over a fresh
-    index of the whole output."""
+             validated: bool) -> RewriteTrace:
+    """The four layers on a fresh working tree, which they leave edited,
+    then, when the input was ``validated``, the post-check over the edits
+    alone; ``instantiate`` checks the output of other input whole."""
     pending = PendingSet(set(doomed))
     rank = ({name: i for i, name in enumerate(order)} if order is not None
             else None)
@@ -145,23 +155,14 @@ def _rewrite(tree: WorkingTree, doomed: frozenset[str],
     # Layer 4: the optional-flag sweep, applied once.
     record(tree.finalize_optionals())
 
-    sc = tree.freeze()
     if validated:
         # Every deleted state sat in a subtree whose atoms layer 1 pruned,
         # so only the reshaped composites and the added transitions can
         # break what validation established; the sweep has cleared every
         # optional flag.
         assert not any(optional_elements(tree))
-        stray = False
-        leftovers = touched_violations(tree, tree.reshaped, tree.added)
-    else:
-        idx = MachineIndex(sc)
-        stray = any(optional_elements(idx))
-        leftovers = well_formed_violations(idx)
-    if stray or leftovers:
-        raise RewriteError(
-            f"instantiation produced an inconsistent machine: {leftovers}")
-    return InstantiationResult(sc, RewriteTrace(tuple(steps)))
+        _refuse(touched_violations(tree, tree.reshaped, tree.added))
+    return RewriteTrace(tuple(steps))
 
 
 # --- confluence harness ---------------------------------------------------
@@ -187,7 +188,8 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
     otherwise ``trials`` below 1 is refused with InvalidInputError.
 
     The inputs are validated once, on the first order's working tree;
-    every order's output is checked over its edits alone.
+    every order's outcome is its edited tree, checked over its edits alone
+    and compared by its maps (``_shape``), never frozen.
     ``divergent_outcomes`` gives, per outcome, the first few elements and
     fields on which the two differ with that outcome's values."""
     if not exhaustive and trials < 1:
@@ -203,9 +205,8 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
 
     def outcome(order, tree: WorkingTree):
         try:
-            result = _rewrite(tree, doomed, order, include_pending,
-                              validated=True)
-            return canonicalize(result.statechart)
+            _rewrite(tree, doomed, order, include_pending, validated=True)
+            return tree
         except ScplError as exc:
             return f"error:{exc.code}"
 
@@ -230,13 +231,24 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
     reference = outcome(first, tree)
     for order in orders:
         got = outcome(order, WorkingTree(sc))
-        if got != reference:
+        if _shape(got) != _shape(reference):
             return ConfluenceReport(
                 confluent=False, trials=total, nsc_size=len(base),
                 divergent_orders=(first, order),
                 divergent_outcomes=_diff(reference, got))
     return ConfluenceReport(confluent=True, trials=total,
                             nsc_size=len(base))
+
+
+def _shape(outcome):
+    """An error's text, or the maps of an edited tree.  Two trees rewritten
+    from one validated input have equal maps exactly when their canonical
+    machines are equal: no rule changes a surviving state's kind or
+    parent, the rest of a composite's shape lives in the maps, and dict
+    equality ignores insertion order."""
+    return outcome if isinstance(outcome, str) else (
+        outcome.states, outcome.parent, outcome.initial, outcome.transitions,
+        outcome.owner)
 
 
 # Differences that ``_diff`` spells out; the rest are counted.
@@ -247,7 +259,7 @@ def _diff(a, b) -> tuple[str, str]:
     """Two outcomes side by side, one line per differing element field:
     "<kind> <name> <field>: <value>" with each outcome's own value, and
     "absent" for an element the outcome lacks.  An error outcome is its
-    code, and a machine set against one is summarised by its size."""
+    code, and a tree set against one is summarised by its size."""
     if isinstance(a, str) or isinstance(b, str):
         return _summary(a), _summary(b)
     left, right = _fields(a), _fields(b)
@@ -271,16 +283,14 @@ def _diff(a, b) -> tuple[str, str]:
 def _summary(outcome) -> str:
     if isinstance(outcome, str):
         return outcome
-    idx = MachineIndex(outcome)
-    return (f"machine with {len(idx.states)} states and "
-            f"{len(idx.transitions)} transitions")
+    return (f"machine with {len(outcome.states)} states and "
+            f"{len(outcome.transitions)} transitions")
 
 
-def _fields(sc: StateChart) -> dict[str, dict[str, str]]:
-    """Every element of a machine by "<kind> <name>", with its fields
-    rendered as text: a state's kind, parent, initial marker and flag, a
-    transition's owner and every attribute but its name."""
-    idx = MachineIndex(sc)
+def _fields(idx: MachineIndex) -> dict[str, dict[str, str]]:
+    """Every element of an indexed machine by "<kind> <name>", with its
+    fields rendered as text: a state's kind, parent, initial marker and
+    flag, a transition's owner and every attribute but its name."""
     out: dict[str, dict[str, str]] = {}
     for name, st in idx.states.items():
         out[f"state {name}"] = {

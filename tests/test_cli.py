@@ -1,9 +1,13 @@
 import json
+from dataclasses import replace
 from importlib import resources
 
 import pytest
 
+from scpl import cli
 from scpl.cli import main
+from scpl.model import StateChart
+from scpl.strategy import generate_random_product_line, validate_inputs
 
 DATA = resources.files("scpl.data.mobile_phone")
 
@@ -92,6 +96,18 @@ def test_confluence_exit_zero(paths, capsys):
 def test_fuzz(capsys):
     assert main(["fuzz", "--seed", "3", "--count", "5"]) == 0
     assert "5/5 seeds passed" in capsys.readouterr().out
+
+
+def test_fuzz_reports_an_invalid_seed_at_the_validate_stage(monkeypatch,
+                                                              capsys):
+    line = generate_random_product_line(3)
+    bad = line._replace(sc=StateChart(replace(line.sc.root, initial="Ghost")))
+    expected = [str(v) for v in validate_inputs(*bad)]
+    assert expected
+    monkeypatch.setattr(cli, "generate_random_product_line", lambda seed: bad)
+    assert main(["fuzz", "--json", "--seed", "7", "--count", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        {"seed": 7, "stage": "validate", "detail": expected}]
 
 
 @pytest.mark.parametrize("argv, message", [

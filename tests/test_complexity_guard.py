@@ -3,22 +3,31 @@
 One instantiation walks its input once, into the working tree that
 validation reads and the rules edit, and rebuilds the machine once, never
 once per rule application; its output is checked over the edits alone.  A
-confluence check validates its input once, not once per order.  Deleting
-an And-state searches each coupled component of its regions on its own,
-never the product of all regions.
+confluence check validates its input once, not once per order, and
+compares the trees it edited without rebuilding a machine.  Parsing walks
+the machine once.  None of these leaves a reference cycle behind.
+Deleting an And-state searches each coupled component of its regions on
+its own, never the product of all regions.
 """
 
+import gc
 import random
+import sys
+from importlib import resources
 
 import scpl.model
 import scpl.rewrite
 import scpl.strategy
 from conftest import S1K_GENERATOR, S1K_SEED, line_for
+from scpl import datasets
+from scpl.formats import parse_product_line
 from scpl.model import (AndState, MachineIndex, OrState, SimpleState,
                         StateChart, Transition)
-from scpl.rewrite import WorkingTree
 from scpl.strategy import (check_confluence, generate_random_product_line,
                            instantiate)
+
+MP_TEXT = resources.files("scpl.data.mobile_phone").joinpath(
+    "mp.pl.json").read_text(encoding="utf-8")
 
 
 def _count_calls(monkeypatch, cls: type, method: str) -> list[int]:
@@ -36,16 +45,70 @@ def _count_calls(monkeypatch, cls: type, method: str) -> list[int]:
     return calls
 
 
+def _count_function(monkeypatch, name: str) -> list[int]:
+    """Wraps a library function by a counter in every ``scpl`` module that
+    binds it."""
+    orig = getattr(scpl.model, name)
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "scpl" and \
+                getattr(module, name, None) is orig:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_instantiate_indexes_and_rebuilds_a_constant_number_of_times(
         monkeypatch):
     line = generate_random_product_line(S1K_SEED, **S1K_GENERATOR)
     assert len(MachineIndex(line.sc).states) == 1009
     indexes = _count_calls(monkeypatch, MachineIndex, "__init__")
-    freezes = _count_calls(monkeypatch, WorkingTree, "freeze")
+    freezes = _count_calls(monkeypatch, MachineIndex, "freeze")
     result = instantiate(*line)
     assert len(result.trace) > 100
     assert indexes[0] == 1
     assert freezes[0] == 1
+
+
+def test_check_confluence_compares_trees_without_rebuilding(monkeypatch):
+    line = generate_random_product_line(S1K_SEED, **S1K_GENERATOR)
+    indexes = _count_calls(monkeypatch, MachineIndex, "__init__")
+    freezes = _count_calls(monkeypatch, MachineIndex, "freeze")
+    canonical = _count_function(monkeypatch, "canonicalize")
+    report = check_confluence(*line, trials=10)
+    assert report.trials == 10
+    assert indexes[0] == 10
+    assert freezes[0] == 0
+    assert canonical[0] == 0
+
+
+def test_parse_walks_the_machine_once(monkeypatch):
+    indexes = _count_calls(monkeypatch, MachineIndex, "__init__")
+    parse_product_line(MP_TEXT)
+    assert indexes[0] == 1
+
+
+def test_no_reference_cycles_are_left_behind():
+    conf = datasets.mobile_phone_no_poly()
+    line = generate_random_product_line(S1K_SEED, **S1K_GENERATOR)
+    fm, sc, imp = parse_product_line(MP_TEXT)
+    runs = [("parse_product_line", lambda: parse_product_line(MP_TEXT)),
+            ("instantiate", lambda: instantiate(fm, conf, sc, imp)),
+            ("check_confluence", lambda: check_confluence(*line, trials=10))]
+    for _, run in runs:  # first calls may fill caches
+        run()
+    gc.collect()
+    gc.disable()
+    try:
+        for name, run in runs:
+            run()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_check_confluence_checks_well_formedness_once(monkeypatch):

@@ -9,8 +9,8 @@ from scpl.errors import (DuplicateNameError, FormatSyntaxError,
                          UnknownReferenceError)
 from scpl.formats import (export_dot, parse_configuration, parse_product_line,
                           serialize_configuration, serialize_product_line)
-from scpl.model import (OrState, SimpleState, StateChart, Transition,
-                        check_well_formed)
+from scpl.model import (Condition, Guard, InState, OrState, SimpleState,
+                        StateChart, Transition, check_well_formed)
 from scpl.strategy import generate_random_product_line, instantiate
 
 MINIMAL = """
@@ -77,6 +77,28 @@ def test_dotted_paths_resolve_against_hierarchy():
         {"name": "t", "source": "A", "target": "Top.B.C", "trigger": ["e"]}]
     fm, sc, imp = parse_product_line(json.dumps(doc))
     assert sc.root.transitions[0].target == "C"
+
+
+def test_dotted_paths_resolve_in_initials_atoms_and_nested_transitions():
+    doc = json.loads(MINIMAL)
+    root = doc["statechart"]["root"]
+    root["substates"].append({
+        "kind": "or", "name": "B", "initial": "B.C",
+        "substates": [{"kind": "simple", "name": "C"},
+                      {"kind": "simple", "name": "D"}],
+        "transitions": [{"name": "u", "source": "Top.B.C", "target": "B.D",
+                         "trigger": ["e"]}]})
+    root["transitions"] = [{"name": "t", "source": "A", "target": "B",
+                            "trigger": ["e"],
+                            "cond": [{"in": "Top.B.D"}, {"guard": "g"}]}]
+    fm, sc, imp = parse_product_line(json.dumps(doc))
+    inner = sc.root.substates[1]
+    assert inner.initial == "C"
+    assert sc.root.transitions[0].cond == Condition((InState("D"),
+                                                     Guard("g")))
+    assert (inner.transitions[0].source, inner.transitions[0].target) == (
+        "C", "D")
+    assert check_well_formed(sc) == []
 
 
 def test_dotted_path_must_follow_hierarchy():

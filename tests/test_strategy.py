@@ -1,13 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import line_for
 from scpl import strategy
-from scpl.errors import InvalidInputError, RewriteError, TooLargeError
+from scpl.binding import nsc
+from scpl.errors import (InvalidInputError, RewriteError, ScplError,
+                         TooLargeError)
 from scpl.model import (Configuration, ImpMapping, MachineIndex, OrState,
                         RewriteTrace, SimpleState, StateChart, Transition,
                         canonicalize, check_well_formed, var_elems)
+from scpl.rewrite import WorkingTree
 from scpl.strategy import (EXHAUSTIVE_CAP, check_confluence,
                            generate_random_product_line, instantiate,
                            validate_inputs)
@@ -185,10 +190,13 @@ def _two_states(*triggers: str) -> StateChart:
 
 
 def test_divergent_outcomes_name_the_field_that_differs(monkeypatch):
-    outcomes = iter([_two_states("a"), _two_states("b")])
+    triggers = iter("ab")
 
-    def rewrite(*args, **kwargs):
-        return strategy.InstantiationResult(next(outcomes), RewriteTrace())
+    def rewrite(tree, *args, **kwargs):
+        # An order's outcome is the tree it edited.
+        tree._add_transition(Transition("t0", "A", "S0", (next(triggers),)),
+                             "Root")
+        return RewriteTrace()
 
     monkeypatch.setattr(strategy, "_rewrite", rewrite)
     report = check_confluence(*_line_dooming(2), trials=2)
@@ -198,7 +206,8 @@ def test_divergent_outcomes_name_the_field_that_differs(monkeypatch):
 
 
 def test_outcome_diff_is_capped_and_summarises_errors():
-    few, many = _two_states("a"), _two_states(*"abcdef")
+    few = MachineIndex(_two_states("a"))
+    many = MachineIndex(_two_states(*"abcdef"))
     left, right = strategy._diff(few, many)
     assert left.splitlines() == ["transition t1: absent",
                                  "transition t2: absent",
@@ -208,6 +217,47 @@ def test_outcome_diff_is_capped_and_summarises_errors():
     assert right.splitlines()[0] == "transition t1: present"
     assert strategy._diff("error:no_initial", few) == (
         "error:no_initial", "machine with 3 states and 1 transitions")
+
+
+def _outcomes(line, orders):
+    """Per order, the outcome ``check_confluence`` compares (``_shape``)
+    and the canonical machine of the frozen tree, or the error code."""
+    doomed = nsc(line.fm, line.conf, line.sc, line.imp)
+    out = []
+    for order in orders:
+        tree = WorkingTree(line.sc)
+        try:
+            strategy._rewrite(tree, doomed, order, False, validated=True)
+        except ScplError as exc:
+            out.append((exc.code, exc.code))
+            continue
+        out.append((strategy._shape(tree), canonicalize(tree.freeze())))
+    return out
+
+
+# Lines on which some orders give different machines (ROADMAP item 1).
+DIVERGENT_LINES = [
+    (1500397, {"max_depth": 3, "max_substates": 6, "max_features": 12}),
+    (1500787, {"max_depth": 3, "max_substates": 6, "max_features": 12}),
+    (5697, {"max_depth": 2, "max_substates": 4, "max_features": 6}),
+]
+
+
+def test_tree_comparison_agrees_with_canonical_machines():
+    lines = [(seed, {}) for seed in range(300)] + DIVERGENT_LINES
+    unequal = 0
+    for seed, generator in lines:
+        line = generate_random_product_line(seed, **generator)
+        base = sorted(nsc(line.fm, line.conf, line.sc, line.imp))
+        rng = random.Random(seed)
+        orders = [base, base[::-1]] + [rng.sample(base, len(base))
+                                       for _ in range(20)]
+        outcomes = _outcomes(line, orders)
+        for i, (shape_a, canon_a) in enumerate(outcomes):
+            for shape_b, canon_b in outcomes[:i]:
+                assert (shape_a == shape_b) == (canon_a == canon_b), seed
+                unequal += canon_a != canon_b
+    assert unequal > 0
 
 
 def test_generator_is_reproducible():
