@@ -500,20 +500,22 @@ def map_states(sc: StateChart, fn) -> StateChart:
     """Rebuilds the machine bottom-up, passing every state (with already
     rebuilt children) through ``fn``; ``fn`` may return a replacement or
     None to drop the state."""
-
-    def rebuild(state: State) -> State | None:
-        if isinstance(state, OrState):
-            subs = tuple(s for s in (rebuild(c) for c in state.substates)
-                         if s is not None)
-            state = OrState(state.name, subs, state.initial,
-                            state.transitions, state.optional)
-        elif isinstance(state, AndState):
-            regions = tuple(s for s in (rebuild(c) for c in state.regions)
-                            if s is not None)
-            state = AndState(state.name, regions, state.optional)
-        return fn(state)
-
-    root = rebuild(sc.root)
+    root = _rebuilt(sc.root, fn)
     if not isinstance(root, OrState):
         raise ValueError("root must remain an Or-state")
     return StateChart(root)
+
+
+def _rebuilt(state: State, fn) -> State | None:
+    # A module-level function, not a nested one: a recursive closure ties
+    # itself into a reference cycle that outlives the call.
+    if isinstance(state, OrState):
+        subs = tuple(s for s in (_rebuilt(c, fn) for c in state.substates)
+                     if s is not None)
+        state = OrState(state.name, subs, state.initial,
+                        state.transitions, state.optional)
+    elif isinstance(state, AndState):
+        regions = tuple(s for s in (_rebuilt(c, fn) for c in state.regions)
+                        if s is not None)
+        state = AndState(state.name, regions, state.optional)
+    return fn(state)

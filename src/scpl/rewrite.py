@@ -210,6 +210,11 @@ def _projections(components: list[list[int]], moves: list[list[Move]],
 
 # --- the working tree -----------------------------------------------------
 
+def _copied_values(mapping: dict) -> dict:
+    """A copy of a map of dicts or sets with each value copied too."""
+    return {key: value.copy() for key, value in mapping.items()}
+
+
 # Rule names recorded for a state deletion, and the error raised when a
 # public rule is asked to delete a state of another kind.
 _DELETION = {
@@ -243,6 +248,29 @@ class WorkingTree(MachineIndex):
         self.added: dict[str, None] = {}
         for t in self.transitions.values():
             self._link(t)
+
+    def copy(self) -> "WorkingTree":
+        """A tree with the same maps that edits apart from this one: every
+        map and every inner dict or set is copied; the state and
+        transition objects are immutable and shared.  Both trees number
+        the transitions they add later above every one either holds now."""
+        new = WorkingTree.__new__(WorkingTree)
+        new.root = self.root
+        new.states = self.states.copy()
+        new.parent = self.parent.copy()
+        new.children = _copied_values(self.children)
+        new.initial = self.initial.copy()
+        new.transitions = self.transitions.copy()
+        new.owner = self.owner.copy()
+        new.owned = _copied_values(self.owned)
+        new.duplicate_states = self.duplicate_states.copy()
+        new.duplicate_transitions = self.duplicate_transitions.copy()
+        new.adjacent = _copied_values(self.adjacent)
+        new._counter = count(next(self._counter))
+        new.seq = self.seq.copy()
+        new.reshaped = self.reshaped.copy()
+        new.added = self.added.copy()
+        return new
 
     # -- edits --
 

@@ -102,16 +102,38 @@ def _rewrite(tree: WorkingTree, doomed: frozenset[str],
              validated: bool) -> RewriteTrace:
     """The four layers on a fresh working tree, which they leave edited,
     then, when the input was ``validated``, the post-check over the edits
-    alone; ``instantiate`` checks the output of other input whole."""
+    alone; ``instantiate`` checks the output of other input whole.
+    ``check_confluence`` calls the two halves apart."""
+    key = _order_key(order)
+    return _later_layers(tree, _layer_one(tree, doomed, key), key,
+                         include_pending, validated=validated)
+
+
+def _order_key(order: Sequence[str] | None):
+    """Sort key of pending names: their rank in ``order``, unranked names
+    last, ties by name; by name alone when there is no order."""
+    if order is None:
+        return lambda name: (name,)
+    rank = {name: i for i, name in enumerate(order)}
+    return lambda name: (rank.get(name, len(rank)), name)
+
+
+class _LayerOne(NamedTuple):
+    """What layer 1 leaves for the later layers: the elements still
+    pending, the states layer 2 deletes (in key order), the steps so far
+    and the rule-application budget."""
+    pending: PendingSet
+    eligible: tuple[str, ...]
+    steps: tuple[TraceStep, ...]
+    budget: int
+
+
+def _layer_one(tree: WorkingTree, doomed: frozenset[str], key) -> _LayerOne:
+    """Layer 1 on a fresh working tree, which it leaves edited.  The edits
+    are the same under every key: pruning removes every atom about a
+    doomed subtree and repairs run in name order; the key decides only
+    which state each pruning step is credited to."""
     pending = PendingSet(set(doomed))
-    rank = ({name: i for i, name in enumerate(order)} if order is not None
-            else None)
-
-    def key(name: str) -> tuple:
-        if rank is None:
-            return (name,)
-        return (rank.get(name, len(rank)), name)
-
     pending_states = sorted((n for n in pending.remaining if n in tree.states),
                             key=key)
     # Safety net for the termination argument: every recorded step must
@@ -119,16 +141,11 @@ def _rewrite(tree: WorkingTree, doomed: frozenset[str],
     budget = len(doomed) + len(tree.states) + len(pending_states) + 2
     steps: list[TraceStep] = []
 
-    def record(step: TraceStep) -> None:
-        steps.append(step)
-        if len(steps) > budget:
-            raise RewriteError("rule application budget exceeded")
-
     # Layer 1a: prune in-state atoms about every doomed state, one step per
     # state whose subtree an atom named (first such state in key order).
     for name in tree.prune_conditions(pending_states):
-        record(TraceStep("prune_conditions", name,
-                         detail="in-state atoms removed"))
+        _record(steps, budget, TraceStep("prune_conditions", name,
+                                         detail="in-state atoms removed"))
 
     # Layer 1b: repair initial markers of surviving composites whose
     # initial substate is doomed, walking each chain to a survivor.
@@ -137,23 +154,35 @@ def _rewrite(tree: WorkingTree, doomed: frozenset[str],
             name for name, init in tree.initial.items()
             if init in pending and name not in pending
             and not any(a in pending for a in tree.ancestors(name))):
-        record(tree.repair_initial(name, pending))
+        _record(steps, budget, tree.repair_initial(name, pending))
 
-    # Layer 2: state deletions; elements nested inside a doomed composite
-    # are swallowed by the composite's own deletion.  A deletion changes no
-    # other pending state's ancestors, so the eligible set and its order
-    # are fixed up front.
-    for name in [n for n in pending_states
-                 if not any(a in pending for a in tree.ancestors(n))]:
-        record(tree.delete_state(name, pending,
-                                 include_pending=include_pending))
+    # Layer 2's states: elements nested inside a doomed composite are
+    # swallowed by the composite's own deletion.  A deletion changes no
+    # other pending state's ancestors, so the eligible set is fixed here.
+    eligible = tuple(n for n in pending_states
+                     if not any(a in pending for a in tree.ancestors(n)))
+    return _LayerOne(pending, eligible, tuple(steps), budget)
+
+
+def _later_layers(tree: WorkingTree, start: _LayerOne, key,
+                  include_pending: bool, *, validated: bool) -> RewriteTrace:
+    """Layers 2-4 on a tree as layer 1 left it (``start``, which stays as
+    it was), then, when the input was ``validated``, the post-check over
+    the edits alone."""
+    pending = PendingSet(set(start.pending.remaining))
+    steps = list(start.steps)
+
+    # Layer 2: state deletions, in key order.
+    for name in sorted(start.eligible, key=key):
+        _record(steps, start.budget, tree.delete_state(
+            name, pending, include_pending=include_pending))
 
     # Layer 3: remaining pending elements are transitions.
     for name in sorted(pending.remaining, key=key):
-        record(tree.delete_transition(name, pending))
+        _record(steps, start.budget, tree.delete_transition(name, pending))
 
     # Layer 4: the optional-flag sweep, applied once.
-    record(tree.finalize_optionals())
+    _record(steps, start.budget, tree.finalize_optionals())
 
     if validated:
         # Every deleted state sat in a subtree whose atoms layer 1 pruned,
@@ -163,6 +192,12 @@ def _rewrite(tree: WorkingTree, doomed: frozenset[str],
         assert not any(optional_elements(tree))
         _refuse(touched_violations(tree, tree.reshaped, tree.added))
     return RewriteTrace(tuple(steps))
+
+
+def _record(steps: list[TraceStep], budget: int, step: TraceStep) -> None:
+    steps.append(step)
+    if len(steps) > budget:
+        raise RewriteError("rule application budget exceeded")
 
 
 # --- confluence harness ---------------------------------------------------
@@ -187,11 +222,23 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
     raises TooLargeError when NSC holds more than EXHAUSTIVE_CAP elements;
     otherwise ``trials`` below 1 is refused with InvalidInputError.
 
-    The inputs are validated once, on the first order's working tree;
-    every order's outcome is its edited tree, checked over its edits alone
-    and compared by its maps (``_shape``), never frozen.
-    ``divergent_outcomes`` gives, per outcome, the first few elements and
-    fields on which the two differ with that outcome's values."""
+    The inputs are indexed and validated once, into one working tree, and
+    layer 1 runs once on it: its edits are the same under every order,
+    which decides only the trace credit of pruning steps.  Each order then
+    runs layers 2-4 on its own copy of that tree, which it checks over its
+    edits alone and compares by its maps (``_shape``), never frozen.
+
+    An order's outcome depends only on its layer-2 projection, the order
+    restricted to the states eligible for layer 2: eligibility is fixed
+    before layer 2, layer 3 only drops distinct transitions and never
+    raises, so any order of it ends alike, and layer 4 and the post-check
+    read only the final tree.  So an order whose projection has already
+    run is skipped: that earlier outcome agreed with the reference, or the
+    check would have returned.  ``trials`` still counts every order, and
+    ``divergent_orders`` pairs the first order with the first divergent
+    one in iteration order.  ``divergent_outcomes`` gives, per outcome,
+    the first few elements and fields on which the two differ with that
+    outcome's values."""
     if not exhaustive and trials < 1:
         raise InvalidInputError(
             [Violation("trials", f"must be at least 1, got {trials}")])
@@ -202,13 +249,6 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
 
     doomed = compute_nsc(fm, conf, sc, imp)
     base = tuple(sorted(doomed))
-
-    def outcome(order, tree: WorkingTree):
-        try:
-            _rewrite(tree, doomed, order, include_pending, validated=True)
-            return tree
-        except ScplError as exc:
-            return f"error:{exc.code}"
 
     if exhaustive:
         if len(base) > EXHAUSTIVE_CAP:
@@ -228,9 +268,31 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
         orders = iter(sampled)
 
     first = next(orders)
-    reference = outcome(first, tree)
+    try:
+        start = _layer_one(tree, doomed, _order_key(first))
+    except ScplError:
+        # Layer 1 edits alike under every order, so every order fails alike.
+        return ConfluenceReport(confluent=True, trials=total,
+                                nsc_size=len(base))
+    eligible = set(start.eligible)
+
+    def outcome(order):
+        copy = tree.copy()
+        try:
+            _later_layers(copy, start, _order_key(order), include_pending,
+                          validated=True)
+            return copy
+        except ScplError as exc:
+            return f"error:{exc.code}"
+
+    reference = outcome(first)
+    ran = {start.eligible}  # in the first order's key order
     for order in orders:
-        got = outcome(order, WorkingTree(sc))
+        projection = tuple(n for n in order if n in eligible)
+        if projection in ran:
+            continue
+        ran.add(projection)
+        got = outcome(order)
         if _shape(got) != _shape(reference):
             return ConfluenceReport(
                 confluent=False, trials=total, nsc_size=len(base),

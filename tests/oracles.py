@@ -1,16 +1,26 @@
 """Independent reference implementations the fast paths are tested against.
 
-Everything here is written from scratch against the definitions, not by
-calling into the package, so a shared bug cannot hide: selections are
-checked by structural recursion over the feature tree, reachability by
-dense fixpoint iteration over explicit relations, and the DOT output by a
-tiny parser of the emitted subset.
+Everything here but the confluence reference is written from scratch
+against the definitions, not by calling into the package, so a shared bug
+cannot hide: selections are checked by structural recursion over the
+feature tree, reachability by dense fixpoint iteration over explicit
+relations, and the DOT output by a tiny parser of the emitted subset.
+The confluence reference runs the package's rules the plain way, every
+order on a fresh tree through all four layers, and stands against the
+shortcuts ``check_confluence`` takes.
 """
 
 from __future__ import annotations
 
+import random
 import re
-from itertools import product
+from itertools import permutations, product
+from math import factorial
+
+from scpl import strategy
+from scpl.binding import nsc
+from scpl.errors import InvalidInputError, ScplError
+from scpl.rewrite import WorkingTree
 
 
 # --- configuration validity, by structural recursion ----------------------
@@ -108,6 +118,52 @@ def and_closure(region_nodes: list[list[str]],
         if frontier <= reached:
             return reached
         reached |= frontier
+
+
+# --- confluence, one fresh tree per order ---------------------------------
+
+def reference_confluence(fm, conf, sc, imp, trials: int = 200, seed: int = 0,
+                         *, exhaustive: bool = False,
+                         include_pending: bool = False):
+    """``check_confluence`` without its shortcuts: each order indexes the
+    input into a fresh working tree and runs all four layers on it, and
+    no order is skipped.  Orders, verdict and report are as
+    ``check_confluence`` defines them."""
+    violations = strategy.validate_inputs(fm, conf, sc, imp)
+    if violations:
+        raise InvalidInputError(violations)
+    doomed = nsc(fm, conf, sc, imp)
+    base = tuple(sorted(doomed))
+    if exhaustive:
+        total, orders = factorial(len(base)), list(permutations(base))
+    else:
+        rng = random.Random(seed)
+        orders = [base]
+        for _ in range(trials - 1):
+            shuffled = list(base)
+            rng.shuffle(shuffled)
+            orders.append(tuple(shuffled))
+        total = len(orders)
+
+    def outcome(order):
+        tree = WorkingTree(sc)
+        try:
+            strategy._rewrite(tree, doomed, order, include_pending,
+                              validated=True)
+            return tree
+        except ScplError as exc:
+            return f"error:{exc.code}"
+
+    reference = outcome(orders[0])
+    for order in orders[1:]:
+        got = outcome(order)
+        if strategy._shape(got) != strategy._shape(reference):
+            return strategy.ConfluenceReport(
+                confluent=False, trials=total, nsc_size=len(base),
+                divergent_orders=(orders[0], order),
+                divergent_outcomes=strategy._diff(reference, got))
+    return strategy.ConfluenceReport(confluent=True, trials=total,
+                                     nsc_size=len(base))
 
 
 # --- a parser for the emitted DOT subset ----------------------------------

@@ -3,8 +3,10 @@
 One instantiation walks its input once, into the working tree that
 validation reads and the rules edit, and rebuilds the machine once, never
 once per rule application; its output is checked over the edits alone.  A
-confluence check validates its input once, not once per order, and
-compares the trees it edited without rebuilding a machine.  Parsing walks
+confluence check indexes and validates its input once, not once per
+order, runs layer 1 once and layers 2-4 once per distinct order of the
+layer-2 state deletions, and compares the trees it edited without
+rebuilding a machine.  Parsing walks
 the machine once.  None of these leaves a reference cycle behind.
 Deleting an And-state searches each coupled component of its regions on
 its own, never the product of all regions.
@@ -22,7 +24,7 @@ from conftest import S1K_GENERATOR, S1K_SEED, line_for
 from scpl import datasets
 from scpl.formats import parse_product_line
 from scpl.model import (AndState, MachineIndex, OrState, SimpleState,
-                        StateChart, Transition)
+                        StateChart, Transition, canonicalize)
 from scpl.strategy import (check_confluence, generate_random_product_line,
                            instantiate)
 
@@ -30,18 +32,18 @@ MP_TEXT = resources.files("scpl.data.mobile_phone").joinpath(
     "mp.pl.json").read_text(encoding="utf-8")
 
 
-def _count_calls(monkeypatch, cls: type, method: str) -> list[int]:
-    """Wraps a method by a counter, so that every call counts, a
-    subclass's included: an index walk through the working tree's
-    constructor counts as a ``MachineIndex.__init__`` call."""
-    orig = getattr(cls, method)
+def _count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """Wraps a method or a module's function by a counter, so that every
+    call counts, a subclass's included: an index walk through the working
+    tree's constructor counts as a ``MachineIndex.__init__`` call."""
+    orig = getattr(owner, name)
     calls = [0]
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(cls, method, counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -81,9 +83,25 @@ def test_check_confluence_compares_trees_without_rebuilding(monkeypatch):
     canonical = _count_function(monkeypatch, "canonicalize")
     report = check_confluence(*line, trials=10)
     assert report.trials == 10
-    assert indexes[0] == 10
+    assert indexes[0] == 1
     assert freezes[0] == 0
     assert canonical[0] == 0
+
+
+def test_check_confluence_runs_one_order_per_layer_two_projection(
+        monkeypatch):
+    # One doomed state and four doomed transitions: 5! orders, all with
+    # the one state as their layer-2 projection.
+    sc = StateChart(OrState(
+        "Root", (SimpleState("A"), SimpleState("B"), SimpleState("S", True)),
+        "A", tuple(Transition(f"t{i}", "A", "B", (f"e{i}",), optional=True)
+                   for i in range(4))))
+    fm, conf, imp = line_for(sc, {"S", "t0", "t1", "t2", "t3"})
+    runs = _count_calls(monkeypatch, scpl.strategy, "_later_layers")
+    report = check_confluence(fm, conf, sc, imp, exhaustive=True)
+    assert report.confluent
+    assert report.trials == 120
+    assert runs[0] == 1
 
 
 def test_parse_walks_the_machine_once(monkeypatch):
@@ -98,6 +116,7 @@ def test_no_reference_cycles_are_left_behind():
     fm, sc, imp = parse_product_line(MP_TEXT)
     runs = [("parse_product_line", lambda: parse_product_line(MP_TEXT)),
             ("instantiate", lambda: instantiate(fm, conf, sc, imp)),
+            ("canonicalize", lambda: canonicalize(sc)),
             ("check_confluence", lambda: check_confluence(*line, trials=10))]
     for _, run in runs:  # first calls may fill caches
         run()

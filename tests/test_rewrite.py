@@ -1,3 +1,4 @@
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
@@ -14,11 +15,12 @@ from scpl.errors import (EmptyCompositeError, IsInitialError, NoInitialError,
 from scpl.model import (AndState, Condition, Guard, History, InState,
                         MachineIndex, OrState, SimpleState, StateChart,
                         Transition, canonicalize)
-from scpl.rewrite import (PendingSet, comp, comp_name, delete_and_state,
-                          delete_or_state, delete_simple_state,
-                          delete_transition, entry_exit_pairs,
-                          finalize_optionals, prune_conditions, reachable_and,
-                          reachable_or, repair_initial)
+from scpl.rewrite import (PendingSet, WorkingTree, comp, comp_name,
+                          delete_and_state, delete_or_state,
+                          delete_simple_state, delete_transition,
+                          entry_exit_pairs, finalize_optionals,
+                          prune_conditions, reachable_and, reachable_or,
+                          repair_initial)
 
 
 def T(name, src, tgt, trig=("e",), **kw):
@@ -128,6 +130,32 @@ def test_delete_simple_chain_both_orders_agree(chain):
     assert set(idx.transitions) == {"comp(t1,t2,t3)"}
     t = idx.transitions["comp(t1,t2,t3)"]
     assert t.trigger == ("a", "b", "c")
+
+
+def _maps(tree: WorkingTree) -> dict:
+    """A working tree's maps, without its transition numbering."""
+    return {k: v for k, v in vars(tree).items() if k not in ("_counter", "seq")}
+
+
+def _numbered(tree: WorkingTree) -> list[str]:
+    return sorted(tree.seq, key=tree.seq.get)
+
+
+def test_working_tree_copy_edits_apart_from_its_original(chain):
+    tree = WorkingTree(chain)
+    tree.delete_state("E1", PendingSet({"E1", "E2"}))
+    twin = tree.copy()
+    assert vars(twin).keys() == vars(tree).keys()
+    assert _maps(twin) == _maps(tree) and twin.seq == tree.seq
+    before = deepcopy(_maps(tree)), dict(tree.seq)
+    twin.delete_state("E2", PendingSet({"E2"}))
+    assert (_maps(tree), tree.seq) == before
+    # Each numbers what it adds above everything it held at the copy.
+    assert twin.seq["comp(t1,t2,t3)"] > max(before[1].values())
+    tree.delete_state("E2", PendingSet({"E2"}))
+    assert tree.seq["comp(t1,t2,t3)"] > max(before[1].values())
+    assert _maps(tree) == _maps(twin)
+    assert _numbered(tree) == _numbered(twin)
 
 
 def test_delete_simple_state_refuses_a_duplicate_composed_name():

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import line_for
+from oracles import reference_confluence
 from scpl import strategy
 from scpl.binding import nsc
-from scpl.errors import (InvalidInputError, RewriteError, ScplError,
-                         TooLargeError)
+from scpl.errors import (InvalidInputError, NoInitialError, RewriteError,
+                         ScplError, TooLargeError)
 from scpl.model import (Configuration, ImpMapping, MachineIndex, OrState,
                         RewriteTrace, SimpleState, StateChart, Transition,
                         canonicalize, check_well_formed, var_elems)
@@ -141,7 +142,7 @@ def test_check_confluence_refuses_fewer_than_one_trial(mp, mp_no_poly,
         raise AssertionError("trials must be checked first")
 
     monkeypatch.setattr(strategy, "input_violations", unreachable)
-    monkeypatch.setattr(strategy, "_rewrite", unreachable)
+    monkeypatch.setattr(strategy, "_later_layers", unreachable)
     fm, sc, imp = mp
     with pytest.raises(InvalidInputError) as caught:
         check_confluence(fm, mp_no_poly, sc, imp, trials=trials)
@@ -163,19 +164,21 @@ def test_exhaustive_confluence_refuses_more_than_the_cap(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("no order may run past the cap")
 
-    monkeypatch.setattr(strategy, "_rewrite", unreachable)
+    monkeypatch.setattr(strategy, "_later_layers", unreachable)
     with pytest.raises(TooLargeError, match="exhaustive cap of 8"):
         check_confluence(*_line_dooming(EXHAUSTIVE_CAP + 1), exhaustive=True)
 
 
 def test_exhaustive_confluence_runs_every_order_at_the_cap(monkeypatch):
+    # All 8 doomed states are eligible for layer 2, so every order has a
+    # projection of its own and none is skipped.
     calls = [0]
 
     def failing(*args, **kwargs):
         calls[0] += 1
         raise RewriteError("stub")
 
-    monkeypatch.setattr(strategy, "_rewrite", failing)
+    monkeypatch.setattr(strategy, "_later_layers", failing)
     report = check_confluence(*_line_dooming(EXHAUSTIVE_CAP), exhaustive=True)
     assert report.confluent
     assert report.trials == calls[0] == 40_320
@@ -198,8 +201,9 @@ def test_divergent_outcomes_name_the_field_that_differs(monkeypatch):
                              "Root")
         return RewriteTrace()
 
-    monkeypatch.setattr(strategy, "_rewrite", rewrite)
-    report = check_confluence(*_line_dooming(2), trials=2)
+    monkeypatch.setattr(strategy, "_later_layers", rewrite)
+    # Both orders of the two doomed states: two distinct projections.
+    report = check_confluence(*_line_dooming(2), exhaustive=True)
     assert not report.confluent
     assert report.divergent_outcomes == ("transition t0 trigger: ('a',)",
                                          "transition t0 trigger: ('b',)")
@@ -219,7 +223,7 @@ def test_outcome_diff_is_capped_and_summarises_errors():
         "error:no_initial", "machine with 3 states and 1 transitions")
 
 
-def _outcomes(line, orders):
+def _outcomes(line, orders, include_pending=False):
     """Per order, the outcome ``check_confluence`` compares (``_shape``)
     and the canonical machine of the frozen tree, or the error code."""
     doomed = nsc(line.fm, line.conf, line.sc, line.imp)
@@ -227,7 +231,8 @@ def _outcomes(line, orders):
     for order in orders:
         tree = WorkingTree(line.sc)
         try:
-            strategy._rewrite(tree, doomed, order, False, validated=True)
+            strategy._rewrite(tree, doomed, order, include_pending,
+                              validated=True)
         except ScplError as exc:
             out.append((exc.code, exc.code))
             continue
@@ -235,10 +240,13 @@ def _outcomes(line, orders):
     return out
 
 
+# The large band of the confluence benchmark: |NSC| of 6 to 12 is common.
+LARGE_BAND = {"max_depth": 3, "max_substates": 6, "max_features": 12}
+
 # Lines on which some orders give different machines (ROADMAP item 1).
 DIVERGENT_LINES = [
-    (1500397, {"max_depth": 3, "max_substates": 6, "max_features": 12}),
-    (1500787, {"max_depth": 3, "max_substates": 6, "max_features": 12}),
+    (1500397, LARGE_BAND),
+    (1500787, LARGE_BAND),
     (5697, {"max_depth": 2, "max_substates": 4, "max_features": 6}),
 ]
 
@@ -258,6 +266,92 @@ def test_tree_comparison_agrees_with_canonical_machines():
                 assert (shape_a == shape_b) == (canon_a == canon_b), seed
                 unequal += canon_a != canon_b
     assert unequal > 0
+
+
+def _eligible(line, doomed) -> set[str]:
+    """The states layer 2 deletes: doomed, with no doomed ancestor."""
+    idx = MachineIndex(line.sc)
+    return {n for n in doomed if n in idx.states
+            and not any(a in doomed for a in idx.ancestors(n))}
+
+
+def _orders_projecting_to(rng, base, eligible, projection, count):
+    """``count`` random orders of ``base`` whose restriction to
+    ``eligible`` is ``projection``: a shuffle with the eligible states'
+    slots refilled in the projection's order."""
+    out = []
+    for _ in range(count):
+        order = rng.sample(base, len(base))
+        slots = [i for i, name in enumerate(order) if name in eligible]
+        for i, name in zip(slots, projection):
+            order[i] = name
+        out.append(order)
+    return out
+
+
+@pytest.mark.parametrize("include_pending", [False, True])
+def test_orders_with_one_layer_two_projection_end_alike(include_pending):
+    # check_confluence runs one order per layer-2 projection; that is
+    # sound only if the rest of an order never changes its outcome.
+    compared = 0
+    for seed, generator in [(seed, {}) for seed in range(300)] \
+            + DIVERGENT_LINES:
+        line = generate_random_product_line(seed, **generator)
+        doomed = nsc(line.fm, line.conf, line.sc, line.imp)
+        base = sorted(doomed)
+        eligible = _eligible(line, doomed)
+        if len(eligible) == len(base):
+            continue  # every order is its own projection
+        rng = random.Random(seed)
+        for _ in range(2):
+            projection = rng.sample(sorted(eligible), len(eligible))
+            orders = _orders_projecting_to(rng, base, eligible, projection, 4)
+            shapes = [shape for shape, _ in
+                      _outcomes(line, orders, include_pending)]
+            assert all(shape == shapes[0] for shape in shapes), seed
+            compared += len(set(map(tuple, orders))) - 1
+    assert compared > 300
+
+
+def _parity(line, **kwargs):
+    report = check_confluence(*line, **kwargs)
+    assert report == reference_confluence(*line, **kwargs)
+    return report
+
+
+@pytest.mark.parametrize("include_pending", [False, True])
+def test_check_confluence_reports_as_the_reference(include_pending):
+    divergent = 0
+    for seed in range(200):
+        line = generate_random_product_line(seed)
+        if len(nsc(line.fm, line.conf, line.sc, line.imp)) <= 5:
+            _parity(line, exhaustive=True, include_pending=include_pending)
+        else:
+            _parity(line, trials=30, seed=seed,
+                    include_pending=include_pending)
+    for seed in range(1_500_000, 1_500_100):
+        line = generate_random_product_line(seed, **LARGE_BAND)
+        _parity(line, trials=10, seed=11, include_pending=include_pending)
+    for seed, generator in DIVERGENT_LINES:
+        line = generate_random_product_line(seed, **generator)
+        report = _parity(line, trials=200, include_pending=include_pending)
+        divergent += not report.confluent
+    assert divergent == 3
+
+
+def test_a_layer_one_failure_is_every_orders_outcome():
+    # Both doomed states can only reach each other: repairing Root's
+    # initial marker fails in layer 1, whatever the order.
+    sc = StateChart(OrState(
+        "Root", (SimpleState("I", True), SimpleState("J", True),
+                 SimpleState("A")), "I",
+        (Transition("ij", "I", "J", ("a",)),
+         Transition("ji", "J", "I", ("b",)))))
+    fm, conf, imp = line_for(sc, {"I", "J"})
+    with pytest.raises(NoInitialError):
+        instantiate(fm, conf, sc, imp)
+    report = _parity((fm, conf, sc, imp), exhaustive=True)
+    assert report.confluent and report.trials == 2
 
 
 def test_generator_is_reproducible():
