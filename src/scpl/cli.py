@@ -50,25 +50,25 @@ def _load_conf(path: str):
     return parse_configuration(_read(path))
 
 
-def _violation_payload(violations) -> list[dict]:
-    return [{"element": v.element, "message": v.message} for v in violations]
+def _verdict(args, violations) -> int:
+    """Reports a check's violations, one per line or as JSON ("ok" when
+    there are none), and the exit code they call for."""
+    _emit(args, {"violations": [{"element": v.element, "message": v.message}
+                                for v in violations]},
+          "\n".join(str(v) for v in violations) or "ok")
+    return EXIT_INVALID if violations else EXIT_OK
 
 
 def cmd_validate(args) -> int:
     fm, sc, imp = _load_line(args.product_line)
-    violations = input_violations(fm, None, MachineIndex(sc), imp)
-    _emit(args, {"violations": _violation_payload(violations)},
-          "\n".join(str(v) for v in violations) or "ok")
-    return EXIT_OK if not violations else EXIT_INVALID
+    return _verdict(args, input_violations(fm, None, MachineIndex(sc), imp))
 
 
 def cmd_kernel(args) -> int:
     fm, sc, imp = _load_line(args.product_line)
     violations = validate_feature_model(fm)
     if violations:
-        _emit(args, {"violations": _violation_payload(violations)},
-              "\n".join(str(v) for v in violations))
-        return EXIT_INVALID
+        return _verdict(args, violations)
     features = sorted(kernel(fm))
     _emit(args, {"kernel": features}, "\n".join(features))
     return EXIT_OK
@@ -80,9 +80,7 @@ def cmd_config_check(args) -> int:
     violations = list(validate_feature_model(fm))
     if not violations:
         violations = validate_configuration(fm, conf)
-    _emit(args, {"violations": _violation_payload(violations)},
-          "\n".join(str(v) for v in violations) or "ok")
-    return EXIT_OK if not violations else EXIT_INVALID
+    return _verdict(args, violations)
 
 
 def cmd_nsc(args) -> int:
@@ -90,9 +88,7 @@ def cmd_nsc(args) -> int:
     conf = _load_conf(args.configuration)
     violations = validate_inputs(fm, conf, sc, imp)
     if violations:
-        _emit(args, {"violations": _violation_payload(violations)},
-              "\n".join(str(v) for v in violations))
-        return EXIT_INVALID
+        return _verdict(args, violations)
     missing = sorted(nsf(fm, conf))
     doomed = sorted(nsc(fm, conf, sc, imp))
     human = "NSF:\n" + "".join(f"  {f}\n" for f in missing) \

@@ -15,10 +15,10 @@ And-state.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Collection, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 # Characters with structural meaning in names: dots separate hierarchy
 # levels on input, parentheses and commas build composed-transition names.
@@ -31,13 +31,20 @@ def valid_name(name: str) -> bool:
     return _NAME(name) is not None
 
 
+def comp_parts(name: str) -> tuple[str, ...]:
+    """The parts of a composed name comp(a,b,...), or the name alone."""
+    if name.startswith("comp(") and name.endswith(")"):
+        return tuple(name[5:-1].split(","))
+    return (name,)
+
+
 def valid_transition_name(name: str) -> bool:
     """A plain identifier or a composed name comp(a,b,...) whose parts are
     plain identifiers."""
-    if name.startswith("comp(") and name.endswith(")"):
-        parts = name[5:-1].split(",")
-        return len(parts) >= 2 and all(valid_name(p) for p in parts)
-    return valid_name(name)
+    parts = comp_parts(name)
+    if parts == (name,):  # not a composed name
+        return valid_name(name)
+    return len(parts) >= 2 and all(valid_name(p) for p in parts)
 
 
 class History(str, Enum):
@@ -340,7 +347,8 @@ class MachineIndex:
 # --- well-formedness ------------------------------------------------------
 
 def check_well_formed(sc: StateChart) -> list[Violation]:
-    """Returns every invariant breach in the machine; empty means well-formed.
+    """Returns every invariant breach in the machine, or its repeated names
+    alone when it has any; empty means well-formed.
 
     Violations are data, not failures: callers decide whether to stop.
     """
@@ -348,36 +356,41 @@ def check_well_formed(sc: StateChart) -> list[Violation]:
 
 
 def well_formed_violations(idx: MachineIndex) -> list[Violation]:
-    """``check_well_formed`` over a fresh index of the machine."""
-    out: list[Violation] = []
-    for name in idx.duplicate_states:
-        out.append(Violation(name, "duplicate state name"))
-    for name in idx.duplicate_transitions:
-        out.append(Violation(name, "duplicate transition name"))
+    """``check_well_formed`` of the machine the index maps describe, read
+    from the maps alone, so an edited index is checked as it now stands.
+
+    A repeated name is reported alone: the maps register a name's first
+    occurrence only, so any further finding would describe the index,
+    not the machine.  Otherwise states come in machine order, each with
+    its name and then its shape, then transitions.
+    """
+    out = [Violation(name, "duplicate state name")
+           for name in idx.duplicate_states]
+    out += [Violation(name, "duplicate transition name")
+            for name in idx.duplicate_transitions]
+    if out:
+        return out
     # Deletion work-lists mix both namespaces, so names must not collide
     # across them either.
     for name in sorted(idx.states.keys() & idx.transitions.keys()):
         out.append(Violation(name, "name used by both a state and a transition"))
 
-    for name, st in idx.states.items():
+    for name in idx.states:
         if not valid_name(name):
             out.append(Violation(name, "invalid state name"))
-        if isinstance(st, OrState):
-            out += _or_violations(name, [s.name for s in st.substates],
-                                  st.initial)
-        elif isinstance(st, AndState):
-            out += _and_violations(name, st.regions)
+        if name in idx.children:
+            out += _composite_violations(idx, name)
 
-    for t in idx.transitions.values():
-        out += _transition_violations(idx, t)
+    for owned in idx.owned.values():
+        for t in owned.values():
+            out += _transition_violations(idx, t)
     return out
 
 
 def touched_violations(idx: MachineIndex, composites: Iterable[str],
                        transitions: Iterable[str]) -> list[Violation]:
     """``well_formed_violations`` over the named composites and transitions
-    alone, read from the index maps, which an edited index keeps current;
-    names no longer in the index are skipped.
+    alone; names no longer in the index are skipped.
 
     On a machine that was well-formed before edits that only deleted whole
     subtrees (with every transition touching them and, beforehand, every
@@ -388,28 +401,27 @@ def touched_violations(idx: MachineIndex, composites: Iterable[str],
     """
     out: list[Violation] = []
     for name in composites:
-        if name in idx.initial:
-            out += _or_violations(name, idx.children[name], idx.initial[name])
-        elif name in idx.children:
-            out += _and_violations(name, idx.children[name])
+        out += _composite_violations(idx, name)
     for name in transitions:
         if name in idx.transitions:
             out += _transition_violations(idx, idx.transitions[name])
     return out
 
 
-def _or_violations(name: str, substates: Collection[str],
-                   initial: str) -> list[Violation]:
-    if not substates:
-        return [Violation(name, "Or-state has no substates")]
-    if initial not in substates:
-        return [Violation(
-            name, f"initial {initial!r} is not a direct substate")]
-    return []
-
-
-def _and_violations(name: str, regions: Collection) -> list[Violation]:
-    if len(regions) < 2:
+def _composite_violations(idx: MachineIndex, name: str) -> list[Violation]:
+    """The shape of a composite, read from ``children`` and ``initial``:
+    an Or-state is a composite with an initial marker, an And-state one
+    without.  A name that is no composite of the index has none."""
+    kids = idx.children.get(name)
+    if kids is None:
+        return []
+    if name in idx.initial:
+        if not kids:
+            return [Violation(name, "Or-state has no substates")]
+        if idx.initial[name] not in kids:
+            return [Violation(
+                name, f"initial {idx.initial[name]!r} is not a direct substate")]
+    elif len(kids) < 2:
         return [Violation(name, "And-state has fewer than 2 regions")]
     return []
 

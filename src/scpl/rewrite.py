@@ -49,7 +49,8 @@ from .errors import (EmptyCompositeError, IsInitialError, NoInitialError,
                      NotAndError, NotOptionalError, NotSimpleError,
                      NotSubstateError, OptionalComposeError, RewriteError)
 from .model import (AndState, Condition, InState, MachineIndex, OrState,
-                    SimpleState, StateChart, TraceStep, Transition)
+                    SimpleState, StateChart, TraceStep, Transition,
+                    comp_parts)
 
 
 @dataclass
@@ -73,16 +74,10 @@ class PendingSet:
 
 # --- transition composition ----------------------------------------------
 
-def _comp_parts(name: str) -> tuple[str, ...]:
-    if name.startswith("comp(") and name.endswith(")"):
-        return tuple(name[5:-1].split(","))
-    return (name,)
-
-
 def comp_name(first: str, second: str) -> str:
     """Composed-transition name, flattened so that both association orders
     of a chain produce the same string."""
-    return "comp(" + ",".join(_comp_parts(first) + _comp_parts(second)) + ")"
+    return "comp(" + ",".join(comp_parts(first) + comp_parts(second)) + ")"
 
 
 def comp(t1: Transition, t2: Transition) -> Transition:
@@ -346,16 +341,20 @@ class WorkingTree(MachineIndex):
                      include_pending: bool = False,
                      kind: type | None = None) -> TraceStep:
         """Deletes an optional state with its whole subtree and every
-        transition touching it, bridging usable entry/exit pairs of the
-        parent Or-state with their compositions (``_compositions``, the
-        same rule for every kind).  ``kind``, when given, refuses a state
-        of any other kind."""
+        transition touching it or owned inside it, bridging usable
+        entry/exit pairs of the parent Or-state with their compositions
+        (``_compositions``, the same rule for every kind).  ``kind``, when
+        given, refuses a state of any other kind."""
         st, parent = self._deletion_preamble(elem, pending)
         if kind is not None and not isinstance(st, kind):
             _, error, what = _DELETION[kind]
             raise error(f"{elem!r} is not {what}")
         doomed = {elem} | self.descendants(elem)
         touching = {n for s in doomed for n in self.adjacent.get(s, ())}
+        # On an unvalidated machine a transition owned inside the subtree
+        # may have both ends outside it; it goes with its owner.
+        for s in doomed & self.owned.keys():
+            touching.update(self.owned[s])
         additions: list[Transition] = []
         if isinstance(self.states[parent], OrState):
             candidates = sorted(

@@ -12,7 +12,7 @@ change the result (the confluence harness checks exactly that).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import permutations
 from math import factorial
 from typing import NamedTuple, Sequence
@@ -73,9 +73,11 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
 
     Every rule edits one working tree in place and returns its own trace
     step; the tree is built once from ``sc``, validated before any edit
-    and frozen once at the end.  Validated input gets its output checked
-    over the edits alone (``model.touched_violations``); with
-    ``validate=False`` the output gets the full well-formedness check.
+    and frozen once at the end.  The edited tree is checked before it is
+    frozen, read from its maps: validated input over the edits alone
+    (``model.touched_violations``), other input whole
+    (``model.well_formed_violations``).  A breach, or an optional flag
+    left over, raises RewriteError.
     """
     tree = WorkingTree(sc)
     if validate:
@@ -84,26 +86,16 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
             raise InvalidInputError(violations)
     trace = _rewrite(tree, compute_nsc(fm, conf, sc, imp), order,
                      include_pending, validated=validate)
-    out = tree.freeze()
-    if not validate:
-        idx = MachineIndex(out)
-        _refuse(well_formed_violations(idx), any(optional_elements(idx)))
-    return InstantiationResult(out, trace)
-
-
-def _refuse(leftovers: list[Violation], stray: bool = False) -> None:
-    if stray or leftovers:
-        raise RewriteError(
-            f"instantiation produced an inconsistent machine: {leftovers}")
+    return InstantiationResult(tree.freeze(), trace)
 
 
 def _rewrite(tree: WorkingTree, doomed: frozenset[str],
              order: Sequence[str] | None, include_pending: bool, *,
              validated: bool) -> RewriteTrace:
     """The four layers on a fresh working tree, which they leave edited,
-    then, when the input was ``validated``, the post-check over the edits
-    alone; ``instantiate`` checks the output of other input whole.
-    ``check_confluence`` calls the two halves apart."""
+    then the post-check: over the edits alone when the input was
+    ``validated``, else whole.  ``check_confluence`` calls the two halves
+    apart."""
     key = _order_key(order)
     return _later_layers(tree, _layer_one(tree, doomed, key), key,
                          include_pending, validated=validated)
@@ -167,8 +159,8 @@ def _layer_one(tree: WorkingTree, doomed: frozenset[str], key) -> _LayerOne:
 def _later_layers(tree: WorkingTree, start: _LayerOne, key,
                   include_pending: bool, *, validated: bool) -> RewriteTrace:
     """Layers 2-4 on a tree as layer 1 left it (``start``, which stays as
-    it was), then, when the input was ``validated``, the post-check over
-    the edits alone."""
+    it was), then the post-check: over the edits alone when the input was
+    ``validated``, else whole."""
     pending = PendingSet(set(start.pending.remaining))
     steps = list(start.steps)
 
@@ -184,13 +176,14 @@ def _later_layers(tree: WorkingTree, start: _LayerOne, key,
     # Layer 4: the optional-flag sweep, applied once.
     _record(steps, start.budget, tree.finalize_optionals())
 
-    if validated:
-        # Every deleted state sat in a subtree whose atoms layer 1 pruned,
-        # so only the reshaped composites and the added transitions can
-        # break what validation established; the sweep has cleared every
-        # optional flag.
-        assert not any(optional_elements(tree))
-        _refuse(touched_violations(tree, tree.reshaped, tree.added))
+    # On validated input every deleted state sat in a subtree whose atoms
+    # layer 1 pruned, so only the reshaped composites and the added
+    # transitions can break what validation established.
+    leftovers = (touched_violations(tree, tree.reshaped, tree.added)
+                 if validated else well_formed_violations(tree))
+    if leftovers or any(optional_elements(tree)):
+        raise RewriteError(
+            f"instantiation produced an inconsistent machine: {leftovers}")
     return RewriteTrace(tuple(steps))
 
 
@@ -510,26 +503,15 @@ def _random_machine(rng: random.Random, max_depth: int,
         for i, sub in enumerate(subs):
             if i > 0 and rng.random() < 0.35:
                 optionals.append(sub.name)
-                subs[i] = _mark_optional(sub)
+                subs[i] = replace(sub, optional=True)
         for i, t in enumerate(transitions):
             if rng.random() < 0.3:
                 optionals.append(t.name)
-                transitions[i] = Transition(
-                    t.name, t.source, t.target, t.trigger, t.cond, t.actions,
-                    t.history, optional=True)
+                transitions[i] = replace(t, optional=True)
         return OrState(name, tuple(subs), subs[0].name, tuple(transitions))
 
     root = build_or("Root", 0, register=True)
     return StateChart(root), optionals
-
-
-def _mark_optional(state: State) -> State:
-    if isinstance(state, SimpleState):
-        return SimpleState(state.name, optional=True)
-    if isinstance(state, OrState):
-        return OrState(state.name, state.substates, state.initial,
-                       state.transitions, optional=True)
-    return AndState(state.name, state.regions, optional=True)
 
 
 def _random_imp(rng: random.Random, fm: FeatureModel,

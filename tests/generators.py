@@ -1,11 +1,13 @@
-"""Seeded generators for composites used by the reachability suites."""
+"""Seeded generators for composites used by the reachability suites, and
+a fault injector for the well-formedness suites."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from scpl.model import (AndState, Condition, InState, OrState, SimpleState,
-                        StateChart, Transition)
+                        StateChart, Transition, map_states)
 
 EVENTS = ("e1", "e2")
 
@@ -73,3 +75,28 @@ def random_and_composite(seed: int, max_regions: int = 3,
     comp = AndState("E", tuple(regions))
     root = OrState("Root", (SimpleState("Out"), comp), "Out")
     return StateChart(root), comp
+
+
+def inject_faults(sc: StateChart, rng: random.Random) -> StateChart:
+    """The machine rebuilt with random well-formedness faults, one draw per
+    state: an Or-state gets initial ``Ghost`` (5%), a name with a space
+    (3%) or no substates (2%); an And-state keeps only its first region
+    (20%); a simple state is renamed ``bad.<name>`` (3%)."""
+
+    def fault(state):
+        roll = rng.random()
+        if isinstance(state, OrState):
+            if roll < 0.05:
+                return replace(state, initial="Ghost")
+            if roll < 0.08:
+                return replace(state, name=state.name + " x")
+            if roll < 0.10:
+                return replace(state, substates=())
+        elif isinstance(state, AndState):
+            if roll < 0.2:
+                return replace(state, regions=state.regions[:1])
+        elif roll < 0.03:
+            return replace(state, name=f"bad.{state.name}")
+        return state
+
+    return map_states(sc, fault)

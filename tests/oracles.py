@@ -1,13 +1,15 @@
 """Independent reference implementations the fast paths are tested against.
 
-Everything here but the confluence reference is written from scratch
-against the definitions, not by calling into the package, so a shared bug
-cannot hide: selections are checked by structural recursion over the
-feature tree, reachability by dense fixpoint iteration over explicit
-relations, and the DOT output by a tiny parser of the emitted subset.
-The confluence reference runs the package's rules the plain way, every
-order on a fresh tree through all four layers, and stands against the
-shortcuts ``check_confluence`` takes.
+Everything here but the confluence and well-formedness references is
+written from scratch against the definitions, not by calling into the
+package, so a shared bug cannot hide: selections are checked by
+structural recursion over the feature tree, reachability by dense fixpoint
+iteration over explicit relations, and the DOT output by a tiny parser of
+the emitted subset.  The confluence reference runs the package's rules the
+plain way, every order on a fresh tree through all four layers, and stands
+against the shortcuts ``check_confluence`` takes.  The well-formedness
+reference reads each composite's shape off its state object, not off the
+index maps, and shares the package's per-transition check.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from math import factorial
 from scpl import strategy
 from scpl.binding import nsc
 from scpl.errors import InvalidInputError, ScplError
+from scpl.model import (AndState, MachineIndex, OrState, Violation,
+                        _transition_violations, valid_name)
 from scpl.rewrite import WorkingTree
 
 
@@ -164,6 +168,35 @@ def reference_confluence(fm, conf, sc, imp, trials: int = 200, seed: int = 0,
                 divergent_outcomes=strategy._diff(reference, got))
     return strategy.ConfluenceReport(confluent=True, trials=total,
                                      nsc_size=len(base))
+
+
+# --- well-formedness, composites read off the state objects --------------
+
+def reference_well_formed(sc) -> list[Violation]:
+    """The well-formedness check with each composite's substates, initial
+    marker and regions read off its state object, which describes the
+    machine as given; names and transitions come from an index of it."""
+    idx = MachineIndex(sc)
+    out = [Violation(name, "duplicate state name")
+           for name in idx.duplicate_states]
+    out += [Violation(name, "duplicate transition name")
+            for name in idx.duplicate_transitions]
+    for name in sorted(idx.states.keys() & idx.transitions.keys()):
+        out.append(Violation(name, "name used by both a state and a transition"))
+    for name, st in idx.states.items():
+        if not valid_name(name):
+            out.append(Violation(name, "invalid state name"))
+        if isinstance(st, OrState):
+            if not st.substates:
+                out.append(Violation(name, "Or-state has no substates"))
+            elif st.initial not in [s.name for s in st.substates]:
+                out.append(Violation(
+                    name, f"initial {st.initial!r} is not a direct substate"))
+        elif isinstance(st, AndState) and len(st.regions) < 2:
+            out.append(Violation(name, "And-state has fewer than 2 regions"))
+    for t in idx.transitions.values():
+        out += _transition_violations(idx, t)
+    return out
 
 
 # --- a parser for the emitted DOT subset ----------------------------------

@@ -56,6 +56,42 @@ def test_config_check_ok_and_failure(paths, tmp_path, capsys):
     assert main(["config-check", paths["mp.pl.json"], str(broken)]) == 1
 
 
+# A one-child alt group and a transition with no trigger.
+_FAULTY_LINE = json.dumps({
+    "feature_model": {"funcs": ["F", "G"], "root": "F",
+                      "alt": [["F", ["G"]]]},
+    "statechart": {"root": {
+        "kind": "or", "name": "Root", "initial": "A",
+        "substates": [{"kind": "simple", "name": "A"},
+                      {"kind": "simple", "name": "B"}],
+        "transitions": [{"name": "t", "source": "A", "target": "B",
+                         "trigger": []}]}},
+    "imp": {}})
+_BAD_GROUP = ("F", "alt group must have at least two children, got ['G']")
+_NO_TRIGGER = ("t", "empty trigger")
+
+
+@pytest.mark.parametrize("command, expected", [
+    pytest.param("validate", [_BAD_GROUP, _NO_TRIGGER], id="validate"),
+    pytest.param("kernel", [_BAD_GROUP], id="kernel"),
+    pytest.param("nsc", [_BAD_GROUP, _NO_TRIGGER], id="nsc"),
+])
+def test_a_failed_check_prints_its_violations(command, expected, tmp_path,
+                                              capsys):
+    line = tmp_path / "faulty.pl.json"
+    line.write_text(_FAULTY_LINE, encoding="utf-8")
+    conf = tmp_path / "faulty.conf.json"
+    conf.write_text('{"selected": ["F"]}', encoding="utf-8")
+    argv = [str(line)] + ([str(conf)] if command == "nsc" else [])
+    assert main([command, *argv]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{element}: {message}" for element, message in expected]
+    assert main([command, "--json", *argv]) == 1
+    assert json.loads(capsys.readouterr().out) == {"violations": [
+        {"element": element, "message": message}
+        for element, message in expected]}
+
+
 def test_nsc_lists_golden_sets(paths, capsys):
     assert main(["nsc", "--json", paths["mp.pl.json"],
                  paths["mp-no-poly.conf.json"]]) == 0

@@ -2,7 +2,8 @@
 
 One instantiation walks its input once, into the working tree that
 validation reads and the rules edit, and rebuilds the machine once, never
-once per rule application; its output is checked over the edits alone.  A
+once per rule application; its output is checked on that tree, over the
+edits alone or, without validation, whole.  A
 confluence check indexes and validates its input once, not once per
 order, runs layer 1 once and layers 2-4 once per distinct order of the
 layer-2 state deletions, and compares the trees it edited without
@@ -70,10 +71,12 @@ def test_instantiate_indexes_and_rebuilds_a_constant_number_of_times(
     assert len(MachineIndex(line.sc).states) == 1009
     indexes = _count_calls(monkeypatch, MachineIndex, "__init__")
     freezes = _count_calls(monkeypatch, MachineIndex, "freeze")
-    result = instantiate(*line)
-    assert len(result.trace) > 100
-    assert indexes[0] == 1
-    assert freezes[0] == 1
+    for validate in (True, False):
+        indexes[0] = freezes[0] = 0
+        result = instantiate(*line, validate=validate)
+        assert len(result.trace) > 100
+        assert indexes[0] == 1, validate
+        assert freezes[0] == 1, validate
 
 
 def test_check_confluence_compares_trees_without_rebuilding(monkeypatch):

@@ -1,11 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import S1K_GENERATOR, S1K_SEED
+from generators import inject_faults
+from oracles import reference_well_formed
 from scpl.model import (AndState, Condition, Guard, InState, MachineIndex,
                         OrState, SimpleState, StateChart, Transition,
-                        canonicalize, check_well_formed, valid_name, var_elems)
+                        canonicalize, check_well_formed, valid_name,
+                        valid_transition_name, var_elems)
 from scpl.rewrite import WorkingTree
 from scpl.strategy import generate_random_product_line
 
@@ -36,6 +41,16 @@ def test_valid_name_agrees_with_its_definition_on_every_code_point():
                  *("ab" + w for w in spaces), *("a" + w + "b" for w in spaces),
                  "\ud800ab", "ab\udfff"):
         assert valid_name(name) == _valid_name_by_characters(name), repr(name)
+
+
+@pytest.mark.parametrize("name, valid", [
+    ("t1", True), ("comp(a,b)", True), ("comp(a,b,c)", True),
+    ("comp(a)", False), ("comp()", False), ("comp(a,,b)", False),
+    ("comp(a b,c)", False), ("comp(a,b", False), ("comp(a.b,c)", False),
+    ("a,b", False), ("comp(comp(a,b),c)", False),
+])
+def test_valid_transition_name(name, valid):
+    assert valid_transition_name(name) is valid
 
 
 @given(st.lists(st.sampled_from([Guard("g"), InState("s")]), max_size=4),
@@ -158,6 +173,33 @@ def test_well_formed_flags_duplicate_names():
     root = OrState("Root", (SimpleState("A"), SimpleState("A")), "A")
     bad = check_well_formed(StateChart(root))
     assert any("duplicate" in v.message for v in bad)
+
+
+def test_well_formed_reports_repeated_names_alone():
+    # Besides the repeated names, Inner's initial is missing and Par has
+    # one region; only the repeated names are reported.
+    root = OrState(
+        "Root",
+        (SimpleState("A"), OrState("Inner", (SimpleState("A"),), "Ghost"),
+         AndState("Par", (SimpleState("P"),))),
+        "A",
+        (Transition("t", "A", "Par", ("e",)),
+         Transition("t", "A", "Inner", ())))
+    assert [str(v) for v in check_well_formed(StateChart(root))] == [
+        "A: duplicate state name", "t: duplicate transition name"]
+
+
+def test_well_formed_equals_the_object_reading_on_faulty_machines():
+    faulty = 0
+    for seed in range(3000):
+        sc = inject_faults(generate_random_product_line(seed).sc,
+                           random.Random(seed))
+        idx = MachineIndex(sc)
+        assert not (idx.duplicate_states or idx.duplicate_transitions), seed
+        got = check_well_formed(sc)
+        assert got == reference_well_formed(sc), seed
+        faulty += bool(got)
+    assert faulty > 1000
 
 
 def test_well_formed_flags_cross_namespace_collision():

@@ -1,18 +1,25 @@
-"""The post-check over the edits agrees with the full well-formedness check.
+"""The post-checks of ``instantiate`` agree with a full well-formedness
+check of its output.
 
-``instantiate`` checks the output of validated input only where its edits
-touched it (``model.touched_violations``), and the full check
-(``model.well_formed_violations`` on an index of the output) is kept for
-``validate=False``.  Both must agree on every output the rules produce,
-and both must object to the outputs of faulty rules.
+``instantiate`` checks the edited working tree, read from its maps, before
+freezing it: validated input only where the edits touched it
+(``model.touched_violations``), other input whole
+(``model.well_formed_violations`` on the tree).  Both must agree with the
+full check on a fresh index of the frozen output on every output the rules
+produce, and all three must object to the outputs of faulty rules.  Input
+that was not validated must end in a machine or a typed error, never in a
+raw exception.
 """
+
+import random
 
 import pytest
 
 from conftest import S1K_GENERATOR, S1K_SEED, line_for
+from generators import inject_faults
 from scpl import strategy
 from scpl.binding import nsc
-from scpl.errors import RewriteError
+from scpl.errors import RewriteError, ScplError
 from scpl.model import (AndState, Condition, InState, MachineIndex, OrState,
                         SimpleState, StateChart, TraceStep, Transition,
                         touched_violations, well_formed_violations)
@@ -20,9 +27,11 @@ from scpl.rewrite import WorkingTree
 from scpl.strategy import generate_random_product_line, instantiate
 
 
-def _both_checks(fm, conf, sc, imp) -> tuple[list[str], list[str]]:
-    """Runs the rules on a working tree of a valid line, then both checks
-    on the tree as the rules left it, failed or not."""
+def _all_checks(fm, conf, sc, imp) -> tuple[list[str], ...]:
+    """Runs the rules on a working tree of a valid line, then the check
+    over the edits and the whole check on the tree as the rules left it,
+    failed or not, and the whole check on a fresh index of its frozen
+    machine."""
     assert strategy.validate_inputs(fm, conf, sc, imp) == []
     tree = WorkingTree(sc)
     try:
@@ -31,22 +40,23 @@ def _both_checks(fm, conf, sc, imp) -> tuple[list[str], list[str]]:
     except RewriteError:
         pass
     delta = touched_violations(tree, tree.reshaped, tree.added)
+    edited = well_formed_violations(tree)
     full = well_formed_violations(MachineIndex(tree.freeze()))
-    return sorted(map(str, delta)), sorted(map(str, full))
+    return tuple(sorted(map(str, found)) for found in (delta, edited, full))
 
 
 def test_checks_agree_on_generated_lines():
     touched = 0
     for seed in range(500):
         line = generate_random_product_line(seed)
-        assert _both_checks(*line) == ([], []), seed
+        assert _all_checks(*line) == ([], [], []), seed
         touched += bool(nsc(line.fm, line.conf, line.sc, line.imp))
     assert touched > 100
 
 
 def test_checks_agree_on_the_s1k_line():
     line = generate_random_product_line(S1K_SEED, **S1K_GENERATOR)
-    assert _both_checks(*line) == ([], [])
+    assert _all_checks(*line) == ([], [], [])
 
 
 # --- faulty rules -----------------------------------------------------------
@@ -112,12 +122,51 @@ FAULTS = {
 def test_both_checks_object_to_a_faulty_rule(monkeypatch, fault):
     sc, doomed, patches = FAULTS[fault]
     fm, conf, imp = line_for(sc, doomed)
-    assert _both_checks(fm, conf, sc, imp) == ([], [])
+    assert _all_checks(fm, conf, sc, imp) == ([], [], [])
     for name, fn in patches.items():
         monkeypatch.setattr(WorkingTree, name, fn)
-    delta, full = _both_checks(fm, conf, sc, imp)
-    assert delta and delta == full
+    delta, edited, full = _all_checks(fm, conf, sc, imp)
+    assert delta and delta == edited == full
     for validate in (True, False):
         with pytest.raises(RewriteError, match="inconsistent machine"):
             instantiate(fm, conf, sc, imp, validate=validate)
+
+
+# --- input that was not validated ------------------------------------------
+
+def test_a_transition_owned_inside_a_deleted_state_goes_with_it():
+    # X owns t, whose ends lie outside X: an ill-formed machine, which
+    # deleting X must still leave without t.
+    x = OrState("X", (SimpleState("B"),), "B",
+                (Transition("t", "A", "C", ("e",), optional=True),),
+                optional=True)
+    sc = StateChart(OrState(
+        "Root", (SimpleState("A"), x, SimpleState("C")), "A"))
+    fm, conf, imp = line_for(sc, {"X", "t"})
+    result = instantiate(fm, conf, sc, imp, validate=False)
+    assert MachineIndex(result.statechart).transitions == {}
+    removed = [step.removed_transitions for step in result.trace
+               if step.rule == "delete_or_state"]
+    assert removed == [("t",)]
+
+
+@pytest.mark.parametrize("seed", [212, 301, 510, 704, 1441, 1526, 2074,
+                                  2384, 2841])
+def test_a_faulty_machine_instantiates_or_raises_a_typed_error(seed):
+    # Seeds whose fault-injected machine once ended in a raw KeyError.
+    line = generate_random_product_line(seed)
+    sc = inject_faults(line.sc, random.Random(seed))
+    try:
+        instantiate(line.fm, line.conf, sc, line.imp, validate=False)
+    except ScplError:
+        pass
+
+
+def test_repeated_names_are_refused_without_validation():
+    sc = StateChart(OrState(
+        "Root", (SimpleState("A"), OrState("In", (SimpleState("A"),), "A")),
+        "A"))
+    fm, conf, imp = line_for(sc, set())
+    with pytest.raises(RewriteError, match="duplicate state name"):
+        instantiate(fm, conf, sc, imp, validate=False)
 
