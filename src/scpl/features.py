@@ -7,9 +7,16 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import TooLargeError, UnknownFeatureError
-from .model import Configuration, FeatureModel, Violation, valid_name
+from .model import (Configuration, FeatureModel, RelationPair, Violation,
+                    valid_name)
 
 ENUMERATION_CAP = 16
+
+
+def _in_order(pairs) -> list[RelationPair]:
+    """Relation pairs by parent, then by children: the validators report
+    in this order, which no hash seed can change."""
+    return sorted(pairs, key=lambda pair: (pair[0], sorted(pair[1])))
 
 
 def validate_feature_model(fm: FeatureModel) -> list[Violation]:
@@ -19,9 +26,13 @@ def validate_feature_model(fm: FeatureModel) -> list[Violation]:
     or-groups carry at least two (a one-element group is almost certainly
     an authoring error).  Every non-root feature must be the child of
     exactly one relation pair and the child graph must form a tree.
+
+    Violations come in a fixed order: features sorted, then relation
+    pairs by kind (mand, opt, alt, or) and ``_in_order`` within a kind,
+    each pair's children sorted.
     """
     out: list[Violation] = []
-    for f in fm.funcs:
+    for f in sorted(fm.funcs):
         if not valid_name(f):
             out.append(Violation(f, "invalid feature name"))
     if fm.root not in fm.funcs:
@@ -29,22 +40,24 @@ def validate_feature_model(fm: FeatureModel) -> list[Violation]:
 
     child_parent_count: dict[str, int] = {}
     children: dict[str, set[str]] = {}
-    for kind, parent, kids in fm.relations():
-        if parent not in fm.funcs:
-            out.append(Violation(parent, f"{kind} parent is not a feature"))
-        for c in kids:
-            if c not in fm.funcs:
-                out.append(Violation(c, f"{kind} child is not a feature"))
-            child_parent_count[c] = child_parent_count.get(c, 0) + 1
-            children.setdefault(parent, set()).add(c)
-        if kind in ("mand", "opt") and len(kids) != 1:
-            out.append(Violation(
-                parent, f"{kind} child set must have exactly one element, "
-                        f"got {sorted(kids)}"))
-        if kind in ("alt", "or") and len(kids) < 2:
-            out.append(Violation(
-                parent, f"{kind} group must have at least two children, "
-                        f"got {sorted(kids)}"))
+    for kind, pairs in (("mand", fm.mand), ("opt", fm.opt),
+                        ("alt", fm.alt), ("or", fm.or_rel)):
+        for parent, kids in _in_order(pairs):
+            if parent not in fm.funcs:
+                out.append(Violation(parent, f"{kind} parent is not a feature"))
+            for c in sorted(kids):
+                if c not in fm.funcs:
+                    out.append(Violation(c, f"{kind} child is not a feature"))
+                child_parent_count[c] = child_parent_count.get(c, 0) + 1
+                children.setdefault(parent, set()).add(c)
+            if kind in ("mand", "opt") and len(kids) != 1:
+                out.append(Violation(
+                    parent, f"{kind} child set must have exactly one element, "
+                            f"got {sorted(kids)}"))
+            if kind in ("alt", "or") and len(kids) < 2:
+                out.append(Violation(
+                    parent, f"{kind} group must have at least two children, "
+                            f"got {sorted(kids)}"))
 
     if child_parent_count.get(fm.root):
         out.append(Violation(fm.root, "root appears as a child"))
@@ -76,7 +89,8 @@ def validate_configuration(fm: FeatureModel, conf: Configuration) -> list[Violat
     feature to the root as a tree.
 
     Raises UnknownFeatureError when the configuration names a feature the
-    model does not know.
+    model does not know.  Violations come in a fixed order: each group of
+    pairs is visited in ``_in_order``.
     """
     unknown = sorted((conf.selected | {p for p, _ in conf.edges}
                       | {c for _, cs in conf.edges for c in cs}) - fm.funcs)
@@ -90,7 +104,7 @@ def validate_configuration(fm: FeatureModel, conf: Configuration) -> list[Violat
 
     rel_pairs = {(p, cs) for _, p, cs in fm.relations()}
     flat_edges: set[tuple[str, str]] = set()
-    for parent, kids in conf.edges:
+    for parent, kids in _in_order(conf.edges):
         if parent not in selected:
             out.append(Violation(parent, "edge parent is not selected"))
         if not kids <= selected:
@@ -102,13 +116,13 @@ def validate_configuration(fm: FeatureModel, conf: Configuration) -> list[Violat
         flat_edges.update((parent, c) for c in kids)
 
     # Condition (2): a selected parent forces its mandatory edges.
-    for parent, kids in fm.mand:
+    for parent, kids in _in_order(fm.mand):
         if parent in selected and (parent, kids) not in conf.edges:
             out.append(Violation(
                 parent, f"mandatory child {sorted(kids)[0]!r} edge missing"))
 
     # Condition (3): exactly one alternative child.
-    for parent, kids in fm.alt:
+    for parent, kids in _in_order(fm.alt):
         if parent in selected:
             chosen = kids & selected
             if len(chosen) != 1:
@@ -117,7 +131,7 @@ def validate_configuration(fm: FeatureModel, conf: Configuration) -> list[Violat
                             f"one selected child, got {sorted(chosen)}"))
 
     # Condition (4): at least one child of an or-group.
-    for parent, kids in fm.or_rel:
+    for parent, kids in _in_order(fm.or_rel):
         if parent in selected and not kids & selected:
             out.append(Violation(
                 parent, f"or-group {sorted(kids)} needs at least one "

@@ -18,12 +18,13 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Iterator, Union
+from typing import Collection, Iterable, Iterator, Union
 
 # Characters with structural meaning in names: dots separate hierarchy
 # levels on input, parentheses and commas build composed-transition names.
 # ``\s`` matches exactly the characters for which ``str.isspace`` holds.
 _NAME = re.compile(r"[^\s(),.]+").fullmatch
+_RESERVED = re.compile(r"[\s(),.]").search
 
 
 def valid_name(name: str) -> bool:
@@ -363,6 +364,11 @@ def well_formed_violations(idx: MachineIndex) -> list[Violation]:
     occurrence only, so any further finding would describe the index,
     not the machine.  Otherwise states come in machine order, each with
     its name and then its shape, then transitions.
+
+    The cost is one pass over the states and one over the transitions:
+    names are tested once per distinct name (``_invalid``), and a
+    transition whose ends are both direct substates of its owner is
+    accepted without walking up from either.
     """
     out = [Violation(name, "duplicate state name")
            for name in idx.duplicate_states]
@@ -375,15 +381,16 @@ def well_formed_violations(idx: MachineIndex) -> list[Violation]:
     for name in sorted(idx.states.keys() & idx.transitions.keys()):
         out.append(Violation(name, "name used by both a state and a transition"))
 
+    bad = _invalid(idx.states, valid_name)
+    children = idx.children
     for name in idx.states:
-        if not valid_name(name):
+        if name in bad:
             out.append(Violation(name, "invalid state name"))
-        if name in idx.children:
+        if name in children:
             out += _composite_violations(idx, name)
 
-    for owned in idx.owned.values():
-        for t in owned.values():
-            out += _transition_violations(idx, t)
+    out += _transition_violations(
+        idx, [t for owned in idx.owned.values() for t in owned.values()])
     return out
 
 
@@ -402,10 +409,22 @@ def touched_violations(idx: MachineIndex, composites: Iterable[str],
     out: list[Violation] = []
     for name in composites:
         out += _composite_violations(idx, name)
-    for name in transitions:
-        if name in idx.transitions:
-            out += _transition_violations(idx, idx.transitions[name])
+    out += _transition_violations(
+        idx, [idx.transitions[name] for name in transitions
+              if name in idx.transitions])
     return out
+
+
+def _invalid(names: Collection[str], valid) -> Collection[str]:
+    """The names for which ``valid`` fails, where ``valid`` accepts every
+    non-empty name free of reserved characters (``valid_name``, or
+    ``valid_transition_name``, which tests a comp(...) name by its parts).
+    One search over the names joined clears them all when it finds no
+    reserved character and none is empty; only otherwise is each name
+    tested, to report it."""
+    if "" not in names and _RESERVED("".join(names)) is None:
+        return ()
+    return {name for name in names if not valid(name)}
 
 
 def _composite_violations(idx: MachineIndex, name: str) -> list[Violation]:
@@ -427,26 +446,38 @@ def _composite_violations(idx: MachineIndex, name: str) -> list[Violation]:
 
 
 def _transition_violations(idx: MachineIndex,
-                           t: Transition) -> list[Violation]:
+                           transitions: list[Transition]) -> list[Violation]:
+    """Each transition's breaches, in the given order: its name, its
+    trigger and events, its endpoints, then its in-state atoms."""
+    bad_names = _invalid({t.name for t in transitions}, valid_transition_name)
+    bad_events = _invalid({ev for t in transitions for ev in t.trigger},
+                          valid_name)
+    parent, owner, states = idx.parent, idx.owner, idx.states
     out: list[Violation] = []
-    tname = t.name
-    if not valid_transition_name(tname):
-        out.append(Violation(tname, "invalid transition name"))
-    if not t.trigger:
-        out.append(Violation(tname, "empty trigger"))
-    for ev in t.trigger:
-        if not valid_name(ev):
-            out.append(Violation(tname, f"invalid event name {ev!r}"))
-    out.extend(_check_endpoints(idx, t))
-    for atom in t.cond.atoms:
-        if isinstance(atom, InState) and atom.state not in idx.states:
-            out.append(Violation(
-                tname, f"condition names unknown state {atom.state!r}"))
+    for t in transitions:
+        tname = t.name
+        if tname in bad_names:
+            out.append(Violation(tname, "invalid transition name"))
+        if not t.trigger:
+            out.append(Violation(tname, "empty trigger"))
+        for ev in t.trigger:
+            if ev in bad_events:
+                out.append(Violation(tname, f"invalid event name {ev!r}"))
+        home = owner[tname]
+        if parent.get(t.source) != home or parent.get(t.target) != home:
+            out += _check_endpoints(idx, t, home)
+        for atom in t.cond.atoms:
+            if isinstance(atom, InState) and atom.state not in states:
+                out.append(Violation(
+                    tname, f"condition names unknown state {atom.state!r}"))
     return out
 
 
-def _check_endpoints(idx: MachineIndex, t: Transition) -> list[Violation]:
-    owner = idx.owner[t.name]
+def _check_endpoints(idx: MachineIndex, t: Transition,
+                     owner: str) -> list[Violation]:
+    """The endpoint breaches of a transition that ``owner`` owns.  A
+    transition between two direct substates of its owner has none, so its
+    caller skips it."""
     out: list[Violation] = []
     ends: dict[str, str | None] = {}
     for role, endpoint in (("source", t.source), ("target", t.target)):

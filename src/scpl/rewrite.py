@@ -8,9 +8,11 @@ machine's ``model.MachineIndex``, whose maps (states, parents, children,
 initial markers, transitions, their owners and each Or-state's
 transitions) the rules edit in place, plus the transitions adjacent to
 each state.  Pruning and the final sweep make one pass over the
-transitions; every other edit costs work proportional to the elements it
-touches, not to the machine.  A rule returns its delta -- removed states,
-removed and added transitions -- as a ``TraceStep``.
+transitions (the sweep one over the states too) and rebuild only the
+elements they change, each by its constructor; every other edit costs
+work proportional to the elements it touches, not to the machine.  A
+rule returns its delta -- removed states, removed and added transitions
+-- as a ``TraceStep``.
 ``strategy.instantiate`` builds one working tree, runs every rule on it
 and freezes it once.
 
@@ -232,17 +234,25 @@ class WorkingTree(MachineIndex):
     moved, and ``added`` the transitions the edits added, in edit order:
     ``model.touched_violations`` checks the edited machine over these
     alone.
+
+    Building one costs the index walk plus one pass over the transitions,
+    which numbers them and fills ``adjacent``.
     """
 
     def __init__(self, sc: StateChart):
         super().__init__(sc)
-        self.adjacent: dict[str, set[str]] = {}
         self._counter = count()
-        self.seq: dict[str, int] = {}
+        self.seq: dict[str, int] = dict(zip(self.transitions, self._counter))
+        adjacent: dict[str, set[str]] = {}
+        for name, t in self.transitions.items():
+            for end in (t.source, t.target):
+                if end in adjacent:
+                    adjacent[end].add(name)
+                else:
+                    adjacent[end] = {name}
+        self.adjacent = adjacent
         self.reshaped: dict[str, None] = {}
         self.added: dict[str, None] = {}
-        for t in self.transitions.values():
-            self._link(t)
 
     def copy(self) -> "WorkingTree":
         """A tree with the same maps that edits apart from this one: every
@@ -522,7 +532,8 @@ class WorkingTree(MachineIndex):
 
     def prune_conditions(self, names: Sequence[str]) -> list[str]:
         """Strips every in-state atom naming one of the states or anything
-        nested inside one, in one pass over the transitions.  Returns the
+        nested inside one, in one pass over the transitions that carry
+        atoms; a transition that loses one is rebuilt once.  Returns the
         names, in the given order, that pruning them one at a time in that
         order would have found an atom for: each atom is credited to the
         first name whose subtree holds its state."""
@@ -541,7 +552,7 @@ class WorkingTree(MachineIndex):
             return credit[state]
 
         credited: set[int] = set()
-        for t in list(self.transitions.values()):
+        for t in [t for t in self.transitions.values() if t.cond.atoms]:
             kept = []
             for atom in t.cond.atoms:
                 if isinstance(atom, InState):
@@ -551,8 +562,9 @@ class WorkingTree(MachineIndex):
                         continue
                 kept.append(atom)
             if len(kept) != len(t.cond.atoms):
-                self._update_transition(
-                    replace(t, cond=Condition(tuple(kept))))
+                self._update_transition(Transition(
+                    t.name, t.source, t.target, t.trigger,
+                    Condition(tuple(kept)), t.actions, t.history, t.optional))
         return [names[i] for i in sorted(credited)]
 
     def delete_transition(self, elem: str, pending: PendingSet) -> TraceStep:
@@ -567,14 +579,28 @@ class WorkingTree(MachineIndex):
                          removed_transitions=removed)
 
     def finalize_optionals(self) -> TraceStep:
-        """Flips every remaining optional flag."""
-        for t in list(self.transitions.values()):
-            if t.optional:
-                self._update_transition(replace(t, optional=False))
+        """Flips every remaining optional flag, in one pass over the
+        transitions and one over the states; each flagged element is
+        rebuilt once, with its flag cleared (``_cleared``)."""
+        for t in [t for t in self.transitions.values() if t.optional]:
+            self._update_transition(_cleared(t))
         for name, st in self.states.items():
             if st.optional:
-                self.states[name] = replace(st, optional=False)
+                self.states[name] = _cleared(st)
         return TraceStep("finalize_optionals", self.root)
+
+
+def _cleared(x):
+    """``dataclasses.replace(x, optional=False)`` of a transition or state,
+    built by its constructor, which costs a fraction of ``replace``."""
+    if isinstance(x, Transition):
+        return Transition(x.name, x.source, x.target, x.trigger, x.cond,
+                          x.actions, x.history)
+    if isinstance(x, OrState):
+        return OrState(x.name, x.substates, x.initial, x.transitions)
+    if isinstance(x, AndState):
+        return AndState(x.name, x.regions)
+    return SimpleState(x.name)
 
 
 # --- the public rules -----------------------------------------------------

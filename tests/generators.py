@@ -1,13 +1,14 @@
 """Seeded generators for composites used by the reachability suites, and
-a fault injector for the well-formedness suites."""
+fault injectors, for states and for transitions, for the well-formedness
+suites."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
 
-from scpl.model import (AndState, Condition, InState, OrState, SimpleState,
-                        StateChart, Transition, map_states)
+from scpl.model import (AndState, Condition, InState, MachineIndex, OrState,
+                        SimpleState, StateChart, Transition, map_states)
 
 EVENTS = ("e1", "e2")
 
@@ -100,3 +101,52 @@ def inject_faults(sc: StateChart, rng: random.Random) -> StateChart:
         return state
 
     return map_states(sc, fault)
+
+
+def inject_transition_faults(sc: StateChart, rng: random.Random) -> StateChart:
+    """The machine rebuilt with random transition faults, one draw per
+    transition, each at 2%: a malformed name (a one-part or empty-part
+    ``comp(...)``, an unclosed ``comp(``, a space), one more event that is
+    empty or holds a reserved character, an empty trigger, a source that
+    does not exist, a target outside the owner, both ends strictly inside
+    one substate of the owner, or an in-state atom naming no state.  A
+    further 2% are renamed to a valid ``comp(name,name)``, which is no
+    fault.  Every new name is unique."""
+    idx = MachineIndex(sc)
+
+    def fault(t: Transition, owner: str) -> Transition:
+        roll = rng.random()
+        if roll < 0.02:
+            return replace(t, name=rng.choice((
+                f"comp({t.name})", f"comp({t.name},)", f"comp({t.name},x",
+                f"{t.name} x")))
+        if roll < 0.04:
+            return replace(t, trigger=t.trigger + (
+                rng.choice(("", "e.1", "e 1", "(e)")),))
+        if roll < 0.06:
+            return replace(t, trigger=())
+        if roll < 0.08:
+            return replace(t, source="Ghost")
+        if roll < 0.10:
+            outside = [s for s in idx.states
+                       if idx.direct_child_within(owner, s) is None]
+            return replace(t, target=rng.choice(outside))
+        if roll < 0.12:
+            deep = [c for c in idx.children[owner] if idx.descendants(c)]
+            if deep:
+                inside = sorted(idx.descendants(rng.choice(deep)))
+                return replace(t, source=rng.choice(inside),
+                               target=rng.choice(inside))
+        elif roll < 0.14:
+            return replace(t, cond=t.cond & Condition((InState("Nowhere"),)))
+        elif roll < 0.16:
+            return replace(t, name=f"comp({t.name},{t.name})")
+        return t
+
+    def faulty(state):
+        if isinstance(state, OrState):
+            return replace(state, transitions=tuple(
+                fault(t, state.name) for t in state.transitions))
+        return state
+
+    return map_states(sc, faulty)

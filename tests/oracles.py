@@ -9,7 +9,8 @@ the emitted subset.  The confluence reference runs the package's rules the
 plain way, every order on a fresh tree through all four layers, and stands
 against the shortcuts ``check_confluence`` takes.  The well-formedness
 reference reads each composite's shape off its state object, not off the
-index maps, and shares the package's per-transition check.
+index maps, and checks each transition the plain way: every name and event
+by its own regular-expression match, every endpoint by a walk up from it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from math import factorial
 from scpl import strategy
 from scpl.binding import nsc
 from scpl.errors import InvalidInputError, ScplError
-from scpl.model import (AndState, MachineIndex, OrState, Violation,
-                        _transition_violations, valid_name)
+from scpl.model import AndState, InState, MachineIndex, OrState, Violation
 from scpl.rewrite import WorkingTree
 
 
@@ -184,7 +184,7 @@ def reference_well_formed(sc) -> list[Violation]:
     for name in sorted(idx.states.keys() & idx.transitions.keys()):
         out.append(Violation(name, "name used by both a state and a transition"))
     for name, st in idx.states.items():
-        if not valid_name(name):
+        if not _plain_name(name):
             out.append(Violation(name, "invalid state name"))
         if isinstance(st, OrState):
             if not st.substates:
@@ -195,7 +195,67 @@ def reference_well_formed(sc) -> list[Violation]:
         elif isinstance(st, AndState) and len(st.regions) < 2:
             out.append(Violation(name, "And-state has fewer than 2 regions"))
     for t in idx.transitions.values():
-        out += _transition_violations(idx, t)
+        out += _transition_breaches(idx, t)
+    return out
+
+
+# An identifier: non-empty, no whitespace, dot, comma or parenthesis.
+_PLAIN = re.compile(r"[^\s(),.]+")
+
+
+def _plain_name(name: str) -> bool:
+    return _PLAIN.fullmatch(name) is not None
+
+
+def _transition_name(name: str) -> bool:
+    """A plain name, or comp(a,b,...) over two or more plain names."""
+    if name.startswith("comp(") and name.endswith(")"):
+        parts = name[5:-1].split(",")
+        return len(parts) >= 2 and all(_plain_name(p) for p in parts)
+    return _plain_name(name)
+
+
+def _transition_breaches(idx, t) -> list[Violation]:
+    """One transition's breaches: its name, trigger and each event tested
+    alone, then both endpoints walked up to the owner, then its in-state
+    atoms."""
+    out: list[Violation] = []
+    if not _transition_name(t.name):
+        out.append(Violation(t.name, "invalid transition name"))
+    if not t.trigger:
+        out.append(Violation(t.name, "empty trigger"))
+    for ev in t.trigger:
+        if not _plain_name(ev):
+            out.append(Violation(t.name, f"invalid event name {ev!r}"))
+    out += _endpoint_breaches(idx, t)
+    for atom in t.cond.atoms:
+        if isinstance(atom, InState) and atom.state not in idx.states:
+            out.append(Violation(
+                t.name, f"condition names unknown state {atom.state!r}"))
+    return out
+
+
+def _endpoint_breaches(idx, t) -> list[Violation]:
+    owner = idx.owner[t.name]
+    out: list[Violation] = []
+    ends: dict[str, str | None] = {}
+    for role, endpoint in (("source", t.source), ("target", t.target)):
+        if endpoint not in idx.states:
+            out.append(Violation(t.name, f"{role} {endpoint!r} does not exist"))
+            continue
+        child = idx.direct_child_within(owner, endpoint)
+        if child is None:
+            out.append(Violation(
+                t.name, f"{role} {endpoint!r} is not inside owner {owner!r}"))
+        ends[role] = child
+    if len(ends) < 2 or out:
+        return out
+    cs, ct = ends["source"], ends["target"]
+    if cs == ct and t.source != cs and t.target != ct:
+        out.append(Violation(
+            t.name,
+            f"endpoints {t.source!r} and {t.target!r} both lie inside "
+            f"{cs!r}; the transition does not belong to {owner!r}"))
     return out
 
 

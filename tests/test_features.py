@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,3 +169,45 @@ def test_oracle_and_validator_reject_alike():
     assert not valid_selection(fm, both_alt)
     conf = build_configuration(fm, both_alt)
     assert validate_configuration(fm, conf) != []
+
+
+# Both validators over a broken model and a broken configuration whose
+# violations would come out in frozenset order: several invalid feature
+# names, several pairs of one relation kind, several edges.
+_MANY_VIOLATIONS = textwrap.dedent("""
+    from scpl.features import validate_configuration, validate_feature_model
+    from scpl.model import Configuration, FeatureModel
+
+    F = frozenset
+    broken = FeatureModel(
+        F({"R", "a b", "c.d", "e,f", "G", "H"}), "R",
+        mand=F({("R", F({"G"})), ("G", F({"x", "y"}))}),
+        opt=F({("R", F({"H"})), ("H", F({"z"}))}),
+        alt=F({("R", F({"a b"})), ("G", F({"c.d", "e,f"}))}),
+        or_rel=F({("H", F({"q"})), ("R", F({"r"}))}))
+    fm = FeatureModel(
+        F("RABCDEGHIJKL"), "R",
+        mand=F({("R", F("A")), ("R", F("B")), ("A", F("K"))}),
+        alt=F({("A", F("CD")), ("B", F("EG"))}),
+        or_rel=F({("R", F("HI")), ("A", F("JL"))}))
+    conf = Configuration(F("RABCDEG"), F({("R", F("A")), ("C", F("D")),
+                                          ("D", F("E")), ("B", F("EG"))}))
+    for v in validate_feature_model(broken) + validate_configuration(fm, conf):
+        print(v)
+""")
+
+
+def test_violation_order_does_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _MANY_VIOLATIONS], env=env, check=True,
+            capture_output=True, text=True, timeout=60).stdout)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert len(lines) == 26
+    assert lines[:3] == ["a b: invalid feature name",
+                         "c.d: invalid feature name",
+                         "e,f: invalid feature name"]

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import S1K_GENERATOR, S1K_SEED
-from generators import inject_faults
+from generators import inject_faults, inject_transition_faults
 from oracles import reference_well_formed
 from scpl.model import (AndState, Condition, Guard, InState, MachineIndex,
                         OrState, SimpleState, StateChart, Transition,
@@ -200,6 +200,27 @@ def test_well_formed_equals_the_object_reading_on_faulty_machines():
         assert got == reference_well_formed(sc), seed
         faulty += bool(got)
     assert faulty > 1000
+
+
+# Every message of the per-transition check, by a fragment of its text.
+_TRANSITION_MESSAGES = ("invalid transition name", "invalid event name",
+                        "empty trigger", "does not exist", "is not inside owner",
+                        "both lie inside", "condition names unknown state")
+
+
+def test_well_formed_equals_the_reference_on_transition_faults():
+    found = dict.fromkeys(_TRANSITION_MESSAGES, 0)
+    for seed in range(3000):
+        sc = inject_transition_faults(generate_random_product_line(seed).sc,
+                                      random.Random(seed))
+        idx = MachineIndex(sc)
+        assert not (idx.duplicate_states or idx.duplicate_transitions), seed
+        got = check_well_formed(sc)
+        assert got == reference_well_formed(sc), seed
+        for v in got:
+            for fragment in _TRANSITION_MESSAGES:
+                found[fragment] += fragment in v.message
+    assert min(found.values()) >= 50, found
 
 
 def test_well_formed_flags_cross_namespace_collision():

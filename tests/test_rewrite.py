@@ -12,6 +12,7 @@ from scpl.errors import (EmptyCompositeError, IsInitialError, NoInitialError,
                          NotAndError, NotOptionalError, NotSimpleError,
                          NotSubstateError, OptionalComposeError,
                          RewriteError)
+from scpl import datasets
 from scpl.model import (AndState, Condition, Guard, History, InState,
                         MachineIndex, OrState, SimpleState, StateChart,
                         Transition, canonicalize)
@@ -21,6 +22,7 @@ from scpl.rewrite import (PendingSet, WorkingTree, comp, comp_name,
                           entry_exit_pairs, finalize_optionals,
                           prune_conditions, reachable_and, reachable_or,
                           repair_initial)
+from scpl.strategy import generate_random_product_line
 
 
 def T(name, src, tgt, trig=("e",), **kw):
@@ -645,3 +647,64 @@ def test_finalize_optionals_flips_all_flags():
     sc = finalize_optionals(StateChart(root))
     from scpl.model import var_elems
     assert var_elems(sc) == (frozenset(), frozenset())
+
+
+def _sweep_inputs():
+    """A machine whose optional transitions set every field, the bundled
+    machine and the default generator's seeds 0-499."""
+    rich = {"cond": Condition((Guard("g"), InState("X"))), "actions": ("x",),
+            "optional": True}
+    inner = OrState("O", (SimpleState("X"), SimpleState("Y", optional=True)),
+                    "X", (T("ti", "X", "Y", ("a", "b"), history=History.DEEP,
+                            **rich),), optional=True)
+    par = AndState("P", (OrState("R1", (SimpleState("U"),), "U"),
+                         OrState("R2", (SimpleState("V"),), "V")),
+                   optional=True)
+    yield StateChart(OrState(
+        "Root", (SimpleState("A"), inner, par), "A",
+        (T("t", "A", "O", history=History.SHALLOW, **rich),
+         T("tp", "A", "P", optional=True))))
+    yield datasets.mobile_phone()[1]
+    for seed in range(500):
+        yield generate_random_product_line(seed).sc
+
+
+def test_the_sweep_writes_what_replace_would():
+    # finalize_optionals builds each cleared element by its constructor;
+    # every field but the flag, and the type, must survive.
+    kinds: dict[type, int] = {}
+    for sc in _sweep_inputs():
+        tree = WorkingTree(sc)
+        states, transitions = dict(tree.states), dict(tree.transitions)
+        tree.finalize_optionals()
+        for old_map, new_map in ((states, tree.states),
+                                 (transitions, tree.transitions)):
+            for name, old in old_map.items():
+                new = new_map[name]
+                if not old.optional:
+                    assert new is old
+                    continue
+                assert type(new) is type(old)
+                assert new == replace(old, optional=False)
+                kinds[type(old)] = kinds.get(type(old), 0) + 1
+        for owned in tree.owned.values():
+            assert all(tree.transitions[n] is t for n, t in owned.items())
+    assert set(kinds) == {SimpleState, OrState, AndState, Transition}, kinds
+
+
+def test_pruning_writes_what_replace_would():
+    pruned = 0
+    for sc in _sweep_inputs():
+        tree = WorkingTree(sc)
+        before = dict(tree.transitions)
+        tree.prune_conditions(sorted(n for n, st in tree.states.items()
+                                     if st.optional))
+        for name, old in before.items():
+            new = tree.transitions[name]
+            if new is not old:
+                assert type(new) is Transition
+                assert new == replace(old, cond=new.cond)
+                assert new.cond.atoms != old.cond.atoms
+                assert tree.owned[tree.owner[name]][name] is new
+                pruned += 1
+    assert pruned > 100
