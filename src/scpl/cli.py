@@ -3,11 +3,16 @@
 Thin wrappers over the library: every subcommand parses files, calls one
 library entry point, and formats the result.  Exit codes: 0 success,
 1 validation failure, 2 syntax error, 3 rewrite error.
+
+The argument parser depends on no input, so a process builds it once, on
+the first call of ``main``, and reuses it; every call still reads, checks
+and writes everything its arguments name.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -179,7 +184,9 @@ def _at_least(low: int):
     return count
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="scpl",
         description="Instantiate concrete statecharts from a statechart "

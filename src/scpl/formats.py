@@ -200,10 +200,12 @@ def _state_to_json(state: State) -> dict:
 
 # --- dotted-path resolution ----------------------------------------------
 
-def _resolve_names(idx: MachineIndex) -> MachineIndex:
+def _resolve_names(idx: MachineIndex) -> bool:
     """Resolves dotted state paths in the index's transitions (in-state
     atoms, then source and target) and then in its initial markers, in
-    place, and rejects duplicate names; returns the index."""
+    place, and rejects duplicate names and unknown references.  Only a
+    transition or marker that names something other than a state is
+    rewritten; returns whether any was."""
     if idx.duplicate_states:
         raise DuplicateNameError(
             f"duplicate state name(s): {', '.join(sorted(set(idx.duplicate_states)))}")
@@ -228,7 +230,12 @@ def _resolve_names(idx: MachineIndex) -> MachineIndex:
             cursor = part
         return cursor
 
+    changed = False
     for name, t in idx.transitions.items():
+        if t.source in idx.states and t.target in idx.states and not any(
+                isinstance(a, InState) and a.state not in idx.states
+                for a in t.cond.atoms):
+            continue
         atoms = tuple(
             InState(resolve(a.state, f"transition {name!r} condition"))
             if isinstance(a, InState) else a
@@ -239,9 +246,12 @@ def _resolve_names(idx: MachineIndex) -> MachineIndex:
                            t.trigger, Condition(atoms), t.actions, t.history,
                            t.optional)
         idx.transitions[name] = idx.owned[idx.owner[name]][name] = fixed
+        changed = True
     for name, initial in idx.initial.items():
-        idx.initial[name] = resolve(initial, f"initial of {name!r}")
-    return idx
+        if initial not in idx.states:
+            idx.initial[name] = resolve(initial, f"initial of {name!r}")
+            changed = True
+    return changed
 
 
 # --- mappings -------------------------------------------------------------
@@ -287,9 +297,12 @@ def parse_product_line(text: str) -> tuple[FeatureModel, StateChart, ImpMapping]
     root = _state_from_json(sc_doc.get("root", {}), "$.statechart.root")
     if not isinstance(root, OrState):
         raise FormatSyntaxError("$.statechart.root: root must be an Or-state")
-    idx = _resolve_names(MachineIndex(StateChart(root)))
+    sc = StateChart(root)
+    idx = MachineIndex(sc)
+    if _resolve_names(idx):
+        sc = idx.freeze()
     imp = _imp_from_json(doc.get("imp", {}), "$.imp", idx)
-    return fm, idx.freeze(), imp
+    return fm, sc, imp
 
 
 def serialize_product_line(fm: FeatureModel, sc: StateChart,
@@ -355,6 +368,25 @@ def _anchor(idx: MachineIndex, name: str) -> str:
     return name
 
 
+def _emit_state(idx: MachineIndex, name: str, depth: int,
+                lines: list[str]) -> None:
+    # A module function, not a nested one: a recursive closure would tie
+    # the index and the lines into a reference cycle that outlives the call.
+    pad = "  " * depth
+    style = "dashed" if idx.states[name].optional else "solid"
+    if name not in idx.children:
+        lines.append(f"{pad}{_quote(name)} [style={style}];")
+        return
+    lines.append(f"{pad}subgraph {_quote('cluster_' + name)} {{")
+    lines.append(f"{pad}  label={_quote(name)};")
+    lines.append(f"{pad}  style={style};")
+    if name in idx.initial:
+        lines.append(f"{pad}  {_quote('__initial_' + name)} [shape=point];")
+    for child in sorted(idx.children[name]):
+        _emit_state(idx, child, depth + 1, lines)
+    lines.append(f"{pad}}}")
+
+
 def export_dot(sc: StateChart) -> str:
     """DOT digraph: composites as clusters, optional elements dashed,
     initial substates marked with a point node.  Output is deterministic:
@@ -362,23 +394,7 @@ def export_dot(sc: StateChart) -> str:
     idx = MachineIndex(sc)
     lines = ["digraph statechart {", "  compound=true;", "  rankdir=LR;",
              "  node [shape=box];"]
-
-    def emit_state(name: str, depth: int) -> None:
-        pad = "  " * depth
-        style = "dashed" if idx.states[name].optional else "solid"
-        if name not in idx.children:
-            lines.append(f"{pad}{_quote(name)} [style={style}];")
-            return
-        lines.append(f"{pad}subgraph {_quote('cluster_' + name)} {{")
-        lines.append(f"{pad}  label={_quote(name)};")
-        lines.append(f"{pad}  style={style};")
-        if name in idx.initial:
-            lines.append(f"{pad}  {_quote('__initial_' + name)} [shape=point];")
-        for child in sorted(idx.children[name]):
-            emit_state(child, depth + 1)
-        lines.append(f"{pad}}}")
-
-    emit_state(sc.root.name, 1)
+    _emit_state(idx, sc.root.name, 1, lines)
 
     edges: list[str] = []
     for name, init in sorted(idx.initial.items()):

@@ -122,6 +122,29 @@ def test_instantiate_writes_all_artifacts(paths, tmp_path, capsys):
     assert "MessagesState" not in text
 
 
+def test_a_reused_parser_carries_nothing_between_calls(paths, tmp_path,
+                                                       capsys):
+    out = tmp_path / "product.json"
+    dot = tmp_path / "product.dot"
+    argv = ["instantiate", paths["mp.pl.json"], paths["mp-no-poly.conf.json"],
+            "-o", str(out)]
+    assert main([*argv, "--dot", str(dot), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["output"] == str(out)
+    dot.unlink()
+    assert main(argv) == 0
+    assert not dot.exists()
+    assert capsys.readouterr().out.startswith(f"wrote {out} (")
+    usage_errors = []
+    for parse in (main, cli.build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(["fuzz", "--count", "-1"])
+        assert exc.value.code == 2
+        usage_errors.append(capsys.readouterr().err)
+    assert usage_errors[0] == usage_errors[1]
+    assert usage_errors[0].endswith(
+        "argument --count: must be at least 0, got -1\n")
+
+
 def test_confluence_exit_zero(paths, capsys):
     assert main(["confluence", paths["mp.pl.json"],
                  paths["mp-no-poly.conf.json"], "--trials", "25",

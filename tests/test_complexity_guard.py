@@ -8,24 +8,32 @@ confluence check indexes and validates its input once, not once per
 order, runs layer 1 once and layers 2-4 once per distinct order of the
 layer-2 state deletions, and compares the trees it edited without
 rebuilding a machine.  Parsing walks
-the machine once.  None of these leaves a reference cycle behind.
+the machine once and rebuilds it only to resolve a dotted path, and the
+command line builds its argument parser once per process.  None of these
+leaves a reference cycle behind.
 Deleting an And-state searches each coupled component of its regions on
 its own, never the product of all regions.
 """
 
+import argparse
+import contextlib
 import gc
+import io
+import json
 import random
 import sys
 from importlib import resources
+
+import pytest
 
 import scpl.model
 import scpl.rewrite
 import scpl.strategy
 from conftest import S1K_GENERATOR, S1K_SEED, line_for
-from scpl import datasets
-from scpl.formats import parse_product_line
-from scpl.model import (AndState, MachineIndex, OrState, SimpleState,
-                        StateChart, Transition, canonicalize)
+from scpl import cli, datasets
+from scpl.formats import export_dot, parse_product_line
+from scpl.model import (AndState, Condition, InState, MachineIndex, OrState,
+                        SimpleState, StateChart, Transition, canonicalize)
 from scpl.strategy import (check_confluence, generate_random_product_line,
                            instantiate)
 
@@ -113,14 +121,71 @@ def test_parse_walks_the_machine_once(monkeypatch):
     assert indexes[0] == 1
 
 
-def test_no_reference_cycles_are_left_behind():
+def _one_path_line(initial: str, source: str, in_state: str) -> str:
+    return json.dumps({
+        "feature_model": {"funcs": ["F"], "root": "F"},
+        "statechart": {"root": {
+            "kind": "or", "name": "Root", "initial": initial,
+            "substates": [{"kind": "simple", "name": "A"},
+                          {"kind": "simple", "name": "B"}],
+            "transitions": [{"name": "t", "source": source, "target": "B",
+                             "trigger": ["e"],
+                             "cond": [{"in": in_state}]}]}}})
+
+
+@pytest.mark.parametrize("initial, source, in_state", [
+    pytest.param("Root.A", "A", "B", id="initial"),
+    pytest.param("A", "Root.A", "B", id="source"),
+    pytest.param("A", "A", "Root.B", id="in-state"),
+])
+def test_parse_rebuilds_the_machine_only_to_resolve_a_path(
+        initial, source, in_state, monkeypatch):
+    freezes = _count_calls(monkeypatch, MachineIndex, "freeze")
+    parse_product_line(MP_TEXT)
+    parse_product_line(_one_path_line("A", "A", "B"))
+    assert freezes[0] == 0
+    _, sc, _ = parse_product_line(_one_path_line(initial, source, in_state))
+    assert freezes[0] == 1
+    assert sc.root.initial == "A"
+    assert sc.root.transitions == (
+        Transition("t", "A", "B", ("e",), Condition((InState("B"),))),)
+
+
+def test_the_command_line_builds_its_parser_once(monkeypatch, tmp_path):
+    line = tmp_path / "mp.pl.json"
+    line.write_text(MP_TEXT, encoding="utf-8")
+    argv = ["kernel", str(line)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+        parsers = _count_calls(monkeypatch, argparse.ArgumentParser,
+                               "__init__")
+        for _ in range(3):
+            assert cli.main(argv) == 0
+    assert parsers[0] == 0
+
+
+def test_no_reference_cycles_are_left_behind(tmp_path):
     conf = datasets.mobile_phone_no_poly()
     line = generate_random_product_line(S1K_SEED, **S1K_GENERATOR)
     fm, sc, imp = parse_product_line(MP_TEXT)
+    product = instantiate(fm, conf, sc, imp).statechart
+    mp_path = tmp_path / "mp.pl.json"
+    mp_path.write_text(MP_TEXT, encoding="utf-8")
+
+    def quietly(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(argv)
+
+    # ``cli.main instantiate`` is left out: up to Python 3.12, ``json.dumps``
+    # with ``indent`` runs the standard library's pure-Python encoder,
+    # which builds recursive closures on every call.
     runs = [("parse_product_line", lambda: parse_product_line(MP_TEXT)),
             ("instantiate", lambda: instantiate(fm, conf, sc, imp)),
             ("canonicalize", lambda: canonicalize(sc)),
-            ("check_confluence", lambda: check_confluence(*line, trials=10))]
+            ("check_confluence", lambda: check_confluence(*line, trials=10)),
+            ("export_dot", lambda: export_dot(product)),
+            ("cli validate", lambda: quietly(["validate", str(mp_path)])),
+            ("cli kernel", lambda: quietly(["kernel", str(mp_path)]))]
     for _, run in runs:  # first calls may fill caches
         run()
     gc.collect()
