@@ -13,10 +13,11 @@ import json
 from typing import Any
 
 from .errors import (DuplicateNameError, FormatSyntaxError,
-                     UnknownReferenceError)
+                     InvalidInputError, UnknownReferenceError)
 from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
                     History, ImpEntry, ImpMapping, InState, MachineIndex,
-                    OrState, SimpleState, State, StateChart, Transition)
+                    OrState, SimpleState, State, StateChart, Transition,
+                    _composite_violations)
 
 
 def _loads(text: str) -> Any:
@@ -358,12 +359,14 @@ def _edge_label(t: Transition) -> str:
 def _anchor(idx: MachineIndex, name: str) -> str:
     """Deterministic leaf node used to attach edges to a composite: the
     initial substate of an Or-state, the least-named region of an
-    And-state, and so on down to a simple state."""
+    And-state, and so on down to a simple state.  A composite with no such
+    substate is refused with its shape violation."""
     while name in idx.children:
         kids = idx.children[name]
-        head = idx.initial[name] if name in idx.initial else min(kids)
+        head = (idx.initial[name] if name in idx.initial
+                else min(kids, default=None))
         if head not in kids:
-            raise ValueError(f"{name!r} has no direct substate {head!r}")
+            raise InvalidInputError(_composite_violations(idx, name))
         name = head
     return name
 

@@ -30,6 +30,8 @@ in-state atoms naming each other's states, never through shared triggers
 -- and costs the product of each component's coordinates, not of all
 regions'.  ``reachable_and`` still returns the full tuple set, searching
 every region as one component; ``reachable_or`` is the one-region search.
+A deletion reads names only, never the order of the machine's
+transitions: its compositions are owned, checked and added in name order.
 
 The public rules below keep the pure machine-in, machine-out form: each
 builds a working tree from its input, applies the shared rule and freezes
@@ -38,13 +40,15 @@ alongside as a PendingSet; a rule shrinks it by whatever the rule actually
 removed.  Transitions that are themselves pending never grant reachability
 and never take part in a composition (unless ``include_pending`` is set,
 which reproduces the literal reading of the deletion rules and is only
-useful to demonstrate how that reading loses confluence).
+useful to demonstrate how that reading loses confluence).  Each public
+rule turns the pair into one set of ``blocked`` names for the helpers:
+the pending set, or ``()`` under ``include_pending``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import count, product
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import (EmptyCompositeError, IsInitialError, NoInitialError,
@@ -106,15 +110,15 @@ def comp(t1: Transition, t2: Transition) -> Transition:
 
 
 def _boundary_transitions(transitions: Iterable[Transition], doomed: set[str],
-                          pending: PendingSet, include_pending: bool):
-    """Usable entries into and exits out of the doomed states, in the given
-    order.  Optional and (unless ``include_pending``) pending transitions
-    are unusable; transitions with both ends doomed, self-loops included,
-    are neither entries nor exits."""
+                          blocked: PendingSet | tuple):
+    """Usable entries into and exits out of the doomed states.  Optional
+    transitions and those named in ``blocked`` (the pending set, or ``()``
+    under ``include_pending``) are unusable; transitions with both ends
+    doomed, self-loops included, are neither entries nor exits."""
     entries: list[Transition] = []
     exits: list[Transition] = []
     for t in transitions:
-        if t.optional or (not include_pending and t.name in pending):
+        if t.optional or t.name in blocked:
             continue
         if t.target in doomed and t.source not in doomed:
             entries.append(t)
@@ -228,21 +232,18 @@ class WorkingTree(MachineIndex):
     and optional flag only: the shape of the machine lives in the index
     maps (``children``, ``initial``, ``owned``), which the edits keep
     current.  ``adjacent`` names the transitions with each state as an
-    endpoint, and ``seq`` numbers the transitions in machine order so that
-    a few can be put back in that order without a scan.  ``reshaped``
-    records the composites that lost a child or had their initial marker
-    moved, and ``added`` the transitions the edits added, in edit order:
-    ``model.touched_violations`` checks the edited machine over these
-    alone.
+    endpoint.  ``reshaped`` records the composites that lost a child or had
+    their initial marker moved, and ``added`` the transitions the edits
+    added, in edit order: ``model.touched_violations`` checks the edited
+    machine over these alone.  No edit reads the order of the transitions:
+    a deletion finds its transitions by name in ``adjacent`` and ``owned``.
 
     Building one costs the index walk plus one pass over the transitions,
-    which numbers them and fills ``adjacent``.
+    which fills ``adjacent``.
     """
 
     def __init__(self, sc: StateChart):
         super().__init__(sc)
-        self._counter = count()
-        self.seq: dict[str, int] = dict(zip(self.transitions, self._counter))
         adjacent: dict[str, set[str]] = {}
         for name, t in self.transitions.items():
             for end in (t.source, t.target):
@@ -257,8 +258,7 @@ class WorkingTree(MachineIndex):
     def copy(self) -> "WorkingTree":
         """A tree with the same maps that edits apart from this one: every
         map and every inner dict or set is copied; the state and
-        transition objects are immutable and shared.  Both trees number
-        the transitions they add later above every one either holds now."""
+        transition objects are immutable and shared."""
         new = WorkingTree.__new__(WorkingTree)
         new.root = self.root
         new.states = self.states.copy()
@@ -271,30 +271,23 @@ class WorkingTree(MachineIndex):
         new.duplicate_states = self.duplicate_states.copy()
         new.duplicate_transitions = self.duplicate_transitions.copy()
         new.adjacent = _copied_values(self.adjacent)
-        new._counter = count(next(self._counter))
-        new.seq = self.seq.copy()
         new.reshaped = self.reshaped.copy()
         new.added = self.added.copy()
         return new
 
     # -- edits --
 
-    def _link(self, t: Transition) -> None:
-        self.seq[t.name] = next(self._counter)
-        self.adjacent.setdefault(t.source, set()).add(t.name)
-        self.adjacent.setdefault(t.target, set()).add(t.name)
-
     def _add_transition(self, t: Transition, owner: str) -> None:
         self.transitions[t.name] = t
         self.owner[t.name] = owner
         self.owned[owner][t.name] = t
         self.added[t.name] = None
-        self._link(t)
+        self.adjacent.setdefault(t.source, set()).add(t.name)
+        self.adjacent.setdefault(t.target, set()).add(t.name)
 
     def _drop_transition(self, name: str) -> None:
         t = self.transitions.pop(name)
         del self.owned[self.owner.pop(name)][name]
-        del self.seq[name]
         for end in (t.source, t.target):
             self.adjacent.get(end, set()).discard(name)
 
@@ -305,8 +298,7 @@ class WorkingTree(MachineIndex):
 
     # -- region projection --
 
-    def _region_moves(self, elem: str, pending: PendingSet,
-                      include_pending: bool,
+    def _region_moves(self, elem: str, blocked: PendingSet | tuple,
                       ) -> tuple[list[str], dict, list[list[Move]]]:
         """A state's regions -- an And-state's children, an Or-state
         itself, none for a simple state -- with ``where``, the one map from
@@ -315,12 +307,13 @@ class WorkingTree(MachineIndex):
         it), and, per region, its usable internal transitions as moves
         between coordinates.  A region that is not an Or-state is its own
         only coordinate and has no moves, so whatever lies inside it is
-        reached with the region and needs no entry.  A transition with an
-        end outside its owner (possible on an unvalidated machine) is no
-        move.  Inside an And-state an in-state atom naming a state in
-        ``where`` requires that coordinate; any other atom always holds
-        there or is about a foreign state.  An Or-state's moves carry no
-        requirements: its reachability ignores conditions."""
+        reached with the region and needs no entry.  A transition named in
+        ``blocked`` is no move, nor is one with an end outside its owner
+        (possible on an unvalidated machine).  Inside an And-state an
+        in-state atom naming a state in ``where`` requires that coordinate;
+        any other atom always holds there or is about a foreign state.  An
+        Or-state's moves carry no requirements: its reachability ignores
+        conditions."""
         st = self.states[elem]
         regions = (list(self.children[elem]) if isinstance(st, AndState)
                    else [elem] if isinstance(st, OrState) else [])
@@ -336,8 +329,7 @@ class WorkingTree(MachineIndex):
             rt: list[Move] = []
             for t in self.owned.get(region, {}).values():
                 u, v = where.get(t.source), where.get(t.target)
-                if (u and v and u[0] == v[0] == j
-                        and (include_pending or t.name not in pending)):
+                if u and v and u[0] == v[0] == j and t.name not in blocked:
                     needs = tuple(coupling[a.state] for a in t.cond.atoms
                                   if isinstance(a, InState)
                                   and a.state in coupling)
@@ -354,7 +346,8 @@ class WorkingTree(MachineIndex):
         transition touching it or owned inside it, bridging usable
         entry/exit pairs of the parent Or-state with their compositions
         (``_compositions``, the same rule for every kind).  ``kind``, when
-        given, refuses a state of any other kind."""
+        given, refuses a state of any other kind.  It reads names only:
+        the compositions are owned, checked and added in name order."""
         st, parent = self._deletion_preamble(elem, pending)
         if kind is not None and not isinstance(st, kind):
             _, error, what = _DELETION[kind]
@@ -367,13 +360,15 @@ class WorkingTree(MachineIndex):
             touching.update(self.owned[s])
         additions: list[Transition] = []
         if isinstance(self.states[parent], OrState):
-            candidates = sorted(
+            blocked = () if include_pending else pending
+            entries, exits = _boundary_transitions(
                 (self.transitions[n] for n in touching
-                 if self.owner[n] == parent), key=lambda t: self.seq[t.name])
-            entries, exits = _boundary_transitions(candidates, doomed, pending,
-                                                   include_pending)
-            additions = self._compositions(elem, entries, exits, pending,
-                                           include_pending)
+                 if self.owner[n] == parent), doomed, blocked)
+            # Ends break ties between equal names (only a user transition
+            # named comp(...) makes one), so no error follows set order.
+            additions = sorted(
+                self._compositions(elem, entries, exits, blocked),
+                key=lambda t: (t.name, t.source, t.target))
         owners = [self._lca_or_owner(t.source, t.target) for t in additions]
         # A name may repeat only when a user transition is itself named
         # comp(...); the maps hold one transition per name, so refuse.
@@ -400,8 +395,7 @@ class WorkingTree(MachineIndex):
             self.children.pop(name, None)
             self.initial.pop(name, None)
             self.owned.pop(name, None)
-        for t, owner in sorted(zip(additions, owners),
-                               key=lambda pair: pair[0].name):
+        for t, owner in zip(additions, owners):
             self._add_transition(t, owner)
         pending.discard(*doomed, *touching)
         return TraceStep(
@@ -436,8 +430,8 @@ class WorkingTree(MachineIndex):
         return st, parent
 
     def _compositions(self, elem: str, entries: list[Transition],
-                      exits: list[Transition], pending: PendingSet,
-                      include_pending: bool) -> list[Transition]:
+                      exits: list[Transition],
+                      blocked: PendingSet | tuple) -> list[Transition]:
         """Composes each entry with every exit reachable from where the
         entry lands, over the state's regions (``_region_moves``): the
         search starts from the tuple of region initials with the entry
@@ -449,8 +443,7 @@ class WorkingTree(MachineIndex):
         simple state has no regions, so all its entries and exits pair."""
         if not (entries and exits):
             return []
-        regions, where, moves = self._region_moves(elem, pending,
-                                                   include_pending)
+        regions, where, moves = self._region_moves(elem, blocked)
         components = _components(moves)
         searched: dict = {}
         default = [self.initial.get(r, r) for r in regions]
@@ -619,8 +612,8 @@ def entry_exit_pairs(elem: str, sc: StateChart, pending: PendingSet, *,
     parent = idx.states.get(idx.parent[elem] or "")
     if not isinstance(parent, OrState):
         raise RewriteError(f"parent of {elem!r} owns no transitions")
-    entries, exits = _boundary_transitions(parent.transitions, {elem},
-                                           pending, include_pending)
+    entries, exits = _boundary_transitions(
+        parent.transitions, {elem}, () if include_pending else pending)
     return {(te, ts) for te in entries for ts in exits}
 
 
@@ -677,7 +670,8 @@ def reachable_or(elem: str, start: str, sc: StateChart, pending: PendingSet,
     if start not in tree.children[elem]:
         raise NotSubstateError(
             f"{start!r} is not a direct substate of {elem!r}")
-    _, _, moves = tree._region_moves(elem, pending, include_pending)
+    _, _, moves = tree._region_moves(
+        elem, () if include_pending else pending)
     return {node for node, in _tuple_search([0], (start,), moves)}
 
 
@@ -696,7 +690,8 @@ def reachable_and(elem: str, start: tuple[str, ...], sc: StateChart,
     tree = WorkingTree(sc)
     if not isinstance(tree.states.get(elem), AndState):
         raise NotAndError(f"{elem!r} is not an And-state")
-    regions, _, moves = tree._region_moves(elem, pending, include_pending)
+    regions, _, moves = tree._region_moves(
+        elem, () if include_pending else pending)
     if len(start) != len(regions):
         raise NotSubstateError(
             f"start tuple has {len(start)} coordinates for "

@@ -6,8 +6,10 @@ import pytest
 
 from scpl import cli
 from scpl.cli import main
+from scpl.formats import serialize_configuration, serialize_product_line
 from scpl.model import StateChart
-from scpl.strategy import generate_random_product_line, validate_inputs
+from scpl.strategy import (check_confluence, generate_random_product_line,
+                           validate_inputs)
 
 DATA = resources.files("scpl.data.mobile_phone")
 
@@ -150,6 +152,37 @@ def test_confluence_exit_zero(paths, capsys):
                  paths["mp-no-poly.conf.json"], "--trials", "25",
                  "--seed", "7"]) == 0
     assert "confluent" in capsys.readouterr().out
+
+
+def test_paper_literal_confluence_reports_the_literal_reading(
+        tmp_path, monkeypatch, capsys):
+    # A line on which some orders give different machines, so the report
+    # carries the divergent orders and outcomes too.  Both readings report
+    # alike on it, so the spy shows which one ran.
+    line = generate_random_product_line(
+        5697, max_depth=2, max_substates=4, max_features=6)
+    pl, conf = tmp_path / "line.pl.json", tmp_path / "line.conf.json"
+    pl.write_text(serialize_product_line(line.fm, line.sc, line.imp),
+                  encoding="utf-8")
+    conf.write_text(serialize_configuration(line.conf), encoding="utf-8")
+    modes = []
+
+    def spy(*args, include_pending, **kwargs):
+        modes.append(include_pending)
+        return check_confluence(*args, include_pending=include_pending,
+                                **kwargs)
+
+    monkeypatch.setattr(cli, "check_confluence", spy)
+    # Exit 1: not confluent.
+    assert main(["confluence", "--json", "--paper-literal", str(pl),
+                 str(conf), "--trials", "25", "--seed", "7"]) == 1
+    report = check_confluence(*line, trials=25, seed=7, include_pending=True)
+    assert modes == [True] and not report.confluent
+    assert json.loads(capsys.readouterr().out) == {
+        "confluent": False, "trials": report.trials,
+        "nsc_size": report.nsc_size,
+        "divergent_orders": [list(o) for o in report.divergent_orders],
+        "divergent_outcomes": list(report.divergent_outcomes)}
 
 
 def test_fuzz(capsys):

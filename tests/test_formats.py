@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from oracles import parse_dot
 from scpl.errors import (DuplicateNameError, FormatSyntaxError,
-                         UnknownReferenceError)
+                         InvalidInputError, UnknownReferenceError)
 from scpl.formats import (export_dot, parse_configuration, parse_product_line,
                           serialize_configuration, serialize_product_line)
-from scpl.model import (Condition, Guard, InState, OrState, SimpleState,
-                        StateChart, Transition, check_well_formed)
+from scpl.model import (AndState, Condition, Guard, InState, OrState,
+                        SimpleState, StateChart, Transition, Violation,
+                        check_well_formed)
 from scpl.strategy import generate_random_product_line, instantiate
 
 MINIMAL = """
@@ -175,6 +176,18 @@ def test_export_dot_escapes_names_ending_in_a_backslash():
     assert g.nodes["B\\"] == {"style": "solid"}
     assert [(a, b, attrs["label"]) for a, b, attrs in g.edges
             if a == "A"] == [("A", "B\\", "t: e / log\\")]
+
+
+@pytest.mark.parametrize("root, violation", [
+    (OrState("R", (SimpleState("A"),), "B"),
+     Violation("R", "initial 'B' is not a direct substate")),
+    (OrState("R", (AndState("P", ()),), "P"),
+     Violation("P", "And-state has fewer than 2 regions")),
+], ids=["initial-not-a-substate", "and-state-without-regions"])
+def test_export_dot_refuses_a_composite_it_cannot_descend(root, violation):
+    with pytest.raises(InvalidInputError) as caught:
+        export_dot(StateChart(root))
+    assert caught.value.violations == (violation,)
 
 
 def test_export_dot_is_deterministic(mp):

@@ -10,9 +10,10 @@ from scpl import strategy
 from scpl.binding import nsc
 from scpl.errors import (InvalidInputError, NoInitialError, RewriteError,
                          ScplError, TooLargeError)
-from scpl.model import (Configuration, ImpMapping, MachineIndex, OrState,
-                        RewriteTrace, SimpleState, StateChart, Transition,
-                        canonicalize, check_well_formed, var_elems)
+from scpl.model import (AndState, Configuration, ImpMapping, MachineIndex,
+                        OrState, RewriteTrace, SimpleState, StateChart,
+                        Transition, canonicalize, check_well_formed,
+                        var_elems)
 from scpl.rewrite import WorkingTree
 from scpl.strategy import (EXHAUSTIVE_CAP, check_confluence,
                            generate_random_product_line, instantiate,
@@ -83,6 +84,45 @@ def test_chain_composes_fully():
     assert set(idx.transitions) == {"comp(t1,t2,t3)"}
     t = idx.transitions["comp(t1,t2,t3)"]
     assert (t.source, t.target, t.trigger) == ("A", "B", ("a", "b", "c"))
+
+
+def _crossing_line(*extra: Transition):
+    """Root A -> And-state X (regions R1 = {a1, a2}, R2 = {b1}), with an
+    optional E bridging R1 to R2: each composition across E would cross
+    X's regions.  ``extra`` transitions follow the others in Root."""
+    x = AndState("X", (
+        OrState("R1", (SimpleState("a1"), SimpleState("a2")), "a1"),
+        OrState("R2", (SimpleState("b1"),), "b1")))
+    root = OrState(
+        "Root", (SimpleState("A"), x, SimpleState("E", optional=True)),
+        "A",
+        (Transition("tz", "a1", "E", ("z",)),
+         Transition("ta", "a2", "E", ("a",)),
+         Transition("u", "E", "b1", ("u",)),
+         Transition("go", "A", "X", ("g",)), *extra))
+    return StateChart(root)
+
+
+def test_composition_error_names_the_least_named_crossing():
+    # tz -> u comes first in machine order, but comp(ta,u) is the
+    # least-named composition, so its ends are the ones reported.
+    sc = _crossing_line()
+    assert check_well_formed(sc) == []
+    fm, conf, imp = line_for(sc, {"E"})
+    with pytest.raises(RewriteError) as err:
+        instantiate(fm, conf, sc, imp)
+    assert str(err.value) == (
+        "composition 'a2' -> 'b1' would cross regions of 'X'")
+
+
+def test_composition_error_without_a_common_ancestor():
+    # Ghost is no state: an unvalidated machine may still name it, and
+    # comp(g2,u) sorts before every other composition across E.
+    sc = _crossing_line(Transition("g2", "Ghost", "E", ("h",)))
+    fm, conf, imp = line_for(sc, {"E"})
+    with pytest.raises(RewriteError) as err:
+        instantiate(fm, conf, sc, imp, validate=False)
+    assert str(err.value) == "no common ancestor for 'Ghost' and 'b1'"
 
 
 def test_repair_initial_chain_coalesces_into_one_step():
