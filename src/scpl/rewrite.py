@@ -39,8 +39,9 @@ the result.  The working set of elements still slated for deletion travels
 alongside as a PendingSet; a rule shrinks it by whatever the rule actually
 removed.  Transitions that are themselves pending never grant reachability
 and never take part in a composition (unless ``include_pending`` is set,
-which reproduces the literal reading of the deletion rules and is only
-useful to demonstrate how that reading loses confluence).  Each public
+which reproduces the literal reading of the deletion rules: a pending
+move inside the deleted state then grants reachability, which can add
+compositions, alike in every order on validated input).  Each public
 rule turns the pair into one set of ``blocked`` names for the helpers:
 the pending set, or ``()`` under ``include_pending``.
 """

@@ -25,8 +25,9 @@ from .features import (build_configuration, kernel, validate_configuration,
 from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
                     History, ImpEntry, ImpMapping, InState, MachineIndex,
                     OrState, RewriteTrace, SimpleState, State, StateChart,
-                    TraceStep, Transition, Violation, optional_elements,
-                    touched_violations, well_formed_violations)
+                    TraceStep, Transition, Violation, comp_parts,
+                    optional_elements, touched_violations,
+                    well_formed_violations)
 from .rewrite import PendingSet, WorkingTree
 
 
@@ -225,13 +226,27 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
     restricted to the states eligible for layer 2: eligibility is fixed
     before layer 2, layer 3 only drops distinct transitions and never
     raises, so any order of it ends alike, and layer 4 and the post-check
-    read only the final tree.  So an order whose projection has already
-    run is skipped: that earlier outcome agreed with the reference, or the
-    check would have returned.  ``trials`` still counts every order, and
-    ``divergent_orders`` pairs the first order with the first divergent
-    one in iteration order.  ``divergent_outcomes`` gives, per outcome,
-    the first few elements and fields on which the two differ with that
-    outcome's values."""
+    read only the final tree.  Finer still, when the reference outcome
+    is a tree it depends only on the projection onto each group of
+    interacting eligible states (``_interacting_groups``: two join when
+    one transition touches both subtrees).  A deletion drops and composes
+    only transitions touching its own subtree, so each composition joins
+    ends of its own group's transitions and the groups stay apart; the
+    blocked names, reachability and owner it reads are its own group's;
+    an Or-parent keeps its surviving initial substate, and an And-parent,
+    which composes nothing, keeps at least the regions the reference
+    kept.  Two fallbacks key orders by the whole projection: an error
+    reference, since the interleaving decides which group's error comes
+    first, and an input transition named comp(...), since a composition
+    may clash with it or not by whether another group dropped it first.
+    An order whose key has already run is skipped: that earlier outcome
+    agreed with the reference, or the check would have returned; when no
+    group holds two states every order has the reference's key, and the
+    check returns after the reference.  ``trials`` still counts every
+    order, and ``divergent_orders`` pairs the first order with the first
+    divergent one in iteration order.  ``divergent_outcomes`` gives, per
+    outcome, the first few elements and fields on which the two differ
+    with that outcome's values."""
     if not exhaustive and trials < 1:
         raise InvalidInputError(
             [Violation("trials", f"must be at least 1, got {trials}")])
@@ -267,7 +282,6 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
         # Layer 1 edits alike under every order, so every order fails alike.
         return ConfluenceReport(confluent=True, trials=total,
                                 nsc_size=len(base))
-    eligible = set(start.eligible)
 
     def outcome(order):
         copy = tree.copy()
@@ -279,9 +293,26 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
             return f"error:{exc.code}"
 
     reference = outcome(first)
-    ran = {start.eligible}  # in the first order's key order
+    if isinstance(reference, str) or any(
+            comp_parts(name) != (name,) for name in tree.transitions):
+        groups = [list(start.eligible)]
+    else:
+        groups = _interacting_groups(tree, start.eligible)
+    group_of = {n: i for i, group in enumerate(groups) if len(group) > 1
+                for n in group}
+    if not group_of:
+        # No group can be ordered two ways: every order has one key.
+        return ConfluenceReport(confluent=True, trials=total,
+                                nsc_size=len(base))
+
+    def key(order):
+        # Each group's projection, the groups one after another.
+        return tuple(sorted((n for n in order if n in group_of),
+                            key=group_of.__getitem__))
+
+    ran = {key(first)}
     for order in orders:
-        projection = tuple(n for n in order if n in eligible)
+        projection = key(order)
         if projection in ran:
             continue
         ran.add(projection)
@@ -293,6 +324,36 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
                 divergent_outcomes=_diff(reference, got))
     return ConfluenceReport(confluent=True, trials=total,
                             nsc_size=len(base))
+
+
+def _interacting_groups(tree: WorkingTree,
+                        eligible: Sequence[str]) -> list[list[str]]:
+    """The layer-2 states partitioned by union-find: two states join when
+    one transition of ``tree`` has an end in each of their subtrees.  On
+    validated input a transition owned inside a subtree has both ends in
+    it, so the transitions adjacent to the subtrees are all that count.
+    Each group lists its states in ``eligible`` order."""
+    home: dict[str, str] = {}
+    for name in eligible:
+        home.update(dict.fromkeys((name, *tree.descendants(name)), name))
+    parent = {name: name for name in eligible}
+
+    def find(name: str) -> str:
+        while parent[name] != name:
+            parent[name] = parent[parent[name]]
+            name = parent[name]
+        return name
+
+    transitions = tree.transitions
+    for state in home:
+        for t in map(transitions.__getitem__, tree.adjacent.get(state, ())):
+            a, b = home.get(t.source), home.get(t.target)
+            if a is not None and b is not None:
+                parent[find(a)] = find(b)
+    groups: dict[str, list[str]] = {}
+    for name in eligible:
+        groups.setdefault(find(name), []).append(name)
+    return list(groups.values())
 
 
 def _shape(outcome):

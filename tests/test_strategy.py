@@ -86,15 +86,17 @@ def test_chain_composes_fully():
     assert (t.source, t.target, t.trigger) == ("A", "B", ("a", "b", "c"))
 
 
-def _crossing_line(*extra: Transition):
+def _crossing_line(*extra: Transition, states=()):
     """Root A -> And-state X (regions R1 = {a1, a2}, R2 = {b1}), with an
     optional E bridging R1 to R2: each composition across E would cross
-    X's regions.  ``extra`` transitions follow the others in Root."""
+    X's regions.  ``extra`` transitions follow the others in Root, and
+    ``states`` follow E."""
     x = AndState("X", (
         OrState("R1", (SimpleState("a1"), SimpleState("a2")), "a1"),
         OrState("R2", (SimpleState("b1"),), "b1")))
     root = OrState(
-        "Root", (SimpleState("A"), x, SimpleState("E", optional=True)),
+        "Root", (SimpleState("A"), x, SimpleState("E", optional=True),
+                 *states),
         "A",
         (Transition("tz", "a1", "E", ("z",)),
          Transition("ta", "a2", "E", ("a",)),
@@ -190,12 +192,13 @@ def test_check_confluence_refuses_fewer_than_one_trial(mp, mp_no_poly,
         f"invalid input: trials: must be at least 1, got {trials}")
 
 
-def _line_dooming(n: int):
-    """A line whose NSC holds ``n`` optional simple states."""
+def _line_dooming(n: int, *transitions: Transition):
+    """A line whose NSC holds ``n`` optional simple states S0, S1, ...,
+    with the given transitions in Root."""
     doomed = [f"S{i}" for i in range(n)]
     sc = StateChart(OrState(
         "Root", (SimpleState("A"), *(SimpleState(s, True) for s in doomed)),
-        "A"))
+        "A", transitions))
     fm, conf, imp = line_for(sc, doomed)
     return fm, conf, sc, imp
 
@@ -210,8 +213,9 @@ def test_exhaustive_confluence_refuses_more_than_the_cap(monkeypatch):
 
 
 def test_exhaustive_confluence_runs_every_order_at_the_cap(monkeypatch):
-    # All 8 doomed states are eligible for layer 2, so every order has a
-    # projection of its own and none is skipped.
+    # All 8 doomed states are eligible for layer 2 and share no
+    # transition, but the stub's reference outcome is an error, so every
+    # order is keyed by its whole layer-2 projection and none is skipped.
     calls = [0]
 
     def failing(*args, **kwargs):
@@ -222,6 +226,32 @@ def test_exhaustive_confluence_runs_every_order_at_the_cap(monkeypatch):
     report = check_confluence(*_line_dooming(EXHAUSTIVE_CAP), exhaustive=True)
     assert report.confluent
     assert report.trials == calls[0] == 40_320
+
+
+@pytest.mark.parametrize("transitions, runs", [
+    ((), 1),
+    ((Transition("s01", "S0", "S1", ("a",)),
+      Transition("s12", "S1", "S2", ("b",))), 6),
+])
+def test_confluence_runs_only_orders_of_interacting_deletions(
+        monkeypatch, transitions, runs):
+    # Three doomed siblings: with no transition between them every order
+    # ends alike and only the first runs; chained, they form one group
+    # and each of the 3! orders has a projection of its own.
+    line = _line_dooming(3, *transitions)
+    expected = reference_confluence(*line, exhaustive=True)
+    calls = [0]
+    later_layers = strategy._later_layers
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return later_layers(*args, **kwargs)
+
+    monkeypatch.setattr(strategy, "_later_layers", counted)
+    report = check_confluence(*line, exhaustive=True)
+    assert report == expected
+    assert report.confluent and report.trials == 6
+    assert calls[0] == runs
 
 
 def _two_states(*triggers: str) -> StateChart:
@@ -242,8 +272,11 @@ def test_divergent_outcomes_name_the_field_that_differs(monkeypatch):
         return RewriteTrace()
 
     monkeypatch.setattr(strategy, "_later_layers", rewrite)
-    # Both orders of the two doomed states: two distinct projections.
-    report = check_confluence(*_line_dooming(2), exhaustive=True)
+    # The two doomed states share a transition, so they form one group and
+    # both of their orders run.
+    report = check_confluence(
+        *_line_dooming(2, Transition("s01", "S0", "S1", ("s",))),
+        exhaustive=True)
     assert not report.confluent
     assert report.divergent_outcomes == ("transition t0 trigger: ('a',)",
                                          "transition t0 trigger: ('b',)")
@@ -315,16 +348,18 @@ def _eligible(line, doomed) -> set[str]:
             and not any(a in doomed for a in idx.ancestors(n))}
 
 
-def _orders_projecting_to(rng, base, eligible, projection, count):
-    """``count`` random orders of ``base`` whose restriction to
-    ``eligible`` is ``projection``: a shuffle with the eligible states'
-    slots refilled in the projection's order."""
+def _orders_projecting_to(rng, base, projections, count):
+    """``count`` random orders of ``base`` whose restriction to each
+    projection's names is that projection: a shuffle with each
+    projection's slots refilled in its order."""
     out = []
     for _ in range(count):
         order = rng.sample(base, len(base))
-        slots = [i for i, name in enumerate(order) if name in eligible]
-        for i, name in zip(slots, projection):
-            order[i] = name
+        for projection in projections:
+            names = set(projection)
+            slots = [i for i, name in enumerate(order) if name in names]
+            for i, name in zip(slots, projection):
+                order[i] = name
         out.append(order)
     return out
 
@@ -345,12 +380,130 @@ def test_orders_with_one_layer_two_projection_end_alike(include_pending):
         rng = random.Random(seed)
         for _ in range(2):
             projection = rng.sample(sorted(eligible), len(eligible))
-            orders = _orders_projecting_to(rng, base, eligible, projection, 4)
+            orders = _orders_projecting_to(rng, base, [projection], 4)
             shapes = [shape for shape, _ in
                       _outcomes(line, orders, include_pending)]
             assert all(shape == shapes[0] for shape in shapes), seed
             compared += len(set(map(tuple, orders))) - 1
     assert compared > 300
+
+
+def _groups(line, eligible) -> list[set[str]]:
+    """The eligible states in groups, two groups merged whenever a
+    transition has an end in a subtree of each."""
+    idx = MachineIndex(line.sc)
+    groups = [{n} for n in sorted(eligible)]
+    home = {s: n for n in eligible for s in (n, *idx.descendants(n))}
+    for t in idx.transitions.values():
+        ends = {home.get(t.source), home.get(t.target)} - {None}
+        if len(ends) == 2:
+            merged = set().union(*(g for g in groups if g & ends))
+            groups = [g for g in groups if not g & ends] + [merged]
+    return groups
+
+
+@pytest.mark.parametrize("include_pending", [False, True])
+def test_confluence_orders_with_one_projection_per_group_end_alike(
+        include_pending):
+    # check_confluence runs one order per projection onto each group of
+    # interacting layer-2 states when the reference outcome is a tree;
+    # that is sound only if interleaving the groups never changes it.
+    lines = ([(seed, {}) for seed in range(300)] + DIVERGENT_LINES
+             + [(seed, LARGE_BAND) for seed in range(1_500_000, 1_500_100)])
+    compared = 0
+    for seed, generator in lines:
+        line = generate_random_product_line(seed, **generator)
+        doomed = nsc(line.fm, line.conf, line.sc, line.imp)
+        eligible = _eligible(line, doomed)
+        groups = _groups(line, eligible)
+        if len(groups) < 2:
+            continue  # every order of the eligible states is a projection
+        rng = random.Random(seed)
+        base = rng.sample(sorted(doomed), len(doomed))
+        projections = [[n for n in base if n in g] for g in groups]
+        orders = [base] + _orders_projecting_to(rng, base, projections, 6)
+        shapes = [shape for shape, _ in
+                  _outcomes(line, orders, include_pending)]
+        if isinstance(shapes[0], str):
+            continue  # an error reference keys orders by all of layer 2
+        assert all(shape == shapes[0] for shape in shapes), seed
+        layer_two = [[n for n in order if n in eligible] for order in orders]
+        compared += sum(p != layer_two[0] for p in layer_two[1:])
+    assert compared > 300
+
+
+def _name_clash_line():
+    """Root A -> Z -> B by e and x, and a user transition comp(e,x) from Y
+    to B; Y and Z are doomed and share no transition.  Deleting Y first
+    drops comp(e,x) before Z composes e with x; deleting Z first composes
+    a second comp(e,x), which clashes."""
+    sc = StateChart(OrState(
+        "Root", (SimpleState("A"), SimpleState("Y", True),
+                 SimpleState("Z", True), SimpleState("B")), "A",
+        (Transition("e", "A", "Z", ("e",)),
+         Transition("x", "Z", "B", ("x",)),
+         Transition("comp(e,x)", "Y", "B", ("y",)))))
+    fm, conf, imp = line_for(sc, {"Y", "Z"})
+    return fm, conf, sc, imp
+
+
+def _error_reference_line():
+    """The crossing line plus And-state W with regions W1 and optional W2
+    and W3.  E, W2 and W3 are doomed and share no transition: deleting E
+    first fails on the crossing, deleting W2 and W3 first fails on W's
+    last two regions."""
+    w = AndState("W", (
+        OrState("W1", (SimpleState("w1"),), "w1"),
+        OrState("W2", (SimpleState("w2"),), "w2", optional=True),
+        OrState("W3", (SimpleState("w3"),), "w3", optional=True)))
+    sc = _crossing_line(states=(w,))
+    fm, conf, imp = line_for(sc, {"E", "W2", "W3"})
+    return fm, conf, sc, imp
+
+
+@pytest.mark.parametrize("build, orders, codes", [
+    (_name_clash_line, [("Y", "Z"), ("Z", "Y")], [None, "E_REWRITE"]),
+    (_error_reference_line, [("E", "W2", "W3"), ("W2", "W3", "E")],
+     ["E_REWRITE", "E_EMPTY_COMPOSITE"]),
+])
+def test_confluence_keys_order_dependent_lines_by_all_of_layer_two(
+        build, orders, codes):
+    # Their doomed states share no transition, yet the order matters: a
+    # composition's name clash, or which error surfaces first.  Both
+    # lines fall back to the whole layer-2 projection as the key.
+    line = build()
+    assert validate_inputs(*line) == []
+    for order, code in zip(orders, codes):
+        try:
+            instantiate(*line, order=order)
+            got = None
+        except ScplError as exc:
+            got = exc.code
+        assert got == code
+    report = _parity(line, exhaustive=True)
+    assert not report.confluent
+
+
+def test_paper_literal_changes_the_machine_alike_in_every_order():
+    # Only the pending p leads from O's initial X to Y, where out leaves:
+    # the literal reading composes in with out across O, the default
+    # does not, and each reading gives one machine in every order.
+    o = OrState("O", (SimpleState("X"), SimpleState("Y")), "X",
+                (Transition("p", "X", "Y", ("p",), optional=True),),
+                optional=True)
+    sc = StateChart(OrState(
+        "Root", (SimpleState("A"), o, SimpleState("B")), "A",
+        (Transition("in", "A", "O", ("i",)),
+         Transition("out", "Y", "B", ("o",)))))
+    fm, conf, imp = line_for(sc, {"O", "p"})
+    for include_pending in (False, True):
+        result = instantiate(fm, conf, sc, imp,
+                             include_pending=include_pending)
+        names = set(MachineIndex(result.statechart).transitions)
+        assert names == ({"comp(in,out)"} if include_pending else set())
+        report = _parity((fm, conf, sc, imp), exhaustive=True,
+                         include_pending=include_pending)
+        assert report.confluent and report.trials == 2
 
 
 def _parity(line, **kwargs):
