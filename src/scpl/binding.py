@@ -7,21 +7,17 @@ from __future__ import annotations
 
 from .features import kernel, nsf
 from .model import (Configuration, FeatureModel, ImpMapping, MachineIndex,
-                    StateChart, Violation, optional_elements)
+                    StateChart, Violation, optional_elements, reached)
 
 
-def expanded_elements(imp: ImpMapping, feature: str,
-                      _seen: frozenset[str] = frozenset()) -> frozenset[str]:
+def expanded_elements(imp: ImpMapping, feature: str) -> frozenset[str]:
     """Direct elements of a feature plus, transitively, the elements of the
     features its entry folds in.  Used for reporting and validation; the
     component-selection test below deliberately works on direct entries."""
-    entry = imp.get(feature)
-    if entry is None or feature in _seen:
-        return frozenset()
-    out = set(entry.elements)
-    for inc in entry.includes:
-        out |= expanded_elements(imp, inc, _seen | {feature})
-    return frozenset(out)
+    entries = imp.as_dict()
+    folded = reached(feature, {f: e.includes for f, e in entries.items()})
+    return frozenset().union(
+        *(entries[f].elements for f in folded if f in entries))
 
 
 def validate_imp(fm: FeatureModel, sc: StateChart, imp: ImpMapping) -> list[Violation]:

@@ -8,7 +8,7 @@ from itertools import combinations
 
 from .errors import TooLargeError, UnknownFeatureError
 from .model import (Configuration, FeatureModel, RelationPair, Violation,
-                    valid_name)
+                    reached, valid_name)
 
 ENUMERATION_CAP = 16
 
@@ -67,15 +67,7 @@ def validate_feature_model(fm: FeatureModel) -> list[Violation]:
 
     # Reachability from the root; with single parents this implies tree shape.
     if fm.root in fm.funcs:
-        seen = {fm.root}
-        frontier = [fm.root]
-        while frontier:
-            f = frontier.pop()
-            for c in children.get(f, ()):
-                if c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
-        for f in sorted(fm.funcs - seen):
+        for f in sorted(fm.funcs - reached(fm.root, children)):
             out.append(Violation(f, "not reachable from the root"))
     return out
 
@@ -103,7 +95,7 @@ def validate_configuration(fm: FeatureModel, conf: Configuration) -> list[Violat
         out.append(Violation(fm.root, "root feature is not selected"))
 
     rel_pairs = {(p, cs) for _, p, cs in fm.relations()}
-    flat_edges: set[tuple[str, str]] = set()
+    below: dict[str, set[str]] = {}
     for parent, kids in _in_order(conf.edges):
         if parent not in selected:
             out.append(Violation(parent, "edge parent is not selected"))
@@ -113,7 +105,7 @@ def validate_configuration(fm: FeatureModel, conf: Configuration) -> list[Violat
         if not any(p == parent and kids <= cs for p, cs in rel_pairs):
             out.append(Violation(
                 parent, f"edge to {sorted(kids)} restricts no model relation"))
-        flat_edges.update((parent, c) for c in kids)
+        below.setdefault(parent, set()).update(kids)
 
     # Condition (2): a selected parent forces its mandatory edges.
     for parent, kids in _in_order(fm.mand):
@@ -140,36 +132,24 @@ def validate_configuration(fm: FeatureModel, conf: Configuration) -> list[Violat
     # Tree shape: unique parent per selected non-root feature, and the
     # edge relation must reach every selected feature from the root.
     parents: dict[str, set[str]] = {}
-    for p, c in flat_edges:
-        parents.setdefault(c, set()).add(p)
+    for p, kids in below.items():
+        for c in kids:
+            parents.setdefault(c, set()).add(p)
     for c, ps in sorted(parents.items()):
         if len(ps) > 1:
             out.append(Violation(c, f"selected under several parents {sorted(ps)}"))
-    reached = {fm.root}
-    frontier = [fm.root]
-    while frontier:
-        f = frontier.pop()
-        for p, c in flat_edges:
-            if p == f and c not in reached:
-                reached.add(c)
-                frontier.append(c)
-    for f in sorted(selected - reached):
+    for f in sorted(selected - reached(fm.root, below)):
         out.append(Violation(f, "selected but not connected to the root"))
     return out
 
 
 def kernel(fm: FeatureModel) -> frozenset[str]:
-    """Features present in every configuration: the root plus the closure
-    of mandatory children, computed as a fixpoint."""
-    n = {fm.root}
-    changed = True
-    while changed:
-        changed = False
-        for parent, kids in fm.mand:
-            if parent in n and not kids <= n:
-                n |= kids
-                changed = True
-    return frozenset(n)
+    """Features present in every configuration: the root plus every
+    feature reached from it over mandatory edges."""
+    mandatory: dict[str, set[str]] = {}
+    for parent, kids in fm.mand:
+        mandatory.setdefault(parent, set()).update(kids)
+    return frozenset(reached(fm.root, mandatory))
 
 
 def nsf(fm: FeatureModel, conf: Configuration) -> frozenset[str]:

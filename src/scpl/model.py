@@ -18,7 +18,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Collection, Iterable, Iterator, Union
+from typing import (Collection, Hashable, Iterable, Iterator, Mapping,
+                    TypeVar, Union)
 
 # Characters with structural meaning in names: dots separate hierarchy
 # levels on input, parentheses and commas build composed-transition names.
@@ -236,6 +237,47 @@ class Violation:
         return f"{self.element}: {self.message}"
 
 
+# --- name graphs ----------------------------------------------------------
+
+_Item = TypeVar("_Item", bound=Hashable)
+
+
+def reached(start: str, successors: Mapping[str, Iterable[str]]) -> set[str]:
+    """``start`` and every name reachable from it through ``successors``,
+    which maps a name to the names it leads to."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for name in successors.get(frontier.pop(), ()):
+            if name not in seen:
+                seen.add(name)
+                frontier.append(name)
+    return seen
+
+
+def partition(items: Iterable[_Item],
+              links: Iterable[tuple[_Item, _Item]]) -> list[list[_Item]]:
+    """The classes into which joining each linked pair splits ``items``, by
+    union-find.  Each class lists its members in ``items`` order, and the
+    classes come in the order of their first members, so no result
+    follows the order of ``links``."""
+    items = list(items)
+    parent = {item: item for item in items}
+
+    def find(item: _Item) -> _Item:
+        while parent[item] != item:
+            parent[item] = parent[parent[item]]
+            item = parent[item]
+        return item
+
+    for a, b in links:
+        parent[find(a)] = find(b)
+    classes: dict[_Item, list[_Item]] = {}
+    for item in items:
+        classes.setdefault(find(item), []).append(item)
+    return list(classes.values())
+
+
 # --- machine indexing -----------------------------------------------------
 
 class MachineIndex:
@@ -325,12 +367,8 @@ class MachineIndex:
 
     def descendants(self, name: str) -> set[str]:
         """Names of all states strictly inside ``name``."""
-        out: set[str] = set()
-        stack = [name]
-        while stack:
-            for child in self.children.get(stack.pop(), ()):
-                out.add(child)
-                stack.append(child)
+        out = reached(name, self.children)
+        out.remove(name)
         return out
 
     def direct_child_within(self, ancestor: str, name: str) -> str | None:

@@ -25,11 +25,12 @@ nested in a region that is an Or-state at its region and coordinate, the
 region's direct substate holding it; a state inside any other region is
 reached with that region, so it needs no place.  An exit asks only which
 coordinates its own region reaches, so the deletion searches the regions
-one coupled component at a time -- regions are coupled only through
-in-state atoms naming each other's states, never through shared triggers
--- and costs the product of each component's coordinates, not of all
-regions'.  ``reachable_and`` still returns the full tuple set, searching
-every region as one component; ``reachable_or`` is the one-region search.
+one coupled component (``model.partition``) at a time -- regions are
+coupled only through in-state atoms naming each other's states, never
+through shared triggers -- and costs the product of each component's
+coordinates, not of all regions'.  ``reachable_and`` still returns the
+full tuple set, searching every region as one component; ``reachable_or``
+is the one-region search.
 A deletion reads names only, never the order of the machine's
 transitions: its compositions are owned, checked and added in name order.
 
@@ -57,7 +58,7 @@ from .errors import (EmptyCompositeError, IsInitialError, NoInitialError,
                      NotSubstateError, OptionalComposeError, RewriteError)
 from .model import (AndState, Condition, InState, MachineIndex, OrState,
                     SimpleState, StateChart, TraceStep, Transition,
-                    comp_parts)
+                    comp_parts, partition, reached)
 
 
 @dataclass
@@ -169,44 +170,27 @@ def _tuple_search(region_indices: Sequence[int], start: tuple[str, ...],
 
 
 def _components(moves: list[list[Move]]) -> list[list[int]]:
-    """Regions partitioned by union-find: a region joins every region its
-    moves require a coordinate of.  Whether a move is enabled depends on its
-    own region's coordinate and its requirements alone, and a trigger fires
-    every region that has an enabled move for it, whatever the other
-    regions do; so shared triggers couple nothing, and each component's
-    reachable tuples are the projections of the whole And-state's."""
-    parent = list(range(len(moves)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, rt in enumerate(moves):
-        for _, _, needs, _ in rt:
-            for j, _ in needs:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(moves)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    """Regions partitioned (``model.partition``): a region joins every
+    region its moves require a coordinate of.  Whether a move is enabled
+    depends on its own region's coordinate and its requirements alone, and
+    a trigger fires every region that has an enabled move for it, whatever
+    the other regions do; so shared triggers couple nothing, and each
+    component's reachable tuples are the projections of the whole
+    And-state's."""
+    return partition(range(len(moves)),
+                     ((i, j) for i, rt in enumerate(moves)
+                      for _, _, needs, _ in rt for j, _ in needs))
 
 
 def _projections(components: list[list[int]], moves: list[list[Move]],
-                 start: tuple[str, ...], searched: dict) -> list[set[str]]:
+                 start: tuple[str, ...]) -> list[set[str]]:
     """Per region, the coordinates that tuples reachable from ``start``
-    take there, searching one component at a time.  ``searched`` caches a
-    component's projections by its part of the start tuple."""
+    take there, searching one component at a time."""
     reach: list[set[str]] = [set() for _ in start]
-    for c, regions in enumerate(components):
-        key = (c, tuple(start[j] for j in regions))
-        if key not in searched:
-            found = _tuple_search(regions, key[1], moves)
-            searched[key] = [{tup[p] for tup in found}
-                             for p in range(len(regions))]
-        for j, coords in zip(regions, searched[key]):
-            reach[j] = coords
+    for regions in components:
+        found = _tuple_search(regions, tuple(start[j] for j in regions), moves)
+        for p, j in enumerate(regions):
+            reach[j] = {tup[p] for tup in found}
     return reach
 
 
@@ -323,7 +307,7 @@ class WorkingTree(MachineIndex):
             if region in self.initial:
                 for node in self.children[region]:
                     where.update(dict.fromkeys(
-                        (node, *self.descendants(node)), (j, node)))
+                        reached(node, self.children), (j, node)))
         coupling = where if isinstance(st, AndState) else {}
         moves: list[list[Move]] = []
         for j, region in enumerate(regions):
@@ -353,7 +337,7 @@ class WorkingTree(MachineIndex):
         if kind is not None and not isinstance(st, kind):
             _, error, what = _DELETION[kind]
             raise error(f"{elem!r} is not {what}")
-        doomed = {elem} | self.descendants(elem)
+        doomed = reached(elem, self.children)
         touching = {n for s in doomed for n in self.adjacent.get(s, ())}
         # On an unvalidated machine a transition owned inside the subtree
         # may have both ends outside it; it goes with its owner.
@@ -446,7 +430,6 @@ class WorkingTree(MachineIndex):
             return []
         regions, where, moves = self._region_moves(elem, blocked)
         components = _components(moves)
-        searched: dict = {}
         default = [self.initial.get(r, r) for r in regions]
         leaving = [replace(ts, source=elem) for ts in exits]
         out: list[Transition] = []
@@ -455,7 +438,7 @@ class WorkingTree(MachineIndex):
             if te.target in where:
                 j, node = where[te.target]
                 start[j] = node
-            reach = _projections(components, moves, tuple(start), searched)
+            reach = _projections(components, moves, tuple(start))
             entering = replace(te, target=elem)
             for ts, leave in zip(exits, leaving):
                 at = where.get(ts.source)

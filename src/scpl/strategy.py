@@ -26,8 +26,8 @@ from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
                     History, ImpEntry, ImpMapping, InState, MachineIndex,
                     OrState, RewriteTrace, SimpleState, State, StateChart,
                     TraceStep, Transition, Violation, comp_parts,
-                    optional_elements, touched_violations,
-                    well_formed_violations)
+                    optional_elements, partition, reached,
+                    touched_violations, well_formed_violations)
 from .rewrite import PendingSet, WorkingTree
 
 
@@ -266,14 +266,8 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
         total = factorial(len(base))
         orders = permutations(base)
     else:
-        rng = random.Random(seed)
-        sampled = [base]
-        for _ in range(trials - 1):
-            shuffled = list(base)
-            rng.shuffle(shuffled)
-            sampled.append(tuple(shuffled))
-        total = len(sampled)
-        orders = iter(sampled)
+        total = trials
+        orders = _sampled_orders(base, trials, seed)
 
     first = next(orders)
     try:
@@ -326,34 +320,32 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
                             nsc_size=len(base))
 
 
+def _sampled_orders(base: tuple[str, ...], trials: int, seed: int):
+    """``base``, then ``trials - 1`` shuffles of it drawn from one
+    ``random.Random(seed)``, each drawn only when asked for."""
+    yield base
+    rng = random.Random(seed)
+    for _ in range(trials - 1):
+        shuffled = list(base)
+        rng.shuffle(shuffled)
+        yield tuple(shuffled)
+
+
 def _interacting_groups(tree: WorkingTree,
                         eligible: Sequence[str]) -> list[list[str]]:
-    """The layer-2 states partitioned by union-find: two states join when
-    one transition of ``tree`` has an end in each of their subtrees.  On
-    validated input a transition owned inside a subtree has both ends in
-    it, so the transitions adjacent to the subtrees are all that count.
-    Each group lists its states in ``eligible`` order."""
+    """The layer-2 states partitioned (``model.partition``): two states
+    join when one transition of ``tree`` has an end in each of their
+    subtrees.  On validated input a transition owned inside a subtree has
+    both ends in it, so the transitions adjacent to the subtrees are all
+    that count.  Each group lists its states in ``eligible`` order."""
     home: dict[str, str] = {}
     for name in eligible:
-        home.update(dict.fromkeys((name, *tree.descendants(name)), name))
-    parent = {name: name for name in eligible}
-
-    def find(name: str) -> str:
-        while parent[name] != name:
-            parent[name] = parent[parent[name]]
-            name = parent[name]
-        return name
-
+        home.update(dict.fromkeys(reached(name, tree.children), name))
     transitions = tree.transitions
-    for state in home:
-        for t in map(transitions.__getitem__, tree.adjacent.get(state, ())):
-            a, b = home.get(t.source), home.get(t.target)
-            if a is not None and b is not None:
-                parent[find(a)] = find(b)
-    groups: dict[str, list[str]] = {}
-    for name in eligible:
-        groups.setdefault(find(name), []).append(name)
-    return list(groups.values())
+    return partition(eligible, (
+        (home[t.source], home[t.target]) for state in home
+        for t in map(transitions.__getitem__, tree.adjacent.get(state, ()))
+        if t.source in home and t.target in home))
 
 
 def _shape(outcome):

@@ -4,10 +4,11 @@ from importlib import resources
 
 import pytest
 
+from conftest import line_for
 from scpl import cli
 from scpl.cli import main
 from scpl.formats import serialize_configuration, serialize_product_line
-from scpl.model import StateChart
+from scpl.model import OrState, SimpleState, StateChart
 from scpl.strategy import (check_confluence, generate_random_product_line,
                            validate_inputs)
 
@@ -200,6 +201,72 @@ def test_fuzz_reports_an_invalid_seed_at_the_validate_stage(monkeypatch,
     assert main(["fuzz", "--json", "--seed", "7", "--count", "1"]) == 1
     assert json.loads(capsys.readouterr().out)["failures"] == [
         {"seed": 7, "stage": "validate", "detail": expected}]
+
+
+@pytest.mark.parametrize("case, code, prefix", [
+    pytest.param("faulty", 1, "invalid input: ", id="invalid-input"),
+    pytest.param("stuck", 3, "rewrite error: ", id="rewrite-error"),
+    pytest.param("unknown-feature", 1, "error: unknown feature(s): Ghost",
+                 id="other-scpl-error"),
+    pytest.param("missing", 2, "error: ", id="missing-file"),
+])
+def test_exit_code_and_message_per_error_kind(case, code, prefix, paths,
+                                              tmp_path, capsys):
+    out = str(tmp_path / "out.json")
+    if case == "faulty":
+        line = tmp_path / "faulty.pl.json"
+        line.write_text(_FAULTY_LINE, encoding="utf-8")
+        conf = tmp_path / "faulty.conf.json"
+        conf.write_text('{"selected": ["F"]}', encoding="utf-8")
+        argv = ["instantiate", str(line), str(conf), "-o", out]
+    elif case == "stuck":
+        # A valid line whose doomed initial substate A has no transition
+        # to a survivor.
+        sc = StateChart(OrState(
+            "Root", (SimpleState("A", optional=True), SimpleState("B")), "A"))
+        fm, conf, imp = line_for(sc, {"A"})
+        line, cf = tmp_path / "line.pl.json", tmp_path / "line.conf.json"
+        line.write_text(serialize_product_line(fm, sc, imp), encoding="utf-8")
+        cf.write_text(serialize_configuration(conf), encoding="utf-8")
+        argv = ["instantiate", str(line), str(cf), "-o", out]
+    elif case == "unknown-feature":
+        conf = json.loads(open(paths["mp-no-poly.conf.json"]).read())
+        conf["selected"].append("Ghost")
+        ghost = tmp_path / "ghost.conf.json"
+        ghost.write_text(json.dumps(conf), encoding="utf-8")
+        argv = ["config-check", paths["mp.pl.json"], str(ghost)]
+    else:
+        argv = ["validate", str(tmp_path / "missing.pl.json")]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(prefix)
+
+
+@pytest.mark.parametrize("stage", ["instantiate", "confluence"])
+def test_fuzz_reports_a_failing_seed_at_its_stage(stage, monkeypatch,
+                                                   capsys):
+    if stage == "instantiate":
+        # check_confluence folds a rewrite error into the outcome it
+        # compares, so only a non-validation error escapes it: here, a
+        # configuration naming a feature the model lacks.
+        line = generate_random_product_line(3)
+        line = line._replace(conf=replace(
+            line.conf, selected=line.conf.selected | {"Ghost"}))
+        detail = ["unknown feature(s): Ghost"]
+    else:
+        # A line on which some orders give different machines.
+        line = generate_random_product_line(
+            5697, max_depth=2, max_substates=4, max_features=6)
+        report = check_confluence(*line, trials=20, seed=7)
+        assert not report.confluent
+        detail = list(report.divergent_outcomes)
+    monkeypatch.setattr(cli, "generate_random_product_line",
+                        lambda seed: line)
+    assert main(["fuzz", "--json", "--seed", "7", "--count", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        {"seed": 7, "stage": stage, "detail": detail}]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -9,8 +9,8 @@ from generators import inject_faults, inject_transition_faults
 from oracles import reference_well_formed
 from scpl.model import (AndState, Condition, Guard, InState, MachineIndex,
                         OrState, SimpleState, StateChart, Transition,
-                        canonicalize, check_well_formed, valid_name,
-                        valid_transition_name, var_elems)
+                        canonicalize, check_well_formed, partition, reached,
+                        valid_name, valid_transition_name, var_elems)
 from scpl.rewrite import WorkingTree
 from scpl.strategy import generate_random_product_line
 
@@ -94,6 +94,16 @@ def test_index_hierarchy_queries():
     assert idx.descendants("Par") == {"R1", "R2", "P", "Q", "U"}
     assert idx.direct_child_within("Root", "Y") == "Inner"
     assert idx.direct_child_within("Root", "Root") is None
+
+
+def test_name_graph_helpers():
+    successors = {"a": ["b"], "b": ["c", "a"], "d": ["a"]}
+    assert reached("a", successors) == {"a", "b", "c"}
+    assert reached("x", successors) == {"x"}
+    # The classes do not depend on the order of the links.
+    links = [(5, 2), (4, 1), (2, 0)]
+    for order in (links, links[::-1]):
+        assert partition(range(6), order) == [[0, 2, 5], [1, 4], [3]]
 
 
 def test_index_transition_ownership():

@@ -178,6 +178,28 @@ def test_delete_simple_state_guards():
         delete_simple_state("E", StateChart(root3), PendingSet({"E"}))
 
 
+@pytest.mark.parametrize("rule, elem, error, message", [
+    (delete_simple_state, "O", NotSimpleError, "'O' is not a simple state"),
+    (delete_and_state, "E", NotAndError, "'E' is not an And-state"),
+    (delete_or_state, "P", RewriteError, "'P' is not an Or-state"),
+])
+def test_each_deletion_rule_refuses_a_state_of_another_kind(rule, elem, error,
+                                                            message):
+    # Each state is optional, pending and deletable by its own kind's rule.
+    par = AndState("P", (OrState("R1", (SimpleState("P1"),), "P1"),
+                         OrState("R2", (SimpleState("P2"),), "P2")),
+                   optional=True)
+    root = OrState("Root", (
+        SimpleState("A"), SimpleState("E", optional=True),
+        OrState("O", (SimpleState("X"),), "X", optional=True), par), "A")
+    pending = PendingSet({elem})
+    with pytest.raises(RewriteError) as caught:
+        rule(elem, StateChart(root), pending)
+    assert type(caught.value) is error
+    assert caught.value.message == message
+    assert pending.remaining == {elem}
+
+
 def test_delete_root_is_refused():
     root = OrState("Root", (SimpleState("A"),), "A", optional=True)
     with pytest.raises(EmptyCompositeError):

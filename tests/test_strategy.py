@@ -254,6 +254,30 @@ def test_confluence_runs_only_orders_of_interacting_deletions(
     assert calls[0] == runs
 
 
+@pytest.mark.parametrize("transitions, shuffles", [
+    ((), 0),
+    ((Transition("s01", "S0", "S1", ("a",)),
+      Transition("s12", "S1", "S2", ("b",))), 9),
+])
+def test_confluence_shuffles_only_the_orders_it_reads(
+        monkeypatch, transitions, shuffles):
+    # With no group of two interacting states the check returns right
+    # after the reference and draws no shuffle; chained, the three states
+    # form one group and every one of the ten orders is read.
+    line = _line_dooming(3, *transitions)
+    expected = reference_confluence(*line, trials=10, seed=11)
+    calls = [0]
+    shuffle = random.Random.shuffle
+
+    def counted(self, x):
+        calls[0] += 1
+        return shuffle(self, x)
+
+    monkeypatch.setattr(random.Random, "shuffle", counted)
+    assert check_confluence(*line, trials=10, seed=11) == expected
+    assert calls[0] == shuffles
+
+
 def _two_states(*triggers: str) -> StateChart:
     """Root holds A and B, with one transition A -> B per trigger."""
     return StateChart(OrState(
