@@ -95,11 +95,51 @@ def _rewrite(tree: WorkingTree, doomed: frozenset[str],
              validated: bool) -> RewriteTrace:
     """The four layers on a fresh working tree, which they leave edited,
     then the post-check: over the edits alone when the input was
-    ``validated``, else whole.  ``check_confluence`` calls the two halves
-    apart."""
+    ``validated``, else whole."""
     key = _order_key(order)
-    return _later_layers(tree, _layer_one(tree, doomed, key), key,
-                         include_pending, validated=validated)
+    pending = PendingSet(set(doomed))
+    pending_states = sorted((n for n in doomed if n in tree.states), key=key)
+    # Safety net for the termination argument: every recorded step must
+    # consume budget, and the budget is linear in the machine.
+    budget = len(doomed) + len(tree.states) + len(pending_states) + 2
+    steps: list[TraceStep] = []
+
+    # Layer 1a: prune in-state atoms about every doomed state, one step per
+    # state whose subtree an atom named (first such state in key order).
+    # The edits are the same under every key.
+    for name in tree.prune_conditions(pending_states):
+        _record(steps, budget, TraceStep("prune_conditions", name,
+                                         detail="in-state atoms removed"))
+
+    # Layer 1b: repair initial markers of surviving composites whose
+    # initial substate is doomed, walking each chain to a survivor.
+    # Repairs leave every other composite's candidacy as it was.
+    eligible = _eligible(tree, doomed)
+    for name in sorted(name for name, init in tree.initial.items()
+                       if init in eligible):
+        _record(steps, budget, tree.repair_initial(name, pending))
+
+    # Layer 2: state deletions, in key order.
+    for name in sorted(eligible, key=key):
+        _record(steps, budget, tree.delete_state(
+            name, pending, include_pending=include_pending))
+
+    # Layer 3: remaining pending elements are transitions.
+    for name in sorted(pending.remaining, key=key):
+        _record(steps, budget, tree.delete_transition(name, pending))
+
+    # Layer 4: the optional-flag sweep, applied once.
+    _record(steps, budget, tree.finalize_optionals())
+
+    # On validated input every deleted state sat in a subtree whose atoms
+    # layer 1 pruned, so only the reshaped composites and the added
+    # transitions can break what validation established.
+    leftovers = (touched_violations(tree, tree.reshaped, tree.added)
+                 if validated else well_formed_violations(tree))
+    if leftovers or any(optional_elements(tree)):
+        raise RewriteError(
+            f"instantiation produced an inconsistent machine: {leftovers}")
+    return RewriteTrace(tuple(steps))
 
 
 def _order_key(order: Sequence[str] | None):
@@ -111,81 +151,15 @@ def _order_key(order: Sequence[str] | None):
     return lambda name: (rank.get(name, len(rank)), name)
 
 
-class _LayerOne(NamedTuple):
-    """What layer 1 leaves for the later layers: the elements still
-    pending, the states layer 2 deletes (in key order), the steps so far
-    and the rule-application budget."""
-    pending: PendingSet
-    eligible: tuple[str, ...]
-    steps: tuple[TraceStep, ...]
-    budget: int
-
-
-def _layer_one(tree: WorkingTree, doomed: frozenset[str], key) -> _LayerOne:
-    """Layer 1 on a fresh working tree, which it leaves edited.  The edits
-    are the same under every key: pruning removes every atom about a
-    doomed subtree and repairs run in name order; the key decides only
-    which state each pruning step is credited to."""
-    pending = PendingSet(set(doomed))
-    pending_states = sorted((n for n in pending.remaining if n in tree.states),
-                            key=key)
-    # Safety net for the termination argument: every recorded step must
-    # consume budget, and the budget is linear in the machine.
-    budget = len(doomed) + len(tree.states) + len(pending_states) + 2
-    steps: list[TraceStep] = []
-
-    # Layer 1a: prune in-state atoms about every doomed state, one step per
-    # state whose subtree an atom named (first such state in key order).
-    for name in tree.prune_conditions(pending_states):
-        _record(steps, budget, TraceStep("prune_conditions", name,
-                                         detail="in-state atoms removed"))
-
-    # Layer 1b: repair initial markers of surviving composites whose
-    # initial substate is doomed, walking each chain to a survivor.
-    # Repairs leave every other composite's candidacy as it was.
-    for name in sorted(
-            name for name, init in tree.initial.items()
-            if init in pending and name not in pending
-            and not any(a in pending for a in tree.ancestors(name))):
-        _record(steps, budget, tree.repair_initial(name, pending))
-
-    # Layer 2's states: elements nested inside a doomed composite are
-    # swallowed by the composite's own deletion.  A deletion changes no
-    # other pending state's ancestors, so the eligible set is fixed here.
-    eligible = tuple(n for n in pending_states
-                     if not any(a in pending for a in tree.ancestors(n)))
-    return _LayerOne(pending, eligible, tuple(steps), budget)
-
-
-def _later_layers(tree: WorkingTree, start: _LayerOne, key,
-                  include_pending: bool, *, validated: bool) -> RewriteTrace:
-    """Layers 2-4 on a tree as layer 1 left it (``start``, which stays as
-    it was), then the post-check: over the edits alone when the input was
-    ``validated``, else whole."""
-    pending = PendingSet(set(start.pending.remaining))
-    steps = list(start.steps)
-
-    # Layer 2: state deletions, in key order.
-    for name in sorted(start.eligible, key=key):
-        _record(steps, start.budget, tree.delete_state(
-            name, pending, include_pending=include_pending))
-
-    # Layer 3: remaining pending elements are transitions.
-    for name in sorted(pending.remaining, key=key):
-        _record(steps, start.budget, tree.delete_transition(name, pending))
-
-    # Layer 4: the optional-flag sweep, applied once.
-    _record(steps, start.budget, tree.finalize_optionals())
-
-    # On validated input every deleted state sat in a subtree whose atoms
-    # layer 1 pruned, so only the reshaped composites and the added
-    # transitions can break what validation established.
-    leftovers = (touched_violations(tree, tree.reshaped, tree.added)
-                 if validated else well_formed_violations(tree))
-    if leftovers or any(optional_elements(tree)):
-        raise RewriteError(
-            f"instantiation produced an inconsistent machine: {leftovers}")
-    return RewriteTrace(tuple(steps))
+def _eligible(tree: WorkingTree, doomed: frozenset[str]) -> set[str]:
+    """The states layer 2 deletes: doomed states that no doomed composite
+    holds, since a composite's deletion swallows what it holds.  Layer 1
+    moves no state and a deletion changes no other doomed state's
+    ancestors, so the set is fixed from the input on.  A surviving
+    composite's initial substate is in it exactly when layer 1 repairs
+    that composite."""
+    return {n for n in doomed if n in tree.states
+            and not any(a in doomed for a in tree.ancestors(n))}
 
 
 def _record(steps: list[TraceStep], budget: int, step: TraceStep) -> None:
@@ -216,37 +190,39 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
     raises TooLargeError when NSC holds more than EXHAUSTIVE_CAP elements;
     otherwise ``trials`` below 1 is refused with InvalidInputError.
 
-    The inputs are indexed and validated once, into one working tree, and
-    layer 1 runs once on it: its edits are the same under every order,
-    which decides only the trace credit of pruning steps.  Each order then
-    runs layers 2-4 on its own copy of that tree, which it checks over its
-    edits alone and compares by its maps (``_shape``), never frozen.
+    The inputs are indexed and validated once, into one working tree.
+    Each order runs all four layers (``_rewrite``) on its own copy of that
+    tree, which it checks over its edits alone and compares by its maps
+    (``_shape``), never frozen; a failure in any layer is compared like
+    any other outcome.
 
     An order's outcome depends only on its layer-2 projection, the order
-    restricted to the states eligible for layer 2: eligibility is fixed
-    before layer 2, layer 3 only drops distinct transitions and never
-    raises, so any order of it ends alike, and layer 4 and the post-check
-    read only the final tree.  Finer still, when the reference outcome
-    is a tree it depends only on the projection onto each group of
-    interacting eligible states (``_interacting_groups``: two join when
-    one transition touches both subtrees).  A deletion drops and composes
-    only transitions touching its own subtree, so each composition joins
-    ends of its own group's transitions and the groups stay apart; the
-    blocked names, reachability and owner it reads are its own group's;
-    an Or-parent keeps its surviving initial substate, and an And-parent,
-    which composes nothing, keeps at least the regions the reference
-    kept.  Two fallbacks key orders by the whole projection: an error
-    reference, since the interleaving decides which group's error comes
-    first, and an input transition named comp(...), since a composition
-    may clash with it or not by whether another group dropped it first.
-    An order whose key has already run is skipped: that earlier outcome
-    agreed with the reference, or the check would have returned; when no
-    group holds two states every order has the reference's key, and the
-    check returns after the reference.  ``trials`` still counts every
-    order, and ``divergent_orders`` pairs the first order with the first
-    divergent one in iteration order.  ``divergent_outcomes`` gives, per
-    outcome, the first few elements and fields on which the two differ
-    with that outcome's values."""
+    restricted to the states eligible for layer 2 (``_eligible``, read off
+    the unedited tree): layer 1 edits alike under every order, which
+    decides only the trace credit of pruning steps, layer 3 only drops
+    distinct transitions and never raises, so any order of it ends alike,
+    and layer 4 and the post-check read only the final tree.  Finer still,
+    when the reference outcome is a tree it depends only on the projection
+    onto each group of interacting eligible states
+    (``_interacting_groups``: two join when one transition touches both
+    subtrees).  A deletion drops and composes only transitions touching its
+    own subtree, so each composition joins ends of its own group's
+    transitions and the groups stay apart; the blocked names, reachability
+    and owner it reads are its own group's; an Or-parent keeps its
+    surviving initial substate, and an And-parent, which composes nothing,
+    keeps at least the regions the reference kept.  Two fallbacks key
+    orders by the whole projection: an error reference, since the
+    interleaving decides which group's error comes first, and an input
+    transition named comp(...), since a composition may clash with it or
+    not by whether another group dropped it first.  An order whose key has
+    already run is skipped: that earlier outcome agreed with the reference,
+    or the check would have returned; when no group holds two states every
+    order has the reference's key, and the check returns after the
+    reference.  ``trials`` still counts every order, and
+    ``divergent_orders`` pairs the first order with the first divergent one
+    in iteration order.  ``divergent_outcomes`` gives, per outcome, the
+    first few elements and fields on which the two differ with that
+    outcome's values."""
     if not exhaustive and trials < 1:
         raise InvalidInputError(
             [Violation("trials", f"must be at least 1, got {trials}")])
@@ -269,35 +245,30 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
         total = trials
         orders = _sampled_orders(base, trials, seed)
 
-    first = next(orders)
-    try:
-        start = _layer_one(tree, doomed, _order_key(first))
-    except ScplError:
-        # Layer 1 edits alike under every order, so every order fails alike.
-        return ConfluenceReport(confluent=True, trials=total,
-                                nsc_size=len(base))
+    agreed = ConfluenceReport(confluent=True, trials=total,
+                              nsc_size=len(base))
 
     def outcome(order):
         copy = tree.copy()
         try:
-            _later_layers(copy, start, _order_key(order), include_pending,
-                          validated=True)
+            _rewrite(copy, doomed, order, include_pending, validated=True)
             return copy
         except ScplError as exc:
             return f"error:{exc.code}"
 
+    first = next(orders)
     reference = outcome(first)
+    eligible = sorted(_eligible(tree, doomed))
     if isinstance(reference, str) or any(
             comp_parts(name) != (name,) for name in tree.transitions):
-        groups = [list(start.eligible)]
+        groups = [eligible]
     else:
-        groups = _interacting_groups(tree, start.eligible)
+        groups = _interacting_groups(tree, eligible)
     group_of = {n: i for i, group in enumerate(groups) if len(group) > 1
                 for n in group}
     if not group_of:
         # No group can be ordered two ways: every order has one key.
-        return ConfluenceReport(confluent=True, trials=total,
-                                nsc_size=len(base))
+        return agreed
 
     def key(order):
         # Each group's projection, the groups one after another.
@@ -312,12 +283,10 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
         ran.add(projection)
         got = outcome(order)
         if _shape(got) != _shape(reference):
-            return ConfluenceReport(
-                confluent=False, trials=total, nsc_size=len(base),
-                divergent_orders=(first, order),
-                divergent_outcomes=_diff(reference, got))
-    return ConfluenceReport(confluent=True, trials=total,
-                            nsc_size=len(base))
+            return replace(agreed, confluent=False,
+                           divergent_orders=(first, order),
+                           divergent_outcomes=_diff(reference, got))
+    return agreed
 
 
 def _sampled_orders(base: tuple[str, ...], trials: int, seed: int):

@@ -7,9 +7,11 @@ import pytest
 from conftest import line_for
 from scpl import cli
 from scpl.cli import main
+from scpl.errors import NoInitialError
 from scpl.formats import serialize_configuration, serialize_product_line
 from scpl.model import OrState, SimpleState, StateChart
-from scpl.strategy import (check_confluence, generate_random_product_line,
+from scpl.strategy import (GeneratedLine, check_confluence,
+                           generate_random_product_line, instantiate,
                            validate_inputs)
 
 DATA = resources.files("scpl.data.mobile_phone")
@@ -244,17 +246,31 @@ def test_exit_code_and_message_per_error_kind(case, code, prefix, paths,
     assert captured.err.startswith(prefix)
 
 
-@pytest.mark.parametrize("stage", ["instantiate", "confluence"])
-def test_fuzz_reports_a_failing_seed_at_its_stage(stage, monkeypatch,
+@pytest.mark.parametrize("stage, case", [
+    pytest.param("instantiate", "unknown", id="instantiate"),
+    pytest.param("instantiate", "stuck", id="stuck"),
+    pytest.param("confluence", "divergent", id="confluence"),
+])
+def test_fuzz_reports_a_failing_seed_at_its_stage(stage, case, monkeypatch,
                                                    capsys):
-    if stage == "instantiate":
-        # check_confluence folds a rewrite error into the outcome it
-        # compares, so only a non-validation error escapes it: here, a
-        # configuration naming a feature the model lacks.
+    if case == "unknown":
+        # An error that is not a validator's objection: a configuration
+        # naming a feature the model lacks.
         line = generate_random_product_line(3)
         line = line._replace(conf=replace(
             line.conf, selected=line.conf.selected | {"Ghost"}))
         detail = ["unknown feature(s): Ghost"]
+    elif case == "stuck":
+        # Every order fails in layer 1, so check_confluence finds them
+        # agreeing; the default-order instantiation reports the error.
+        sc = StateChart(OrState(
+            "Root", (SimpleState("A", True), SimpleState("B")), "A", ()))
+        fm, conf, imp = line_for(sc, {"A"})
+        line = GeneratedLine(fm, conf, sc, imp)
+        assert check_confluence(*line, trials=20, seed=7).confluent
+        with pytest.raises(NoInitialError) as caught:
+            instantiate(*line)
+        detail = [caught.value.message]
     else:
         # A line on which some orders give different machines.
         line = generate_random_product_line(

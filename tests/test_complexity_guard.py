@@ -5,9 +5,9 @@ validation reads and the rules edit, and rebuilds the machine once, never
 once per rule application; its output is checked on that tree, over the
 edits alone or, without validation, whole.  A
 confluence check indexes and validates its input once, not once per
-order, runs layer 1 once and layers 2-4 once per distinct order of the
-layer-2 state deletions, and compares the trees it edited without
-rebuilding a machine.  Parsing walks
+order, runs the four layers once per distinct order of the layer-2
+state deletions, and compares the trees it edited without rebuilding a
+machine.  Parsing walks
 the machine once and rebuilds it only to resolve a dotted path, and the
 command line builds its argument parser once per process.  None of these
 leaves a reference cycle behind.
@@ -108,7 +108,7 @@ def test_check_confluence_runs_one_order_per_layer_two_projection(
         "A", tuple(Transition(f"t{i}", "A", "B", (f"e{i}",), optional=True)
                    for i in range(4))))
     fm, conf, imp = line_for(sc, {"S", "t0", "t1", "t2", "t3"})
-    runs = _count_calls(monkeypatch, scpl.strategy, "_later_layers")
+    runs = _count_calls(monkeypatch, scpl.strategy, "_rewrite")
     report = check_confluence(fm, conf, sc, imp, exhaustive=True)
     assert report.confluent
     assert report.trials == 120

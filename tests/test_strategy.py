@@ -184,7 +184,7 @@ def test_check_confluence_refuses_fewer_than_one_trial(mp, mp_no_poly,
         raise AssertionError("trials must be checked first")
 
     monkeypatch.setattr(strategy, "input_violations", unreachable)
-    monkeypatch.setattr(strategy, "_later_layers", unreachable)
+    monkeypatch.setattr(strategy, "_rewrite", unreachable)
     fm, sc, imp = mp
     with pytest.raises(InvalidInputError) as caught:
         check_confluence(fm, mp_no_poly, sc, imp, trials=trials)
@@ -207,7 +207,7 @@ def test_exhaustive_confluence_refuses_more_than_the_cap(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("no order may run past the cap")
 
-    monkeypatch.setattr(strategy, "_later_layers", unreachable)
+    monkeypatch.setattr(strategy, "_rewrite", unreachable)
     with pytest.raises(TooLargeError, match="exhaustive cap of 8"):
         check_confluence(*_line_dooming(EXHAUSTIVE_CAP + 1), exhaustive=True)
 
@@ -222,7 +222,7 @@ def test_exhaustive_confluence_runs_every_order_at_the_cap(monkeypatch):
         calls[0] += 1
         raise RewriteError("stub")
 
-    monkeypatch.setattr(strategy, "_later_layers", failing)
+    monkeypatch.setattr(strategy, "_rewrite", failing)
     report = check_confluence(*_line_dooming(EXHAUSTIVE_CAP), exhaustive=True)
     assert report.confluent
     assert report.trials == calls[0] == 40_320
@@ -241,13 +241,13 @@ def test_confluence_runs_only_orders_of_interacting_deletions(
     line = _line_dooming(3, *transitions)
     expected = reference_confluence(*line, exhaustive=True)
     calls = [0]
-    later_layers = strategy._later_layers
+    rewrite = strategy._rewrite
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return later_layers(*args, **kwargs)
+        return rewrite(*args, **kwargs)
 
-    monkeypatch.setattr(strategy, "_later_layers", counted)
+    monkeypatch.setattr(strategy, "_rewrite", counted)
     report = check_confluence(*line, exhaustive=True)
     assert report == expected
     assert report.confluent and report.trials == 6
@@ -295,7 +295,7 @@ def test_divergent_outcomes_name_the_field_that_differs(monkeypatch):
                              "Root")
         return RewriteTrace()
 
-    monkeypatch.setattr(strategy, "_later_layers", rewrite)
+    monkeypatch.setattr(strategy, "_rewrite", rewrite)
     # The two doomed states share a transition, so they form one group and
     # both of their orders run.
     report = check_confluence(
@@ -346,6 +346,35 @@ DIVERGENT_LINES = [
     (1500787, LARGE_BAND),
     (5697, {"max_depth": 2, "max_substates": 4, "max_features": 6}),
 ]
+
+
+def test_a_doomed_detour_is_divergent_by_order():
+    # The smallest known divergent line (ROADMAP item 1): deleting Q first
+    # drops the composed self-loop comp(pq,qp) on P, while deleting P
+    # first keeps the detour as two halves that compose later.  This pins
+    # today's defect, as ``divergent == 3`` does below: the fix flips it,
+    # and CHANGES.md must say so.
+    sc = StateChart(OrState(
+        "Root", (SimpleState("A"), SimpleState("P", True),
+                 SimpleState("Q", True), SimpleState("B")), "A",
+        (Transition("a", "A", "P", ("a",)),
+         Transition("pq", "P", "Q", ("b",)),
+         Transition("qp", "Q", "P", ("c",)),
+         Transition("pb", "P", "B", ("d",)))))
+    fm, conf, imp = line_for(sc, {"P", "Q"})
+    line = (fm, conf, sc, imp)
+    composed = {
+        order: set(MachineIndex(
+            instantiate(*line, order=order).statechart).transitions)
+        for order in (("P", "Q"), ("Q", "P"))}
+    assert composed == {("P", "Q"): {"comp(a,pb)", "comp(a,pq,qp,pb)"},
+                        ("Q", "P"): {"comp(a,pb)"}}
+    report = _parity(line, exhaustive=True)
+    assert not report.confluent
+    assert report.divergent_orders == (("P", "Q"), ("Q", "P"))
+    assert report.divergent_outcomes == (
+        "transition comp(a,pq,qp,pb): present",
+        "transition comp(a,pq,qp,pb): absent")
 
 
 def test_tree_comparison_agrees_with_canonical_machines():
@@ -556,7 +585,7 @@ def test_check_confluence_reports_as_the_reference(include_pending):
     assert divergent == 3
 
 
-def test_a_layer_one_failure_is_every_orders_outcome():
+def test_a_layer_1_failure_is_every_orders_outcome(monkeypatch):
     # Both doomed states can only reach each other: repairing Root's
     # initial marker fails in layer 1, whatever the order.
     sc = StateChart(OrState(
@@ -567,7 +596,23 @@ def test_a_layer_one_failure_is_every_orders_outcome():
     fm, conf, imp = line_for(sc, {"I", "J"})
     with pytest.raises(NoInitialError):
         instantiate(fm, conf, sc, imp)
-    report = _parity((fm, conf, sc, imp), exhaustive=True)
+    # The error is the reference outcome, so orders are keyed by their
+    # whole layer-2 projection: both run, and their outcomes are compared.
+    outcomes = []
+    rewrite = strategy._rewrite
+
+    def spied(tree, doomed, order, *args, **kwargs):
+        try:
+            return rewrite(tree, doomed, order, *args, **kwargs)
+        except ScplError as exc:
+            outcomes.append((order, f"error:{exc.code}"))
+            raise
+
+    monkeypatch.setattr(strategy, "_rewrite", spied)
+    report = check_confluence(fm, conf, sc, imp, exhaustive=True)
+    assert outcomes == [(("I", "J"), "error:E_NO_INITIAL"),
+                        (("J", "I"), "error:E_NO_INITIAL")]
+    assert report == reference_confluence(fm, conf, sc, imp, exhaustive=True)
     assert report.confluent and report.trials == 2
 
 
