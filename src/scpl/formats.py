@@ -241,12 +241,10 @@ def _resolve_names(idx: MachineIndex) -> bool:
             InState(resolve(a.state, f"transition {name!r} condition"))
             if isinstance(a, InState) else a
             for a in t.cond.atoms)
-        fixed = Transition(name,
-                           resolve(t.source, f"transition {name!r} source"),
-                           resolve(t.target, f"transition {name!r} target"),
-                           t.trigger, Condition(atoms), t.actions, t.history,
-                           t.optional)
-        idx.transitions[name] = idx.owned[idx.owner[name]][name] = fixed
+        idx.transitions[name] = Transition(
+            name, resolve(t.source, f"transition {name!r} source"),
+            resolve(t.target, f"transition {name!r} target"),
+            t.trigger, Condition(atoms), t.actions, t.history, t.optional)
         changed = True
     for name, initial in idx.initial.items():
         if initial not in idx.states:

@@ -24,13 +24,12 @@ from typing import (Collection, Hashable, Iterable, Iterator, Mapping,
 # Characters with structural meaning in names: dots separate hierarchy
 # levels on input, parentheses and commas build composed-transition names.
 # ``\s`` matches exactly the characters for which ``str.isspace`` holds.
-_NAME = re.compile(r"[^\s(),.]+").fullmatch
 _RESERVED = re.compile(r"[\s(),.]").search
 
 
 def valid_name(name: str) -> bool:
     """Opaque identifier: non-empty, no whitespace, no reserved characters."""
-    return _NAME(name) is not None
+    return name != "" and _RESERVED(name) is None
 
 
 def comp_parts(name: str) -> tuple[str, ...]:
@@ -285,8 +284,9 @@ class MachineIndex:
     tree and kept in machine order.
 
     ``children`` maps each composite to its substates or regions (a dict
-    used as an ordered set), ``owned`` each Or-state to its transitions by
-    name, and ``initial`` each Or-state to its initial marker as given.
+    used as an ordered set), ``owned`` each Or-state to the names of its
+    transitions, in order, and ``initial`` each Or-state to its initial
+    marker as given.
     A repeated name is listed in ``duplicate_states`` or
     ``duplicate_transitions`` and registered at its first occurrence only,
     so ``parent`` and ``children`` always describe a tree.
@@ -304,7 +304,7 @@ class MachineIndex:
         self.initial: dict[str, str] = {}
         self.transitions: dict[str, Transition] = {}
         self.owner: dict[str, str] = {}  # transition name -> owning Or-state
-        self.owned: dict[str, dict[str, Transition]] = {}
+        self.owned: dict[str, dict[str, None]] = {}
         self.duplicate_states: list[str] = []
         self.duplicate_transitions: list[str] = []
         self._walk(sc.root, None, {})  # the root is no composite's child
@@ -330,7 +330,7 @@ class MachineIndex:
                 else:
                     self.transitions[t.name] = t
                     self.owner[t.name] = name
-                    owned[t.name] = t
+                    owned[t.name] = None
             for sub in state.substates:
                 self._walk(sub, name, kids)
         else:
@@ -345,16 +345,14 @@ class MachineIndex:
         # A method, not a nested function: a recursive closure would tie
         # the index into a reference cycle that outlives the call.
         st = self.states[name]
-        if isinstance(st, OrState):
-            return OrState(name,
-                           tuple(self._frozen(c) for c in self.children[name]),
-                           self.initial[name],
-                           tuple(self.owned[name].values()), st.optional)
+        if isinstance(st, SimpleState):
+            return st
+        kids = tuple(map(self._frozen, self.children[name]))
         if isinstance(st, AndState):
-            return AndState(name,
-                            tuple(self._frozen(c) for c in self.children[name]),
-                            st.optional)
-        return st
+            return AndState(name, kids, st.optional)
+        owned = map(self.transitions.__getitem__, self.owned[name])
+        return OrState(name, kids, self.initial[name], tuple(owned),
+                       st.optional)
 
     # -- hierarchy queries --
 
@@ -427,8 +425,9 @@ def well_formed_violations(idx: MachineIndex) -> list[Violation]:
         if name in children:
             out += _composite_violations(idx, name)
 
-    out += _transition_violations(
-        idx, [t for owned in idx.owned.values() for t in owned.values()])
+    out += _transition_violations(idx, [idx.transitions[n]
+                                        for owned in idx.owned.values()
+                                        for n in owned])
     return out
 
 

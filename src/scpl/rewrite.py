@@ -5,14 +5,13 @@ final optional-flag sweep.
 
 Each rule is implemented once, as a local edit of a ``WorkingTree``: the
 machine's ``model.MachineIndex``, whose maps (states, parents, children,
-initial markers, transitions, their owners and each Or-state's
-transitions) the rules edit in place, plus the transitions adjacent to
-each state.  Pruning and the final sweep make one pass over the
-transitions (the sweep one over the states too) and rebuild only the
-elements they change, each by its constructor; every other edit costs
-work proportional to the elements it touches, not to the machine.  A
-rule returns its delta -- removed states, removed and added transitions
--- as a ``TraceStep``.
+initial markers, transitions and their owners) the rules edit in place,
+plus the transitions adjacent to each state.  Pruning and the final
+sweep make one pass over the transitions (the sweep one over the states
+too) and rebuild only the elements they change, each by its constructor;
+every other edit costs work proportional to the elements it touches,
+not to the machine.  A rule returns its delta -- removed states, removed
+and added transitions -- as a ``TraceStep``.
 ``strategy.instantiate`` builds one working tree, runs every rule on it
 and freezes it once.
 
@@ -215,13 +214,13 @@ class WorkingTree(MachineIndex):
 
     ``states`` keeps each name's state object from the input for its kind
     and optional flag only: the shape of the machine lives in the index
-    maps (``children``, ``initial``, ``owned``), which the edits keep
-    current.  ``adjacent`` names the transitions with each state as an
-    endpoint.  ``reshaped`` records the composites that lost a child or had
-    their initial marker moved, and ``added`` the transitions the edits
-    added, in edit order: ``model.touched_violations`` checks the edited
-    machine over these alone.  No edit reads the order of the transitions:
-    a deletion finds its transitions by name in ``adjacent`` and ``owned``.
+    maps (``children``, ``initial``, ``owned``).  ``adjacent`` names the
+    transitions with each state as an endpoint.  ``reshaped`` records the
+    composites that lost a child or had their initial marker moved, and
+    ``added`` the transitions the edits added, in edit order:
+    ``model.touched_violations`` checks the edited machine over these
+    alone.  No edit reads the order of the transitions: a deletion finds
+    its transitions by name in ``adjacent`` and ``owned``.
 
     Building one costs the index walk plus one pass over the transitions,
     which fills ``adjacent``.
@@ -265,7 +264,7 @@ class WorkingTree(MachineIndex):
     def _add_transition(self, t: Transition, owner: str) -> None:
         self.transitions[t.name] = t
         self.owner[t.name] = owner
-        self.owned[owner][t.name] = t
+        self.owned[owner][t.name] = None
         self.added[t.name] = None
         self.adjacent.setdefault(t.source, set()).add(t.name)
         self.adjacent.setdefault(t.target, set()).add(t.name)
@@ -275,11 +274,6 @@ class WorkingTree(MachineIndex):
         del self.owned[self.owner.pop(name)][name]
         for end in (t.source, t.target):
             self.adjacent.get(end, set()).discard(name)
-
-    def _update_transition(self, t: Transition) -> None:
-        """Replaces a transition by a same-named one with the same ends."""
-        self.transitions[t.name] = t
-        self.owned[self.owner[t.name]][t.name] = t
 
     # -- region projection --
 
@@ -312,7 +306,8 @@ class WorkingTree(MachineIndex):
         moves: list[list[Move]] = []
         for j, region in enumerate(regions):
             rt: list[Move] = []
-            for t in self.owned.get(region, {}).values():
+            for t in map(self.transitions.__getitem__,
+                         self.owned.get(region, ())):
                 u, v = where.get(t.source), where.get(t.target)
                 if u and v and u[0] == v[0] == j and t.name not in blocked:
                     needs = tuple(coupling[a.state] for a in t.cond.atoms
@@ -474,7 +469,7 @@ class WorkingTree(MachineIndex):
         old = self.initial[parent]
         if old not in pending:
             raise RewriteError(f"initial {old!r} of {parent!r} is not pending")
-        by_name = sorted(self.owned[parent].values(), key=lambda t: t.name)
+        by_name = [self.transitions[n] for n in sorted(self.owned[parent])]
         cur, visited = old, {old}
         while cur in pending:
             cur = self._next_initial(parent, cur, by_name, pending)
@@ -539,9 +534,9 @@ class WorkingTree(MachineIndex):
                         continue
                 kept.append(atom)
             if len(kept) != len(t.cond.atoms):
-                self._update_transition(Transition(
+                self.transitions[t.name] = Transition(
                     t.name, t.source, t.target, t.trigger,
-                    Condition(tuple(kept)), t.actions, t.history, t.optional))
+                    Condition(tuple(kept)), t.actions, t.history, t.optional)
         return [names[i] for i in sorted(credited)]
 
     def delete_transition(self, elem: str, pending: PendingSet) -> TraceStep:
@@ -560,7 +555,7 @@ class WorkingTree(MachineIndex):
         transitions and one over the states; each flagged element is
         rebuilt once, with its flag cleared (``_cleared``)."""
         for t in [t for t in self.transitions.values() if t.optional]:
-            self._update_transition(_cleared(t))
+            self.transitions[t.name] = _cleared(t)
         for name, st in self.states.items():
             if st.optional:
                 self.states[name] = _cleared(st)

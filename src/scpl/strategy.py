@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields, replace
-from itertools import permutations
+from itertools import count, permutations
 from math import factorial
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .binding import imp_violations
 from .binding import nsc as compute_nsc
@@ -461,79 +461,86 @@ def _random_configuration(rng: random.Random, fm: FeatureModel) -> Configuration
 _EVENTS = ("ePress", "eTick", "eBack", "eOk")
 
 
+class _Draw(NamedTuple):
+    """What one machine draw threads through its recursion.  Module
+    functions over it, not nested closures, so no draw leaves a reference
+    cycle behind."""
+
+    rng: random.Random
+    max_depth: int
+    max_substates: int
+    state_numbers: Iterator[int]
+    transition_numbers: Iterator[int]
+    optionals: list[str]
+    all_states: list[str]
+
+
 def _random_machine(rng: random.Random, max_depth: int,
                     max_substates: int) -> tuple[StateChart, list[str]]:
-    counter = {"s": 0, "t": 0}
-    optionals: list[str] = []
-    all_states: list[str] = []
+    draw = _Draw(rng, max_depth, max_substates, count(1), count(1), [], [])
+    root = _random_or(draw, "Root", 0, register=True)
+    return StateChart(root), draw.optionals
 
-    def next_state_name() -> str:
-        counter["s"] += 1
-        return f"S{counter['s']}"
 
-    def next_transition_name() -> str:
-        counter["t"] += 1
-        return f"t{counter['t']:02d}"
+def _random_state(draw: _Draw, depth: int) -> State:
+    name = f"S{next(draw.state_numbers)}"
+    draw.all_states.append(name)
+    roll = draw.rng.random()
+    if depth < draw.max_depth and roll < 0.22:
+        return _random_or(draw, name, depth + 1)
+    if depth < draw.max_depth - 1 and roll < 0.30:
+        regions = tuple(_random_or(draw, f"S{next(draw.state_numbers)}",
+                                   depth + 2, register=True)
+                        for _ in range(draw.rng.randint(2, 3)))
+        return AndState(name, regions)
+    return SimpleState(name)
 
-    def build_state(depth: int, allow_composite: bool) -> State:
-        name = next_state_name()
+
+def _random_or(draw: _Draw, name: str, depth: int,
+               register: bool = False) -> OrState:
+    rng, all_states = draw.rng, draw.all_states
+    if register:
         all_states.append(name)
-        roll = rng.random()
-        if allow_composite and depth < max_depth and roll < 0.22:
-            return build_or(name, depth + 1)
-        if allow_composite and depth < max_depth - 1 and roll < 0.30:
-            regions = tuple(build_or(next_state_name(), depth + 2,
-                                     register=True)
-                            for _ in range(rng.randint(2, 3)))
-            return AndState(name, regions)
-        return SimpleState(name)
-
-    def build_or(name: str, depth: int, register: bool = False) -> OrState:
-        if register:
-            all_states.append(name)
-        k = rng.randint(2, max(2, max_substates))
-        subs = [build_state(depth, allow_composite=True) for _ in range(k)]
-        transitions = []
-        # Forward edges over the substate order keep cycles away from
-        # composites; simple-to-simple back edges reintroduce cycles where
-        # composition is associative.
-        for _ in range(rng.randint(k - 1, k + 2)):
-            i, j = sorted(rng.sample(range(k), 2))
-            src, tgt = subs[i], subs[j]
-            if (rng.random() < 0.3 and isinstance(src, SimpleState)
-                    and isinstance(tgt, SimpleState)):
-                src, tgt = tgt, src
-            target_name = tgt.name
-            if isinstance(tgt, OrState) and rng.random() < 0.35:
-                target_name = rng.choice(tgt.substates).name
-            cond = Condition()
-            if rng.random() < 0.15:
-                if all_states and rng.random() < 0.5:
-                    cond = Condition((InState(rng.choice(all_states)),))
-                else:
-                    cond = Condition((Guard("batteryOk"),))
-            transitions.append(Transition(
-                name=next_transition_name(),
-                source=src.name,
-                target=target_name,
-                trigger=(rng.choice(_EVENTS),),
-                cond=cond,
-                actions=("beep",) if rng.random() < 0.3 else (),
-                optional=False,
-            ))
-        # Optional flags: never the initial substate, never And-regions.
-        for i, sub in enumerate(subs):
-            if i > 0 and rng.random() < 0.35:
-                optionals.append(sub.name)
-                subs[i] = replace(sub, optional=True)
-        for i, t in enumerate(transitions):
-            if rng.random() < 0.3:
-                optionals.append(t.name)
-                transitions[i] = replace(t, optional=True)
-        return OrState(name, tuple(subs), subs[0].name, tuple(transitions))
-
-    root = build_or("Root", 0, register=True)
-    return StateChart(root), optionals
+    k = rng.randint(2, max(2, draw.max_substates))
+    subs = [_random_state(draw, depth) for _ in range(k)]
+    transitions = []
+    # Forward edges over the substate order keep cycles away from
+    # composites; simple-to-simple back edges reintroduce cycles where
+    # composition is associative.
+    for _ in range(rng.randint(k - 1, k + 2)):
+        i, j = sorted(rng.sample(range(k), 2))
+        src, tgt = subs[i], subs[j]
+        if (rng.random() < 0.3 and isinstance(src, SimpleState)
+                and isinstance(tgt, SimpleState)):
+            src, tgt = tgt, src
+        target_name = tgt.name
+        if isinstance(tgt, OrState) and rng.random() < 0.35:
+            target_name = rng.choice(tgt.substates).name
+        cond = Condition()
+        if rng.random() < 0.15:
+            if all_states and rng.random() < 0.5:
+                cond = Condition((InState(rng.choice(all_states)),))
+            else:
+                cond = Condition((Guard("batteryOk"),))
+        transitions.append(Transition(
+            name=f"t{next(draw.transition_numbers):02d}",
+            source=src.name,
+            target=target_name,
+            trigger=(rng.choice(_EVENTS),),
+            cond=cond,
+            actions=("beep",) if rng.random() < 0.3 else (),
+            optional=False,
+        ))
+    # Optional flags: never the initial substate, never And-regions.
+    for i, sub in enumerate(subs):
+        if i > 0 and rng.random() < 0.35:
+            draw.optionals.append(sub.name)
+            subs[i] = replace(sub, optional=True)
+    for i, t in enumerate(transitions):
+        if rng.random() < 0.3:
+            draw.optionals.append(t.name)
+            transitions[i] = replace(t, optional=True)
+    return OrState(name, tuple(subs), subs[0].name, tuple(transitions))
 
 
 def _random_imp(rng: random.Random, fm: FeatureModel,

@@ -9,8 +9,9 @@ order, runs the four layers once per distinct order of the layer-2
 state deletions, and compares the trees it edited without rebuilding a
 machine.  Parsing walks
 the machine once and rebuilds it only to resolve a dotted path, and the
-command line builds its argument parser once per process.  None of these
-leaves a reference cycle behind.
+command line builds its argument parser once per process.  None of these,
+nor the product-line generator that ``scpl fuzz`` runs per seed, leaves a
+reference cycle behind.
 Deleting an And-state searches each coupled component of its regions on
 its own, never the product of all regions.
 """
@@ -183,9 +184,12 @@ def test_no_reference_cycles_are_left_behind(tmp_path):
             ("instantiate", lambda: instantiate(fm, conf, sc, imp)),
             ("canonicalize", lambda: canonicalize(sc)),
             ("check_confluence", lambda: check_confluence(*line, trials=10)),
+            ("generate_random_product_line",
+             lambda: generate_random_product_line(S1K_SEED, **S1K_GENERATOR)),
             ("export_dot", lambda: export_dot(product)),
             ("cli validate", lambda: quietly(["validate", str(mp_path)])),
-            ("cli kernel", lambda: quietly(["kernel", str(mp_path)]))]
+            ("cli kernel", lambda: quietly(["kernel", str(mp_path)])),
+            ("cli fuzz", lambda: quietly(["fuzz", "--count", "3"]))]
     for _, run in runs:  # first calls may fill caches
         run()
     gc.collect()

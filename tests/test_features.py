@@ -68,6 +68,47 @@ def test_validate_feature_model_rejects_root_as_child():
                for v in validate_feature_model(fm))
 
 
+@pytest.mark.parametrize("fm, violation", [
+    (FeatureModel(frozenset({"R", "a b"}), "R",
+                  opt=frozenset({("R", frozenset({"a b"}))})),
+     "a b: invalid feature name"),
+    (FeatureModel(frozenset({"R"}), "Z"),
+     "Z: root is not a feature of the model"),
+    (FeatureModel(frozenset({"R", "A"}), "R",
+                  mand=frozenset({("Q", frozenset({"A"}))})),
+     "Q: mand parent is not a feature"),
+    (FeatureModel(frozenset({"R"}), "R",
+                  mand=frozenset({("R", frozenset({"X"}))})),
+     "X: mand child is not a feature"),
+], ids=["invalid-name", "unknown-root", "unknown-parent", "unknown-child"])
+def test_validate_feature_model_names_unknown_and_invalid_features(
+        fm, violation):
+    assert violation in [str(v) for v in validate_feature_model(fm)]
+
+
+_DIAMOND = FeatureModel(
+    frozenset({"R", "A", "B", "C"}), "R",
+    mand=frozenset({("R", frozenset({"A"})), ("R", frozenset({"B"}))}),
+    opt=frozenset({("A", frozenset({"C"})), ("B", frozenset({"C"}))}))
+
+
+@pytest.mark.parametrize("selected, edges, violation", [
+    ({"R", "A"}, {("R", frozenset({"A"})), ("B", frozenset())},
+     "B: edge parent is not selected"),
+    ({"R"}, {("R", frozenset({"A"}))},
+     "R: edge children ['A'] not selected"),
+    ({"R", "A", "B", "C"},
+     {("R", frozenset({"A"})), ("R", frozenset({"B"})),
+      ("A", frozenset({"C"})), ("B", frozenset({"C"}))},
+     "C: selected under several parents ['A', 'B']"),
+], ids=["edge-from-unselected", "edge-to-unselected", "two-parents"])
+def test_validate_configuration_names_edge_breaches(selected, edges,
+                                                    violation):
+    conf = Configuration(frozenset(selected), frozenset(edges))
+    assert violation in [str(v) for v in validate_configuration(_DIAMOND,
+                                                                conf)]
+
+
 def test_validate_configuration_unknown_feature_raises():
     fm = FeatureModel(funcs=frozenset({"R"}), root="R")
     with pytest.raises(UnknownFeatureError):

@@ -9,9 +9,9 @@ from scpl.errors import (DuplicateNameError, FormatSyntaxError,
                          InvalidInputError, UnknownReferenceError)
 from scpl.formats import (export_dot, parse_configuration, parse_product_line,
                           serialize_configuration, serialize_product_line)
-from scpl.model import (AndState, Condition, Guard, InState, OrState,
-                        SimpleState, StateChart, Transition, Violation,
-                        check_well_formed)
+from scpl.model import (AndState, Condition, Guard, History, InState,
+                        OrState, SimpleState, StateChart, Transition,
+                        Violation, check_well_formed)
 from scpl.strategy import generate_random_product_line, instantiate
 
 MINIMAL = """
@@ -108,6 +108,95 @@ def test_dotted_path_must_follow_hierarchy():
         {"name": "t", "source": "A", "target": "Top.Ghost", "trigger": ["e"]}]
     with pytest.raises(UnknownReferenceError):
         parse_product_line(json.dumps(doc))
+
+
+def _set(path, value):
+    """An edit of the MINIMAL document: ``value`` stored at the key path."""
+    def edit(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+def _drop_statechart(doc):
+    del doc["statechart"]
+
+
+_ROOT = ("statechart", "root")
+_LOOP = {"name": "t", "source": "A", "target": "A", "trigger": ["e"]}
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (_set(("feature_model",), []), FormatSyntaxError,
+     "$.feature_model: expected dict, got list"),
+    (_set(("feature_model", "mand"), [["R"]]), FormatSyntaxError,
+     "$.feature_model.mand[0]: expected [parent, children]"),
+    (_set(("feature_model", "funcs"), ["R", "F", "F"]), DuplicateNameError,
+     "duplicate feature(s): F"),
+    (_set((*_ROOT, "transitions"), [_LOOP, _LOOP]), DuplicateNameError,
+     "duplicate transition name(s): t"),
+    (_set((*_ROOT, "transitions"), [{**_LOOP, "history": "full"}]),
+     FormatSyntaxError,
+     "$.statechart.root.transitions[0].history: unknown value 'full'"),
+    (_set((*_ROOT, "substates"), [{"kind": "blob", "name": "A"}]),
+     FormatSyntaxError,
+     "$.statechart.root.substates[0].kind: expected simple/or/and, "
+     "got 'blob'"),
+    (_drop_statechart, FormatSyntaxError, "$.statechart: missing"),
+    (_set(_ROOT, {"kind": "simple", "name": "A"}), FormatSyntaxError,
+     "$.statechart.root: root must be an Or-state"),
+    (_set(_ROOT, {"kind": "or", "name": "R", "initial": "Q.A",
+                  "substates": [{"kind": "simple", "name": "A"}]}),
+     UnknownReferenceError,
+     "initial of 'R': unknown state 'Q' in path 'Q.A'"),
+], ids=["feature-model-not-a-dict", "relation-pair-of-one",
+        "duplicate-feature", "duplicate-transition", "unknown-history",
+        "unknown-kind", "no-statechart", "simple-root",
+        "initial-path-from-unknown-state"])
+def test_the_parser_names_each_malformed_part(edit, error, message):
+    doc = json.loads(MINIMAL)
+    edit(doc)
+    with pytest.raises(error) as caught:
+        parse_product_line(json.dumps(doc))
+    assert type(caught.value) is error
+    assert caught.value.message == message
+
+
+def _history_machine():
+    """Transitions with every history marker, one of them guarded, with
+    an in-state atom, and acting."""
+    inner = OrState("C", (SimpleState("D"), SimpleState("E")), "D",
+                    (Transition("u", "D", "E", ("f",),
+                                history=History.SHALLOW),))
+    return StateChart(OrState(
+        "Top", (SimpleState("A"), SimpleState("B"), inner), "A",
+        (Transition("t", "A", "B", ("e",),
+                    Condition((Guard("g ok"), InState("A"))), ("x",),
+                    History.DEEP),
+         Transition("v", "B", "C", ("e",)))))
+
+
+def test_history_markers_round_trip():
+    fm, _, imp = parse_product_line(MINIMAL)
+    sc = _history_machine()
+    assert check_well_formed(sc) == []
+    text = serialize_product_line(fm, sc, imp)
+    assert parse_product_line(text) == (fm, sc, imp)
+    assert serialize_product_line(*parse_product_line(text)) == text
+    doc = json.loads(text)["statechart"]["root"]
+    assert [t.get("history") for t in doc["transitions"]] == ["deep", None]
+    assert doc["substates"][2]["transitions"][0]["history"] == "shallow"
+
+
+def test_export_dot_draws_guards_and_in_state_atoms():
+    text = export_dot(_history_machine())
+    assert 'label="t: e [g ok & in A] / x"' in text
+    g = parse_dot(text)
+    assert [(a, b, attrs["label"]) for a, b, attrs in g.edges
+            if attrs.get("label", "").startswith("t:")] == [
+        ("A", "B", "t: e [g ok & in A] / x")]
 
 
 def test_bad_condition_atom_is_syntax_error():

@@ -150,8 +150,10 @@ def test_index_maps_match_the_state_objects(seeds, generator):
         assert [(k, list(v)) for k, v in idx.children.items()] == \
             list(children.items()), seed
         assert list(idx.initial.items()) == list(initial.items()), seed
-        assert [(k, list(v.items())) for k, v in idx.owned.items()] == \
-            list(owned.items()), seed
+        assert [(k, list(v)) for k, v in idx.owned.items()] == \
+            [(k, [n for n, _ in pairs]) for k, pairs in owned.items()], seed
+        assert all(idx.transitions[n] is t
+                   for pairs in owned.values() for n, t in pairs), seed
         assert {name: idx.descendants(name) for name in idx.states} == \
             inside, seed
         assert WorkingTree(sc).freeze() == sc, seed

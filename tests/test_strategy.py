@@ -69,6 +69,16 @@ def test_instantiate_rejects_invalid_inputs(mp, mp_no_poly):
         instantiate(fm, bad_conf, sc, imp)
 
 
+@pytest.mark.parametrize("exhaustive", [False, True],
+                         ids=["sampled", "exhaustive"])
+def test_check_confluence_rejects_invalid_inputs(mp, mp_no_poly, exhaustive):
+    fm, sc, imp = mp
+    bad_conf = Configuration(mp_no_poly.selected - {"Display"},
+                             mp_no_poly.edges)
+    with pytest.raises(InvalidInputError):
+        check_confluence(fm, bad_conf, sc, imp, exhaustive=exhaustive)
+
+
 def test_chain_composes_fully():
     root = OrState(
         "Root",
