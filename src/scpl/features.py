@@ -77,8 +77,9 @@ def validate_configuration(fm: FeatureModel, conf: Configuration) -> list[Violat
 
     Beyond the four selection conditions (root present, mandatory children
     forced, exactly one alternative, at least one of an or-group), the edge
-    set must restrict the model's relations and connect every selected
-    feature to the root as a tree.
+    set must restrict the model's relations -- an edge with no children
+    restricts none -- and connect every selected feature to the root as a
+    tree.
 
     Raises UnknownFeatureError when the configuration names a feature the
     model does not know.  Violations come in a fixed order: each group of
@@ -102,7 +103,8 @@ def validate_configuration(fm: FeatureModel, conf: Configuration) -> list[Violat
         if not kids <= selected:
             out.append(Violation(
                 parent, f"edge children {sorted(kids - selected)} not selected"))
-        if not any(p == parent and kids <= cs for p, cs in rel_pairs):
+        if not kids or not any(p == parent and kids <= cs
+                               for p, cs in rel_pairs):
             out.append(Violation(
                 parent, f"edge to {sorted(kids)} restricts no model relation"))
         below.setdefault(parent, set()).update(kids)

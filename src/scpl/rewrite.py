@@ -27,30 +27,32 @@ coordinates its own region reaches, so the deletion searches the regions
 one coupled component (``model.partition``) at a time -- regions are
 coupled only through in-state atoms naming each other's states, never
 through shared triggers -- and costs the product of each component's
-coordinates, not of all regions'.  ``reachable_and`` still returns the
-full tuple set, searching every region as one component; ``reachable_or``
-is the one-region search.
+coordinates, not of all regions'.  ``strategy.instantiate`` meets no
+coupled component, as layer 1 has pruned every in-state atom naming a
+state inside a doomed one; only ``delete_and_state`` and ``reachable_and``
+on an unpruned machine do.  ``reachable_and`` returns the full tuple set
+of one joint search; ``reachable_or`` is the one-region search.
 A deletion reads names only, never the order of the machine's
 transitions: its compositions are owned, checked and added in name order.
 
 The public rules below keep the pure machine-in, machine-out form: each
 builds a working tree from its input, applies the shared rule and freezes
-the result.  The working set of elements still slated for deletion travels
-alongside as a PendingSet; a rule shrinks it by whatever the rule actually
-removed.  Transitions that are themselves pending never grant reachability
-and never take part in a composition (unless ``include_pending`` is set,
-which reproduces the literal reading of the deletion rules: a pending
-move inside the deleted state then grants reachability, which can add
-compositions, alike in every order on validated input).  Each public
-rule turns the pair into one set of ``blocked`` names for the helpers:
-the pending set, or ``()`` under ``include_pending``.
+the result.  The elements still slated for deletion travel alongside as a
+PendingSet, a plain ``set`` that a rule shrinks by whatever it removed.
+Transitions that are themselves pending never grant reachability and never
+take part in a composition (unless ``include_pending`` is set, which
+reproduces the literal reading of the deletion rules: a pending move
+inside the deleted state then grants reachability, which can add
+compositions, alike in every order on validated input).  Each public rule
+turns the pair into one set of ``blocked`` names for the helpers: the
+pending set, or ``()`` under ``include_pending``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import (EmptyCompositeError, IsInitialError, NoInitialError,
                      NotAndError, NotOptionalError, NotSimpleError,
@@ -60,23 +62,8 @@ from .model import (AndState, Condition, InState, MachineIndex, OrState,
                     comp_parts, partition, reached)
 
 
-@dataclass
-class PendingSet:
+class PendingSet(set):
     """Elements still to be deleted; shrinks monotonically to empty."""
-
-    remaining: set[str]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.remaining
-
-    def __len__(self) -> int:
-        return len(self.remaining)
-
-    def __bool__(self) -> bool:
-        return bool(self.remaining)
-
-    def discard(self, *names: str) -> None:
-        self.remaining.difference_update(names)
 
 
 # --- transition composition ----------------------------------------------
@@ -111,7 +98,7 @@ def comp(t1: Transition, t2: Transition) -> Transition:
 
 
 def _boundary_transitions(transitions: Iterable[Transition], doomed: set[str],
-                          blocked: PendingSet | tuple):
+                          blocked: Collection[str]):
     """Usable entries into and exits out of the doomed states.  Optional
     transitions and those named in ``blocked`` (the pending set, or ``()``
     under ``include_pending``) are unusable; transitions with both ends
@@ -277,7 +264,7 @@ class WorkingTree(MachineIndex):
 
     # -- region projection --
 
-    def _region_moves(self, elem: str, blocked: PendingSet | tuple,
+    def _region_moves(self, elem: str, blocked: Collection[str],
                       ) -> tuple[list[str], dict, list[list[Move]]]:
         """A state's regions -- an And-state's children, an Or-state
         itself, none for a simple state -- with ``where``, the one map from
@@ -377,7 +364,7 @@ class WorkingTree(MachineIndex):
             self.owned.pop(name, None)
         for t, owner in zip(additions, owners):
             self._add_transition(t, owner)
-        pending.discard(*doomed, *touching)
+        pending.difference_update(doomed, touching)
         return TraceStep(
             _DELETION[type(st)][0], elem,
             removed_states=tuple(sorted(doomed)),
@@ -411,7 +398,7 @@ class WorkingTree(MachineIndex):
 
     def _compositions(self, elem: str, entries: list[Transition],
                       exits: list[Transition],
-                      blocked: PendingSet | tuple) -> list[Transition]:
+                      blocked: Collection[str]) -> list[Transition]:
         """Composes each entry with every exit reachable from where the
         entry lands, over the state's regions (``_region_moves``): the
         search starts from the tuple of region initials with the entry

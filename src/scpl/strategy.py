@@ -97,7 +97,7 @@ def _rewrite(tree: WorkingTree, doomed: frozenset[str],
     then the post-check: over the edits alone when the input was
     ``validated``, else whole."""
     key = _order_key(order)
-    pending = PendingSet(set(doomed))
+    pending = PendingSet(doomed)
     pending_states = sorted((n for n in doomed if n in tree.states), key=key)
     # Safety net for the termination argument: every recorded step must
     # consume budget, and the budget is linear in the machine.
@@ -125,7 +125,7 @@ def _rewrite(tree: WorkingTree, doomed: frozenset[str],
             name, pending, include_pending=include_pending))
 
     # Layer 3: remaining pending elements are transitions.
-    for name in sorted(pending.remaining, key=key):
+    for name in sorted(pending, key=key):
         _record(steps, budget, tree.delete_transition(name, pending))
 
     # Layer 4: the optional-flag sweep, applied once.

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +56,8 @@ def test_config_check_ok_and_failure(paths, tmp_path, capsys):
     assert main(["config-check", paths["mp.pl.json"],
                  paths["mp-no-poly.conf.json"]]) == 0
     broken = tmp_path / "broken.conf.json"
-    conf = json.loads(open(paths["mp-no-poly.conf.json"]).read())
+    conf = json.loads(Path(paths["mp-no-poly.conf.json"]).read_text(
+        encoding="utf-8"))
     conf["selected"].remove("Display")
     broken.write_text(json.dumps(conf), encoding="utf-8")
     assert main(["config-check", paths["mp.pl.json"], str(broken)]) == 1
@@ -232,7 +234,8 @@ def test_exit_code_and_message_per_error_kind(case, code, prefix, paths,
         cf.write_text(serialize_configuration(conf), encoding="utf-8")
         argv = ["instantiate", str(line), str(cf), "-o", out]
     elif case == "unknown-feature":
-        conf = json.loads(open(paths["mp-no-poly.conf.json"]).read())
+        conf = json.loads(Path(paths["mp-no-poly.conf.json"]).read_text(
+            encoding="utf-8"))
         conf["selected"].append("Ghost")
         ghost = tmp_path / "ghost.conf.json"
         ghost.write_text(json.dumps(conf), encoding="utf-8")

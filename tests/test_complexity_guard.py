@@ -13,7 +13,9 @@ command line builds its argument parser once per process.  None of these,
 nor the product-line generator that ``scpl fuzz`` runs per seed, leaves a
 reference cycle behind.
 Deleting an And-state searches each coupled component of its regions on
-its own, never the product of all regions.
+its own, never the product of all regions; within an instantiation no
+region is coupled at all, since layer 1 prunes every in-state atom that
+names a state inside a doomed one.
 """
 
 import argparse
@@ -35,6 +37,7 @@ from scpl import cli, datasets
 from scpl.formats import export_dot, parse_product_line
 from scpl.model import (AndState, Condition, InState, MachineIndex, OrState,
                         SimpleState, StateChart, Transition, canonicalize)
+from scpl.rewrite import PendingSet, delete_and_state
 from scpl.strategy import (check_confluence, generate_random_product_line,
                            instantiate)
 
@@ -256,3 +259,40 @@ def test_and_state_deletion_searches_uncoupled_regions_apart(monkeypatch):
     assert 0 < visited[0] <= 72
     assert set(MachineIndex(result.statechart).transitions) == {
         "comp(enter,exitX)", "comp(enter,exitY)"}
+
+
+def test_instantiate_never_searches_coupled_regions(monkeypatch):
+    # R1's move waits for R2's B2, which couples the two regions; layer 1
+    # prunes that atom before P is deleted, so instantiate searches each
+    # region alone.  The public rule on the unpruned machine searches
+    # them as one component, and both pair the entry with the exit.
+    r1 = OrState("R1", (SimpleState("A1"), SimpleState("A2")), "A1",
+                 (Transition("a", "A1", "A2", ("e",),
+                             Condition((InState("B2"),))),))
+    r2 = OrState("R2", (SimpleState("B1"), SimpleState("B2")), "B1",
+                 (Transition("b", "B1", "B2", ("f",)),))
+    sc = StateChart(OrState(
+        "Root",
+        (SimpleState("In"), SimpleState("Out"),
+         AndState("P", (r1, r2), optional=True)),
+        "In",
+        (Transition("in", "In", "P", ("g",)),
+         Transition("out", "A2", "Out", ("h",)))))
+    orig = scpl.rewrite._tuple_search
+    coupled: list[bool] = []
+
+    def recording(region_indices, start, moves):
+        coupled.append(any(needs for j in region_indices
+                           for _, _, needs, _ in moves[j]))
+        return orig(region_indices, start, moves)
+
+    monkeypatch.setattr(scpl.rewrite, "_tuple_search", recording)
+    fm, conf, imp = line_for(sc, {"P"})
+    result = instantiate(fm, conf, sc, imp)
+    assert coupled == [False, False]
+    assert set(MachineIndex(result.statechart).transitions) == {
+        "comp(in,out)"}
+    coupled.clear()
+    out = delete_and_state("P", sc, PendingSet({"P"}))
+    assert coupled == [True]
+    assert set(MachineIndex(out).transitions) == {"comp(in,out)"}

@@ -101,7 +101,15 @@ _DIAMOND = FeatureModel(
      {("R", frozenset({"A"})), ("R", frozenset({"B"})),
       ("A", frozenset({"C"})), ("B", frozenset({"C"}))},
      "C: selected under several parents ['A', 'B']"),
-], ids=["edge-from-unselected", "edge-to-unselected", "two-parents"])
+    ({"R", "A", "B"},
+     {("R", frozenset({"A"})), ("R", frozenset({"B"})), ("A", frozenset())},
+     "A: edge to [] restricts no model relation"),
+    ({"R", "A", "B"},
+     {("R", frozenset({"A"})), ("R", frozenset({"B"})),
+      ("A", frozenset({"B"}))},
+     "A: edge to ['B'] restricts no model relation"),
+], ids=["edge-from-unselected", "edge-to-unselected", "two-parents",
+        "edge-to-no-child", "edge-outside-the-model"])
 def test_validate_configuration_names_edge_breaches(selected, edges,
                                                     violation):
     conf = Configuration(frozenset(selected), frozenset(edges))

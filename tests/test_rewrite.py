@@ -119,7 +119,7 @@ def test_delete_simple_state_bridges_pairs(chain):
     assert "E1" not in idx.states
     assert set(idx.transitions) == {"comp(t1,t2)", "t3"}
     assert idx.transitions["comp(t1,t2)"].target == "E2"
-    assert pending.remaining == {"E2"}
+    assert pending == {"E2"}
 
 
 def test_delete_simple_chain_both_orders_agree(chain):
@@ -160,7 +160,7 @@ def test_delete_simple_state_refuses_a_duplicate_composed_name():
     pending = PendingSet({"E"})
     with pytest.raises(RewriteError, match="duplicate"):
         delete_simple_state("E", StateChart(root), pending)
-    assert pending.remaining == {"E"}
+    assert pending == {"E"}
 
 
 def test_delete_simple_state_guards():
@@ -176,6 +176,13 @@ def test_delete_simple_state_guards():
         "Root", (SimpleState("E", optional=True), SimpleState("A")), "E")
     with pytest.raises(IsInitialError):
         delete_simple_state("E", StateChart(root3), PendingSet({"E"}))
+    # Only an ill-formed Or-state can hold a sole child that is not its
+    # initial substate; deleting that child would leave it empty.
+    root4 = OrState("Root", (SimpleState("A"), OrState(
+        "In", (SimpleState("C", optional=True),), "Ghost")), "A")
+    with pytest.raises(EmptyCompositeError) as caught:
+        delete_simple_state("C", StateChart(root4), PendingSet({"C"}))
+    assert caught.value.message == "deleting would leave Or-state 'In' empty"
 
 
 @pytest.mark.parametrize("rule, elem, error, message", [
@@ -197,7 +204,7 @@ def test_each_deletion_rule_refuses_a_state_of_another_kind(rule, elem, error,
         rule(elem, StateChart(root), pending)
     assert type(caught.value) is error
     assert caught.value.message == message
-    assert pending.remaining == {elem}
+    assert pending == {elem}
 
 
 def test_delete_root_is_refused():
@@ -604,12 +611,15 @@ def _region_machine():
 @pytest.mark.parametrize("apply, message", [
     (lambda sc: entry_exit_pairs("P", sc, PendingSet(set())),
      "parent of 'P' owns no transitions"),
+    (lambda sc: entry_exit_pairs("Nope", sc, PendingSet(set())),
+     "no state named 'Nope'"),
     (lambda sc: repair_initial("X", sc, PendingSet(set())),
      "'X' is not an Or-state"),
     (lambda sc: prune_conditions("Nope", sc), "no state named 'Nope'"),
     (lambda sc: delete_simple_state("Nope", sc, PendingSet({"Nope"})),
      "no state named 'Nope'"),
-], ids=["pairs-of-a-region", "repair-an-and-state", "prune-a-missing-state",
+], ids=["pairs-of-a-region", "pairs-of-a-missing-state",
+        "repair-an-and-state", "prune-a-missing-state",
         "delete-a-missing-state"])
 def test_public_rules_refuse_a_subject_they_cannot_take(apply, message):
     with pytest.raises(RewriteError) as caught:
