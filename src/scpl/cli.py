@@ -7,21 +7,24 @@ library entry point, and formats the result.  Exit codes: 0 success,
 The argument parser depends on no input, so a process builds it once, on
 the first call of ``main``, and reuses it; every call still reads, checks
 and writes everything its arguments name.
+
+Every JSON document it writes (``--json`` output, the instantiated line and
+the trace) comes from ``formats.dump_json``, byte for byte the standard
+library's two-space indented output.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
 from .binding import nsc
 from .errors import FormatSyntaxError, InvalidInputError, RewriteError, ScplError
 from .features import kernel, nsf, validate_configuration, validate_feature_model
-from .formats import (export_dot, parse_configuration, parse_product_line,
-                      serialize_product_line)
+from .formats import (dump_json, export_dot, parse_configuration,
+                      parse_product_line, serialize_product_line)
 from .model import ImpMapping, MachineIndex
 from .strategy import (check_confluence, generate_random_product_line,
                        input_violations, instantiate, validate_inputs)
@@ -34,7 +37,7 @@ EXIT_REWRITE = 3
 
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(dump_json(payload, sort_keys=True))
     elif human:
         print(human)
 
@@ -120,7 +123,7 @@ def cmd_instantiate(args) -> int:
         for s in result.trace]
     if args.trace:
         Path(args.trace).write_text(
-            json.dumps(trace_payload, indent=2) + "\n", encoding="utf-8")
+            dump_json(trace_payload) + "\n", encoding="utf-8")
     _emit(args, {"output": args.output, "steps": len(result.trace)},
           f"wrote {args.output} ({len(result.trace)} rule applications)")
     return EXIT_OK

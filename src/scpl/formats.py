@@ -5,11 +5,20 @@ machine, and the feature-to-element mapping; configurations travel in
 separate documents.  Dotted state paths ("A.B.C") are accepted anywhere a
 state name is expected and resolved against the hierarchy; canonical
 output always uses plain unique names.
+
+Every JSON document the package writes, here and in the command line, goes
+through one writer, ``dump_json``: its output is byte for byte the
+standard library's ``json`` output with a two-space indent and ASCII
+escapes.  Below Python 3.13 the standard library produces indented output
+only through its pure-Python encoder, which is two to three times slower
+and leaves reference cycles behind on every call.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
+from json.encoder import encode_basestring_ascii as _quote_json
 from typing import Any
 
 from .errors import (DuplicateNameError, FormatSyntaxError,
@@ -62,7 +71,7 @@ def _feature_model_from_json(doc, path: str) -> FeatureModel:
     _expect(doc, dict, path)
     funcs = _string_list(doc.get("funcs", []), f"{path}.funcs")
     if len(funcs) != len(set(funcs)):
-        dupes = sorted({f for f in funcs if funcs.count(f) > 1})
+        dupes = sorted(f for f, n in Counter(funcs).items() if n > 1)
         raise DuplicateNameError(f"duplicate feature(s): {', '.join(dupes)}")
     return FeatureModel(
         funcs=frozenset(funcs),
@@ -283,6 +292,65 @@ def _imp_to_json(imp: ImpMapping) -> dict:
     return out
 
 
+# --- JSON output ----------------------------------------------------------
+
+def _write_json(value, pad: str, sort_keys: bool, out: list[str]) -> None:
+    # A module function, not a nested one: a recursive closure would tie
+    # itself into a reference cycle that outlives the call.
+    if isinstance(value, str):
+        out.append(_quote_json(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if all(isinstance(v, str) for v in value):
+            out.append("[\n" + inner
+                       + (",\n" + inner).join(map(_quote_json, value))
+                       + "\n" + pad + "]")
+            return
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, sort_keys, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in sorted(value.items()) if sort_keys else value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote_json(key) + ": ")
+            _write_json(item, inner, sort_keys, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+
+
+def dump_json(value, sort_keys: bool = False) -> str:
+    """``value`` as a JSON document with a two-space indent: the bytes the
+    standard library writes for it with ``indent=2`` and ``sort_keys``.
+    Takes str, bool, int, None, lists, tuples and dicts with str keys;
+    anything else raises ``TypeError``."""
+    out: list[str] = []
+    _write_json(value, "", sort_keys, out)
+    return "".join(out)
+
+
 # --- public product-line API ----------------------------------------------
 
 def parse_product_line(text: str) -> tuple[FeatureModel, StateChart, ImpMapping]:
@@ -311,7 +379,7 @@ def serialize_product_line(fm: FeatureModel, sc: StateChart,
         "statechart": {"root": _state_to_json(sc.root)},
         "imp": _imp_to_json(imp),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump_json(doc, sort_keys=True) + "\n"
 
 
 def parse_configuration(text: str) -> Configuration:
@@ -329,7 +397,7 @@ def serialize_configuration(conf: Configuration) -> str:
         "selected": sorted(conf.selected),
         "edges": sorted([[p, sorted(cs)] for p, cs in conf.edges]),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump_json(doc, sort_keys=True) + "\n"
 
 
 # --- DOT export -----------------------------------------------------------

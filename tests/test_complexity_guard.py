@@ -10,8 +10,8 @@ state deletions, and compares the trees it edited without rebuilding a
 machine.  Parsing walks
 the machine once and rebuilds it only to resolve a dotted path, and the
 command line builds its argument parser once per process.  None of these,
-nor the product-line generator that ``scpl fuzz`` runs per seed, leaves a
-reference cycle behind.
+nor the product-line generator that ``scpl fuzz`` runs per seed, nor a
+command that writes a JSON document, leaves a reference cycle behind.
 Deleting an And-state searches each coupled component of its regions on
 its own, never the product of all regions; within an instantiation no
 region is coupled at all, since layer 1 prunes every in-state atom that
@@ -34,7 +34,8 @@ import scpl.rewrite
 import scpl.strategy
 from conftest import S1K_GENERATOR, S1K_SEED, line_for
 from scpl import cli, datasets
-from scpl.formats import export_dot, parse_product_line
+from scpl.formats import (export_dot, parse_product_line,
+                          serialize_configuration)
 from scpl.model import (AndState, Condition, InState, MachineIndex, OrState,
                         SimpleState, StateChart, Transition, canonicalize)
 from scpl.rewrite import PendingSet, delete_and_state
@@ -175,14 +176,15 @@ def test_no_reference_cycles_are_left_behind(tmp_path):
     product = instantiate(fm, conf, sc, imp).statechart
     mp_path = tmp_path / "mp.pl.json"
     mp_path.write_text(MP_TEXT, encoding="utf-8")
+    conf_path = tmp_path / "mp-no-poly.conf.json"
+    conf_path.write_text(serialize_configuration(conf), encoding="utf-8")
+    outputs = [str(tmp_path / name) for name in ("out.json", "out.dot",
+                                                   "trace.json")]
 
     def quietly(argv):
         with contextlib.redirect_stdout(io.StringIO()):
             return cli.main(argv)
 
-    # ``cli.main instantiate`` is left out: up to Python 3.12, ``json.dumps``
-    # with ``indent`` runs the standard library's pure-Python encoder,
-    # which builds recursive closures on every call.
     runs = [("parse_product_line", lambda: parse_product_line(MP_TEXT)),
             ("instantiate", lambda: instantiate(fm, conf, sc, imp)),
             ("canonicalize", lambda: canonicalize(sc)),
@@ -191,7 +193,13 @@ def test_no_reference_cycles_are_left_behind(tmp_path):
              lambda: generate_random_product_line(S1K_SEED, **S1K_GENERATOR)),
             ("export_dot", lambda: export_dot(product)),
             ("cli validate", lambda: quietly(["validate", str(mp_path)])),
+            ("cli validate --json",
+             lambda: quietly(["validate", "--json", str(mp_path)])),
             ("cli kernel", lambda: quietly(["kernel", str(mp_path)])),
+            ("cli instantiate",
+             lambda: quietly(["instantiate", str(mp_path), str(conf_path),
+                              "-o", outputs[0], "--dot", outputs[1],
+                              "--trace", outputs[2]])),
             ("cli fuzz", lambda: quietly(["fuzz", "--count", "3"]))]
     for _, run in runs:  # first calls may fill caches
         run()

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -162,6 +163,20 @@ def test_the_parser_names_each_malformed_part(edit, error, message):
         parse_product_line(json.dumps(doc))
     assert type(caught.value) is error
     assert caught.value.message == message
+
+
+def test_duplicate_features_are_found_in_linear_time():
+    # Counting each feature among all of them is quadratic: about 28 s on
+    # this document of 40,000 features.
+    doc = json.loads(MINIMAL)
+    doc["feature_model"]["funcs"] = [f"F{i}" for i in range(40_000)] + [
+        "F7", "F123"]
+    text = json.dumps(doc)
+    start = time.perf_counter()
+    with pytest.raises(DuplicateNameError) as caught:
+        parse_product_line(text)
+    assert time.perf_counter() - start < 1.0
+    assert caught.value.message == "duplicate feature(s): F123, F7"
 
 
 def _history_machine():
