@@ -17,6 +17,7 @@ and leaves reference cycles behind on every call.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote_json
 from typing import Any
@@ -31,25 +32,59 @@ from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
 
 def _loads(text: str) -> Any:
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError as exc:
         raise FormatSyntaxError("document nests too deeply") from exc
+    # A lone surrogate decodes from a \uD800-\uDFFF escape only, and no
+    # output can encode it as UTF-8, so a document holding one is refused
+    # here rather than where a name is first printed or written.
+    if "\\u" in text:
+        _refuse_lone_surrogates(doc)
+    return doc
 
 
-def _expect(value, types, path: str):
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _refuse_lone_surrogates(doc) -> None:
+    stack = [doc]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            if _SURROGATE.search(value):
+                raise FormatSyntaxError(
+                    f"string {value!r} holds a lone surrogate, which UTF-8 "
+                    "cannot encode")
+        elif isinstance(value, dict):
+            stack.extend(value)
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+
+
+def _expect(value, types, path: str, key: str = ""):
+    """``value`` if it is an instance of ``types``, else a syntax error
+    located at ``path + key``.  The two are joined only when the check
+    fails, so a caller passes a parent's path and a constant suffix such
+    as ``".name"`` and a passing check builds no string."""
     if not isinstance(value, types):
         want = types.__name__ if isinstance(types, type) else \
             "/".join(t.__name__ for t in types)
-        raise FormatSyntaxError(f"{path}: expected {want}, "
+        raise FormatSyntaxError(f"{path}{key}: expected {want}, "
                                 f"got {type(value).__name__}")
     return value
 
 
-def _string_list(value, path: str) -> list[str]:
-    _expect(value, list, path)
-    return [_expect(v, str, f"{path}[{i}]") for i, v in enumerate(value)]
+def _string_list(value, path: str, key: str = "") -> list[str]:
+    """``value`` itself once it is a list of strings; an item that is not
+    is reported at ``path + key`` and its index."""
+    _expect(value, list, path, key)
+    for i, item in enumerate(value):
+        if not isinstance(item, str):
+            _expect(item, str, path, f"{key}[{i}]")
+    return value
 
 
 # --- feature models -------------------------------------------------------
@@ -58,24 +93,25 @@ def _relation_pairs(value, path: str) -> frozenset:
     _expect(value, list, path)
     out = set()
     for i, pair in enumerate(value):
-        _expect(pair, list, f"{path}[{i}]")
+        where = f"{path}[{i}]"
+        _expect(pair, list, where)
         if len(pair) != 2:
-            raise FormatSyntaxError(f"{path}[{i}]: expected [parent, children]")
-        parent = _expect(pair[0], str, f"{path}[{i}][0]")
-        kids = _string_list(pair[1], f"{path}[{i}][1]")
+            raise FormatSyntaxError(f"{where}: expected [parent, children]")
+        parent = _expect(pair[0], str, where, "[0]")
+        kids = _string_list(pair[1], where, "[1]")
         out.add((parent, frozenset(kids)))
     return frozenset(out)
 
 
 def _feature_model_from_json(doc, path: str) -> FeatureModel:
     _expect(doc, dict, path)
-    funcs = _string_list(doc.get("funcs", []), f"{path}.funcs")
+    funcs = _string_list(doc.get("funcs", []), path, ".funcs")
     if len(funcs) != len(set(funcs)):
         dupes = sorted(f for f, n in Counter(funcs).items() if n > 1)
         raise DuplicateNameError(f"duplicate feature(s): {', '.join(dupes)}")
     return FeatureModel(
         funcs=frozenset(funcs),
-        root=_expect(doc.get("root", ""), str, f"{path}.root"),
+        root=_expect(doc.get("root", ""), str, path, ".root"),
         mand=_relation_pairs(doc.get("mand", []), f"{path}.mand"),
         opt=_relation_pairs(doc.get("opt", []), f"{path}.opt"),
         alt=_relation_pairs(doc.get("alt", []), f"{path}.alt"),
@@ -100,17 +136,19 @@ def _feature_model_to_json(fm: FeatureModel) -> dict:
 # --- machines -------------------------------------------------------------
 
 def _condition_from_json(value, path: str) -> Condition:
-    _expect(value, list, path)
+    """The ``cond`` of the transition at ``path``."""
+    _expect(value, list, path, ".cond")
     atoms = []
     for i, atom in enumerate(value):
-        _expect(atom, dict, f"{path}[{i}]")
+        where = f"{path}.cond[{i}]"
+        _expect(atom, dict, where)
         if set(atom) == {"guard"}:
-            atoms.append(Guard(_expect(atom["guard"], str, f"{path}[{i}].guard")))
+            atoms.append(Guard(_expect(atom["guard"], str, where, ".guard")))
         elif set(atom) == {"in"}:
-            atoms.append(InState(_expect(atom["in"], str, f"{path}[{i}].in")))
+            atoms.append(InState(_expect(atom["in"], str, where, ".in")))
         else:
             raise FormatSyntaxError(
-                f"{path}[{i}]: atom must be {{\"guard\": ...}} or "
+                f"{where}: atom must be {{\"guard\": ...}} or "
                 f"{{\"in\": ...}}")
     return Condition(tuple(atoms))
 
@@ -125,21 +163,26 @@ def _condition_to_json(cond: Condition) -> list:
     return out
 
 
+_HISTORY = {h.value: h for h in History}
+
+
 def _transition_from_json(doc, path: str) -> Transition:
     _expect(doc, dict, path)
-    history = doc.get("history", "none")
-    if history not in ("none", "shallow", "deep"):
+    get = doc.get
+    history = get("history", "none")
+    # A list or an object cannot be looked up in a dict; it is refused like
+    # any other unknown value.
+    if not isinstance(history, str) or history not in _HISTORY:
         raise FormatSyntaxError(f"{path}.history: unknown value {history!r}")
     return Transition(
-        name=_expect(doc.get("name", ""), str, f"{path}.name"),
-        source=_expect(doc.get("source", ""), str, f"{path}.source"),
-        target=_expect(doc.get("target", ""), str, f"{path}.target"),
-        trigger=tuple(_string_list(doc.get("trigger", []), f"{path}.trigger")),
-        cond=_condition_from_json(doc.get("cond", []), f"{path}.cond"),
-        actions=tuple(_string_list(doc.get("actions", []), f"{path}.actions")),
-        history=History(history),
-        optional=bool(_expect(doc.get("optional", False), bool,
-                              f"{path}.optional")),
+        _expect(get("name", ""), str, path, ".name"),
+        _expect(get("source", ""), str, path, ".source"),
+        _expect(get("target", ""), str, path, ".target"),
+        tuple(_string_list(get("trigger", []), path, ".trigger")),
+        _condition_from_json(get("cond", []), path),
+        tuple(_string_list(get("actions", []), path, ".actions")),
+        _HISTORY[history],
+        _expect(get("optional", False), bool, path, ".optional"),
     )
 
 
@@ -163,26 +206,28 @@ def _transition_to_json(t: Transition) -> dict:
 
 def _state_from_json(doc, path: str) -> State:
     _expect(doc, dict, path)
-    kind = doc.get("kind")
-    name = _expect(doc.get("name", ""), str, f"{path}.name")
-    optional = bool(_expect(doc.get("optional", False), bool,
-                            f"{path}.optional"))
+    get = doc.get
+    kind = get("kind")
+    name = _expect(get("name", ""), str, path, ".name")
+    optional = _expect(get("optional", False), bool, path, ".optional")
     if kind == "simple":
         return SimpleState(name, optional)
     if kind == "or":
-        subs = _expect(doc.get("substates", []), list, f"{path}.substates")
-        substates = tuple(_state_from_json(s, f"{path}.substates[{i}]")
-                          for i, s in enumerate(subs))
-        ts = _expect(doc.get("transitions", []), list, f"{path}.transitions")
-        transitions = tuple(_transition_from_json(t, f"{path}.transitions[{i}]")
-                            for i, t in enumerate(ts))
+        subs = _expect(get("substates", []), list, path, ".substates")
+        substates = tuple([_state_from_json(s, f"{path}.substates[{i}]")
+                           for i, s in enumerate(subs)])
+        ts = _expect(get("transitions", []), list, path, ".transitions")
+        transitions = tuple([
+            _transition_from_json(t, f"{path}.transitions[{i}]")
+            for i, t in enumerate(ts)])
         return OrState(name, substates,
-                       _expect(doc.get("initial", ""), str, f"{path}.initial"),
+                       _expect(get("initial", ""), str, path, ".initial"),
                        transitions, optional)
     if kind == "and":
-        regions = _expect(doc.get("regions", []), list, f"{path}.regions")
-        return AndState(name, tuple(_state_from_json(r, f"{path}.regions[{i}]")
-                                    for i, r in enumerate(regions)), optional)
+        regions = _expect(get("regions", []), list, path, ".regions")
+        return AndState(name, tuple([_state_from_json(r, f"{path}.regions[{i}]")
+                                     for i, r in enumerate(regions)]),
+                        optional)
     raise FormatSyntaxError(f"{path}.kind: expected simple/or/and, got {kind!r}")
 
 
@@ -269,15 +314,14 @@ def _imp_from_json(doc, path: str, idx: MachineIndex) -> ImpMapping:
     known = idx.states.keys() | idx.transitions.keys()
     entries: dict[str, ImpEntry] = {}
     for feature, raw in doc.items():
-        _expect(raw, dict, f"{path}.{feature}")
-        elements = _string_list(raw.get("elements", []),
-                                f"{path}.{feature}.elements")
+        where = f"{path}.{feature}"
+        _expect(raw, dict, where)
+        elements = _string_list(raw.get("elements", []), where, ".elements")
         for el in elements:
             if el not in known:
                 raise UnknownReferenceError(
-                    f"{path}.{feature}: unknown element {el!r}")
-        includes = _string_list(raw.get("includes", []),
-                                f"{path}.{feature}.includes")
+                    f"{where}: unknown element {el!r}")
+        includes = _string_list(raw.get("includes", []), where, ".includes")
         entries[feature] = ImpEntry(frozenset(elements), frozenset(includes))
     return ImpMapping.from_dict(entries)
 

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -213,10 +215,14 @@ def test_fuzz_reports_an_invalid_seed_at_the_validate_stage(monkeypatch,
     pytest.param("unknown-feature", 1, "error: unknown feature(s): Ghost",
                  id="other-scpl-error"),
     pytest.param("missing", 2, "error: ", id="missing-file"),
+    pytest.param("surrogate", 2,
+                 "syntax error: string 'A\\ud800' holds a lone surrogate",
+                 id="lone-surrogate"),
 ])
 def test_exit_code_and_message_per_error_kind(case, code, prefix, paths,
                                               tmp_path, capsys):
     out = str(tmp_path / "out.json")
+    dot = tmp_path / "out.dot"
     if case == "faulty":
         line = tmp_path / "faulty.pl.json"
         line.write_text(_FAULTY_LINE, encoding="utf-8")
@@ -240,6 +246,20 @@ def test_exit_code_and_message_per_error_kind(case, code, prefix, paths,
         ghost = tmp_path / "ghost.conf.json"
         ghost.write_text(json.dumps(conf), encoding="utf-8")
         argv = ["config-check", paths["mp.pl.json"], str(ghost)]
+    elif case == "surrogate":
+        # A state name that no output can encode as UTF-8, refused before
+        # any output file is opened.
+        line = tmp_path / "surrogate.pl.json"
+        line.write_text(json.dumps({
+            "feature_model": {"funcs": ["F"], "root": "F"},
+            "statechart": {"root": {
+                "kind": "or", "name": "Root", "initial": "A\ud800",
+                "substates": [{"kind": "simple", "name": "A\ud800"}]}},
+            "imp": {}}), encoding="ascii")
+        conf = tmp_path / "surrogate.conf.json"
+        conf.write_text('{"selected": ["F"]}', encoding="utf-8")
+        argv = ["instantiate", str(line), str(conf), "-o", out,
+                "--dot", str(dot)]
     else:
         argv = ["validate", str(tmp_path / "missing.pl.json")]
     assert main(argv) == code
@@ -247,6 +267,67 @@ def test_exit_code_and_message_per_error_kind(case, code, prefix, paths,
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(prefix)
+    assert "Traceback" not in captured.err
+    assert not Path(out).exists() and not dot.exists()
+
+
+def _instantiate_into(directory: Path, paths) -> dict[str, bytes]:
+    """The bytes of the three files ``instantiate`` writes into
+    ``directory``."""
+    names = {"-o": "product.json", "--dot": "product.dot",
+             "--trace": "trace.json"}
+    argv = ["instantiate", paths["mp.pl.json"], paths["mp-no-poly.conf.json"]]
+    for option, name in names.items():
+        argv += [option, str(directory / name)]
+    assert main(argv) == 0
+    return {name: (directory / name).read_bytes() for name in names.values()}
+
+
+def test_outputs_are_rewritten_in_place_and_cut_to_length(paths, tmp_path,
+                                                          capsys):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    for name in ("product.json", "product.dot", "trace.json"):
+        (reused / name).write_bytes(b"junk\n" * 20_000)
+    expected = _instantiate_into(fresh, paths)
+    assert all(len(data) < 100_000 for data in expected.values())
+    assert _instantiate_into(reused, paths) == expected
+    assert _instantiate_into(reused, paths) == expected
+
+
+def test_a_file_that_is_not_regular_is_written_but_not_cut(paths, tmp_path,
+                                                           capsys):
+    # Cutting /dev/null to length fails; the DOT text is written into it.
+    assert main(["instantiate", paths["mp.pl.json"],
+                 paths["mp-no-poly.conf.json"], "-o",
+                 str(tmp_path / "out.json"), "--dot", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_a_new_output_file_gets_the_mode_open_would_give(paths, tmp_path,
+                                                        capsys):
+    reference = tmp_path / "reference"
+    out = tmp_path / "out.json"
+    old = os.umask(0o027)
+    try:
+        with open(reference, "w", encoding="utf-8"):
+            pass
+        assert main(["instantiate", paths["mp.pl.json"],
+                     paths["mp-no-poly.conf.json"], "-o", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(
+        reference.stat().st_mode) == 0o640
+
+
+def test_a_directory_as_output_is_an_error(paths, tmp_path, capsys):
+    assert main(["instantiate", paths["mp.pl.json"],
+                 paths["mp-no-poly.conf.json"], "-o", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: [Errno 21] Is a directory: {str(tmp_path)!r}"]
 
 
 @pytest.mark.parametrize("stage, case", [

@@ -125,8 +125,16 @@ def _drop_statechart(doc):
     del doc["statechart"]
 
 
+def _configuration(conf):
+    """Not an edit: ``conf`` read as a configuration document instead."""
+    def edit(doc):
+        return parse_configuration, conf
+    return edit
+
+
 _ROOT = ("statechart", "root")
 _LOOP = {"name": "t", "source": "A", "target": "A", "trigger": ["e"]}
+_T0 = "$.statechart.root.transitions[0]"
 
 
 @pytest.mark.parametrize("edit, error, message", [
@@ -152,17 +160,64 @@ _LOOP = {"name": "t", "source": "A", "target": "A", "trigger": ["e"]}
                   "substates": [{"kind": "simple", "name": "A"}]}),
      UnknownReferenceError,
      "initial of 'R': unknown state 'Q' in path 'Q.A'"),
+    (_set((*_ROOT, "transitions"), [{**_LOOP, "history": ["deep"]}]),
+     FormatSyntaxError, f"{_T0}.history: unknown value ['deep']"),
+    (_set((*_ROOT, "transitions"), [{**_LOOP, "name": 7}]),
+     FormatSyntaxError, f"{_T0}.name: expected str, got int"),
+    (_set((*_ROOT, "transitions"), [{**_LOOP, "trigger": ["e", 1, 2]}]),
+     FormatSyntaxError, f"{_T0}.trigger[1]: expected str, got int"),
+    (_set((*_ROOT, "substates"),
+          [{"kind": "simple", "name": "A", "optional": "yes"}]),
+     FormatSyntaxError,
+     "$.statechart.root.substates[0].optional: expected bool, got str"),
+    (_set((*_ROOT, "transitions"), [{**_LOOP, "optional": 1}]),
+     FormatSyntaxError, f"{_T0}.optional: expected bool, got int"),
+    (_set((*_ROOT, "substates"), {"kind": "simple", "name": "A"}),
+     FormatSyntaxError,
+     "$.statechart.root.substates: expected list, got dict"),
+    (_set((*_ROOT, "transitions"), [{**_LOOP, "cond": None}]),
+     FormatSyntaxError, f"{_T0}.cond: expected list, got NoneType"),
+    (_set((*_ROOT, "transitions"), [{**_LOOP, "actions": "x"}]),
+     FormatSyntaxError, f"{_T0}.actions: expected list, got str"),
+    (_set(("imp",), {"R": {"elements": "A"}}), FormatSyntaxError,
+     "$.imp.R.elements: expected list, got str"),
+    (_configuration({"selected": ["R", None]}), FormatSyntaxError,
+     "$.selected[1]: expected str, got NoneType"),
 ], ids=["feature-model-not-a-dict", "relation-pair-of-one",
         "duplicate-feature", "duplicate-transition", "unknown-history",
         "unknown-kind", "no-statechart", "simple-root",
-        "initial-path-from-unknown-state"])
+        "initial-path-from-unknown-state", "history-not-a-string",
+        "transition-name-not-a-string", "trigger-item-not-a-string",
+        "state-optional-not-a-bool", "transition-optional-not-a-bool",
+        "substates-not-a-list", "null-condition", "actions-not-a-list",
+        "imp-elements-not-a-list", "selected-item-not-a-string"])
 def test_the_parser_names_each_malformed_part(edit, error, message):
     doc = json.loads(MINIMAL)
-    edit(doc)
+    parse, doc = edit(doc) or (parse_product_line, doc)
     with pytest.raises(error) as caught:
-        parse_product_line(json.dumps(doc))
+        parse(json.dumps(doc))
     assert type(caught.value) is error
     assert caught.value.message == message
+
+
+def test_a_lone_surrogate_is_refused_and_a_pair_accepted():
+    doc = json.loads(MINIMAL)
+    doc["statechart"]["root"]["substates"][0]["name"] = "A\ud800"
+    doc["statechart"]["root"]["initial"] = "A\ud800"
+    text = json.dumps(doc)
+    assert "\\ud800" in text
+    with pytest.raises(FormatSyntaxError) as caught:
+        parse_product_line(text)
+    assert caught.value.message == (
+        "string 'A\\ud800' holds a lone surrogate, which UTF-8 cannot encode")
+    with pytest.raises(FormatSyntaxError):
+        parse_configuration(json.dumps({"selected": ["R", "\udc00"]}))
+    # An escaped pair decodes to one character, which UTF-8 encodes.
+    doc["statechart"]["root"]["substates"][0]["name"] = "A\U0001f600"
+    doc["statechart"]["root"]["initial"] = "A\U0001f600"
+    fm, sc, imp = parse_product_line(json.dumps(doc))
+    assert sc.root.initial == "A\U0001f600"
+    export_dot(sc).encode("utf-8")
 
 
 def test_duplicate_features_are_found_in_linear_time():
