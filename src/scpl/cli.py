@@ -139,14 +139,14 @@ def cmd_instantiate(args) -> int:
     _write(args.output, out_text)
     if args.dot:
         _write(args.dot, export_dot(result.statechart))
-    trace_payload = [
-        {"rule": s.rule, "subject": s.subject,
-         "removed_states": list(s.removed_states),
-         "removed_transitions": list(s.removed_transitions),
-         "added_transitions": list(s.added_transitions),
-         "detail": s.detail}
-        for s in result.trace]
     if args.trace:
+        trace_payload = [
+            {"rule": s.rule, "subject": s.subject,
+             "removed_states": list(s.removed_states),
+             "removed_transitions": list(s.removed_transitions),
+             "added_transitions": list(s.added_transitions),
+             "detail": s.detail}
+            for s in result.trace]
         _write(args.trace, dump_json(trace_payload) + "\n")
     _emit(args, {"output": args.output, "steps": len(result.trace)},
           f"wrote {args.output} ({len(result.trace)} rule applications)")

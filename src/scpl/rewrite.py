@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import product
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
 from .errors import (EmptyCompositeError, IsInitialError, NoInitialError,
                      NotAndError, NotOptionalError, NotSimpleError,
@@ -95,24 +95,6 @@ def comp(t1: Transition, t2: Transition) -> Transition:
         history=t2.history,
         optional=False,
     )
-
-
-def _boundary_transitions(transitions: Iterable[Transition], doomed: set[str],
-                          blocked: Collection[str]):
-    """Usable entries into and exits out of the doomed states.  Optional
-    transitions and those named in ``blocked`` (the pending set, or ``()``
-    under ``include_pending``) are unusable; transitions with both ends
-    doomed, self-loops included, are neither entries nor exits."""
-    entries: list[Transition] = []
-    exits: list[Transition] = []
-    for t in transitions:
-        if t.optional or t.name in blocked:
-            continue
-        if t.target in doomed and t.source not in doomed:
-            entries.append(t)
-        elif t.source in doomed and t.target not in doomed:
-            exits.append(t)
-    return entries, exits
 
 
 # --- reachability over region tuples --------------------------------------
@@ -306,36 +288,53 @@ class WorkingTree(MachineIndex):
 
     # -- state deletion --
 
+    def boundary(self, elem: str, blocked: Collection[str],
+                 ) -> tuple[set[str], set[str], list, list]:
+        """What deleting ``elem`` reads: ``doomed``, its subtree;
+        ``touching``, the transitions with an end in it, plus, on an
+        unvalidated machine, those owned inside it; and the usable
+        ``entries`` into and ``exits`` out of it.  The pairing reads only
+        the transitions the parent owns, so one touching the subtree but
+        owned above the parent is dropped uncomposed, and an And-parent,
+        owning none, gets no entries.  Optional transitions and those in
+        ``blocked`` (the pending set, or ``()`` under ``include_pending``)
+        are unusable; one with both ends in the subtree, self-loops
+        included, is neither an entry nor an exit."""
+        doomed = reached(elem, self.children)
+        touching = {n for s in doomed for n in self.adjacent.get(s, ())}
+        for s in doomed & self.owned.keys():
+            touching.update(self.owned[s])
+        entries: list[Transition] = []
+        exits: list[Transition] = []
+        for name in touching & self.owned.get(self.parent[elem], {}).keys():
+            t = self.transitions[name]
+            if t.optional or name in blocked:
+                continue
+            if t.target in doomed and t.source not in doomed:
+                entries.append(t)
+            elif t.source in doomed and t.target not in doomed:
+                exits.append(t)
+        return doomed, touching, entries, exits
+
     def delete_state(self, elem: str, pending: PendingSet, *,
                      include_pending: bool = False,
                      kind: type | None = None) -> TraceStep:
-        """Deletes an optional state with its whole subtree and every
-        transition touching it or owned inside it, bridging usable
-        entry/exit pairs of the parent Or-state with their compositions
-        (``_compositions``, the same rule for every kind).  ``kind``, when
-        given, refuses a state of any other kind.  It reads names only:
-        the compositions are owned, checked and added in name order."""
+        """Deletes an optional state with its subtree and the transitions
+        that ``boundary`` finds touching it, bridging its usable entry/exit
+        pairs with their compositions (``_compositions``, the same rule for
+        every kind).  ``kind``, when given, refuses a state of any other
+        kind.  It reads names only: the compositions are owned, checked and
+        added in name order."""
         st, parent = self._deletion_preamble(elem, pending)
         if kind is not None and not isinstance(st, kind):
             _, error, what = _DELETION[kind]
             raise error(f"{elem!r} is not {what}")
-        doomed = reached(elem, self.children)
-        touching = {n for s in doomed for n in self.adjacent.get(s, ())}
-        # On an unvalidated machine a transition owned inside the subtree
-        # may have both ends outside it; it goes with its owner.
-        for s in doomed & self.owned.keys():
-            touching.update(self.owned[s])
-        additions: list[Transition] = []
-        if isinstance(self.states[parent], OrState):
-            blocked = () if include_pending else pending
-            entries, exits = _boundary_transitions(
-                (self.transitions[n] for n in touching
-                 if self.owner[n] == parent), doomed, blocked)
-            # Ends break ties between equal names (only a user transition
-            # named comp(...) makes one), so no error follows set order.
-            additions = sorted(
-                self._compositions(elem, entries, exits, blocked),
-                key=lambda t: (t.name, t.source, t.target))
+        blocked = () if include_pending else pending
+        doomed, touching, entries, exits = self.boundary(elem, blocked)
+        # Ends break ties between equal names (only a user transition named
+        # comp(...) makes one), so no error follows set order.
+        additions = sorted(self._compositions(elem, entries, exits, blocked),
+                           key=lambda t: (t.name, t.source, t.target))
         owners = [self._lca_or_owner(t.source, t.target) for t in additions]
         # A name may repeat only when a user transition is itself named
         # comp(...); the maps hold one transition per name, so refuse.
@@ -566,20 +565,19 @@ def _cleared(x):
 
 def entry_exit_pairs(elem: str, sc: StateChart, pending: PendingSet, *,
                      include_pending: bool = False) -> set[tuple[Transition, Transition]]:
-    """Cross product of the non-optional entries and exits of a simple
-    state, taken from its parent's transition set.  Pending transitions are
-    excluded; self-loops are neither entries nor exits."""
-    idx = MachineIndex(sc)
-    st = idx.states.get(elem)
+    """The pairs ``delete_simple_state`` composes, read from the index; a
+    repeated transition name counts once.  Optional and pending transitions
+    are excluded; self-loops are neither entries nor exits."""
+    tree = WorkingTree(sc)
+    st = tree.states.get(elem)
     if st is None:
         raise RewriteError(f"no state named {elem!r}")
     if not isinstance(st, SimpleState):
         raise NotSimpleError(f"{elem!r} is not a simple state")
-    parent = idx.states.get(idx.parent[elem] or "")
-    if not isinstance(parent, OrState):
+    if not isinstance(tree.states.get(tree.parent[elem] or ""), OrState):
         raise RewriteError(f"parent of {elem!r} owns no transitions")
-    entries, exits = _boundary_transitions(
-        parent.transitions, {elem}, () if include_pending else pending)
+    _, _, entries, exits = tree.boundary(
+        elem, () if include_pending else pending)
     return {(te, ts) for te in entries for ts in exits}
 
 

@@ -26,8 +26,8 @@ from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
                     History, ImpEntry, ImpMapping, InState, MachineIndex,
                     OrState, RewriteTrace, SimpleState, State, StateChart,
                     TraceStep, Transition, Violation, comp_parts,
-                    optional_elements, partition, reached,
-                    touched_violations, well_formed_violations)
+                    optional_elements, partition, touched_violations,
+                    well_formed_violations)
 from .rewrite import PendingSet, WorkingTree
 
 
@@ -204,9 +204,10 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
     and layer 4 and the post-check read only the final tree.  Finer still,
     when the reference outcome is a tree it depends only on the projection
     onto each group of interacting eligible states
-    (``_interacting_groups``: two join when one transition touches both
-    subtrees).  A deletion drops and composes only transitions touching its
-    own subtree, so each composition joins ends of its own group's
+    (``_interacting_groups``: two join when both their deletions would
+    drop one same transition).  A deletion drops only the transitions
+    ``WorkingTree.boundary`` finds touching its subtree and composes only
+    from those, so each composition joins ends of its own group's
     transitions and the groups stay apart; the blocked names, reachability
     and owner it reads are its own group's; an Or-parent keeps its
     surviving initial substate, and an And-parent, which composes nothing,
@@ -302,19 +303,15 @@ def _sampled_orders(base: tuple[str, ...], trials: int, seed: int):
 
 def _interacting_groups(tree: WorkingTree,
                         eligible: Sequence[str]) -> list[list[str]]:
-    """The layer-2 states partitioned (``model.partition``): two states
-    join when one transition of ``tree`` has an end in each of their
-    subtrees.  On validated input a transition owned inside a subtree has
-    both ends in it, so the transitions adjacent to the subtrees are all
-    that count.  Each group lists its states in ``eligible`` order."""
-    home: dict[str, str] = {}
-    for name in eligible:
-        home.update(dict.fromkeys(reached(name, tree.children), name))
-    transitions = tree.transitions
+    """The layer-2 states partitioned (``model.partition``) by the
+    transitions each deletion drops: two states join when both their
+    deletions would drop one same transition, a name in both their
+    ``touching`` sets (``WorkingTree.boundary``).  Each group lists its
+    states in ``eligible`` order."""
+    first: dict[str, str] = {}
     return partition(eligible, (
-        (home[t.source], home[t.target]) for state in home
-        for t in map(transitions.__getitem__, tree.adjacent.get(state, ()))
-        if t.source in home and t.target in home))
+        (first.setdefault(t, name), name)
+        for name in eligible for t in tree.boundary(name, ())[1]))
 
 
 def _shape(outcome):

@@ -13,6 +13,7 @@ from scpl.errors import (EmptyCompositeError, IsInitialError, NoInitialError,
                          NotSubstateError, OptionalComposeError,
                          RewriteError)
 from scpl import datasets
+from scpl.binding import nsc
 from scpl.model import (AndState, Condition, Guard, History, InState,
                         MachineIndex, OrState, SimpleState, StateChart,
                         Transition, canonicalize)
@@ -102,6 +103,60 @@ def test_entry_exit_pairs_excludes_optional_pending_and_self_loops():
     literal = entry_exit_pairs("E", sc, pending, include_pending=True)
     assert {(a.name, b.name) for a, b in literal} == {("in1", "out"),
                                                       ("inp", "out")}
+
+
+def _added_and_paired(sc, elem, pending, include_pending=False):
+    """The names of the transitions ``delete_simple_state`` adds, and the
+    composed names of the pairs ``entry_exit_pairs`` gives; None when the
+    deletion refuses."""
+    try:
+        out = delete_simple_state(elem, sc, PendingSet(pending),
+                                  include_pending=include_pending)
+    except RewriteError:
+        return None
+    added = set(MachineIndex(out).transitions) - set(
+        MachineIndex(sc).transitions)
+    pairs = entry_exit_pairs(elem, sc, PendingSet(pending),
+                             include_pending=include_pending)
+    return added, {comp_name(a.name, b.name) for a, b in pairs}
+
+
+def test_entry_exit_pairs_count_a_repeated_transition_name_once():
+    # The index registers the first "in" only, and so does the deletion.
+    root = OrState(
+        "Root",
+        (SimpleState("A"), SimpleState("E", optional=True), SimpleState("B")),
+        "A", (T("in", "A", "E"), T("in", "B", "E"), T("out", "E", "B")))
+    sc = StateChart(root)
+    pairs = entry_exit_pairs("E", sc, PendingSet({"E"}))
+    assert {(a.source, b.name) for a, b in pairs} == {("A", "out")}
+    assert _added_and_paired(sc, "E", {"E"}) == ({"comp(in,out)"},
+                                                  {"comp(in,out)"})
+
+
+@pytest.mark.parametrize("include_pending", [False, True])
+def test_entry_exit_pairs_are_what_a_simple_deletion_composes(
+        include_pending):
+    large = {"max_depth": 3, "max_substates": 6, "max_features": 12}
+    lines = ([generate_random_product_line(seed) for seed in range(200)]
+             + [generate_random_product_line(seed, **large)
+                for seed in range(1_500_000, 1_500_050)])
+    checked = 0
+    for line in lines:
+        idx = MachineIndex(line.sc)
+        doomed = nsc(line.fm, line.conf, line.sc, line.imp)
+        for name, state in idx.states.items():
+            parent = idx.states.get(idx.parent[name] or "")
+            if not (isinstance(state, SimpleState) and state.optional
+                    and isinstance(parent, OrState)):
+                continue
+            got = _added_and_paired(line.sc, name, doomed | {name},
+                                    include_pending)
+            if got is not None:
+                added, paired = got
+                assert added == paired, name
+                checked += 1
+    assert checked > 500
 
 
 def test_entry_exit_pairs_requires_simple_state():
