@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .features import kernel, nsf
 from .model import (Configuration, FeatureModel, ImpMapping, MachineIndex,
-                    StateChart, Violation, optional_elements, reached)
+                    StateChart, Violation, reached)
 
 
 def expanded_elements(imp: ImpMapping, feature: str) -> frozenset[str]:
@@ -28,11 +28,12 @@ def validate_imp(fm: FeatureModel, sc: StateChart, imp: ImpMapping) -> list[Viol
 
 def imp_violations(fm: FeatureModel, idx: MachineIndex,
                    imp: ImpMapping) -> list[Violation]:
-    """``validate_imp`` over an index of the machine."""
+    """``validate_imp`` over an index of the machine: each mapped element
+    is looked up by name, so the cost follows the mapping, not the
+    machine."""
     out: list[Violation] = []
     kern = kernel(fm)
-    sop, top = optional_elements(idx)
-    variable = sop | top
+    states, transitions = idx.states, idx.transitions
     for feature, entry in imp.entries:
         if feature not in fm.funcs:
             out.append(Violation(feature, "mapped feature is not in the model"))
@@ -43,7 +44,9 @@ def imp_violations(fm: FeatureModel, idx: MachineIndex,
         if not entry.elements and not entry.includes:
             out.append(Violation(feature, "entry maps to nothing"))
         for el in sorted(entry.elements):
-            if el not in variable:
+            st, t = states.get(el), transitions.get(el)
+            if not ((st is not None and st.optional)
+                    or (t is not None and t.optional)):
                 out.append(Violation(
                     feature, f"element {el!r} is not an optional machine "
                              "element"))

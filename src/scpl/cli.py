@@ -2,7 +2,8 @@
 
 Thin wrappers over the library: every subcommand parses files, calls one
 library entry point, and formats the result.  Exit codes: 0 success,
-1 validation failure, 2 syntax error, 3 rewrite error.
+1 validation failure, 2 syntax error, 3 rewrite error, 4 internal error:
+any other exception, reported as one line without a traceback.
 
 The argument parser depends on no input, so a process builds it once, on
 the first call of ``main``, and reuses it; every call still reads, checks
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_SYNTAX = 2
 EXIT_REWRITE = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -291,6 +293,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
+    except Exception as exc:  # RecursionError and MemoryError included
+        detail = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {detail}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -83,7 +83,9 @@ def validate_configuration(fm: FeatureModel, conf: Configuration) -> list[Violat
 
     Raises UnknownFeatureError when the configuration names a feature the
     model does not know.  Violations come in a fixed order: each group of
-    pairs is visited in ``_in_order``.
+    pairs is visited in ``_in_order``.  An edge is checked against its
+    parent's relation pairs alone, looked up by parent, so the check does
+    not grow with the product of edges and pairs.
     """
     unknown = sorted((conf.selected | {p for p, _ in conf.edges}
                       | {c for _, cs in conf.edges for c in cs}) - fm.funcs)
@@ -95,7 +97,9 @@ def validate_configuration(fm: FeatureModel, conf: Configuration) -> list[Violat
     if fm.root not in selected:
         out.append(Violation(fm.root, "root feature is not selected"))
 
-    rel_pairs = {(p, cs) for _, p, cs in fm.relations()}
+    relations: dict[str, list[frozenset[str]]] = {}
+    for _, p, cs in fm.relations():
+        relations.setdefault(p, []).append(cs)
     below: dict[str, set[str]] = {}
     for parent, kids in _in_order(conf.edges):
         if parent not in selected:
@@ -103,8 +107,8 @@ def validate_configuration(fm: FeatureModel, conf: Configuration) -> list[Violat
         if not kids <= selected:
             out.append(Violation(
                 parent, f"edge children {sorted(kids - selected)} not selected"))
-        if not kids or not any(p == parent and kids <= cs
-                               for p, cs in rel_pairs):
+        if not kids or not any(kids <= cs
+                               for cs in relations.get(parent, ())):
             out.append(Violation(
                 parent, f"edge to {sorted(kids)} restricts no model relation"))
         below.setdefault(parent, set()).update(kids)

@@ -2,6 +2,9 @@
 optional elements, conditions, and well-formedness checking.
 
 All types are immutable values; no operation here mutates its inputs.
+Each is a frozen dataclass with ``slots=True``: it has no instance
+``__dict__`` and takes no weak reference, and it is smaller and quicker
+to build and read than a dataclass without slots.
 
 A machine is a tree of states.  The root is an Or-state.  Transitions live
 in the Or-state that is the nearest common ancestor of their endpoints, so
@@ -56,14 +59,14 @@ class History(str, Enum):
 
 # --- conditions -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Guard:
     """Opaque boolean expression, compared by exact string equality."""
 
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InState:
     """Atom that holds while the named state is active."""
 
@@ -73,7 +76,7 @@ class InState:
 Atom = Union[Guard, InState]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
     """Conjunction of atoms; the empty sequence denotes true.
 
@@ -96,7 +99,7 @@ class Condition:
 
 # --- states and transitions ----------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     name: str
     source: str
@@ -108,13 +111,13 @@ class Transition:
     optional: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimpleState:
     name: str
     optional: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrState:
     name: str
     substates: tuple["State", ...]
@@ -123,7 +126,7 @@ class OrState:
     optional: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AndState:
     name: str
     regions: tuple["State", ...]
@@ -133,7 +136,7 @@ class AndState:
 State = Union[SimpleState, OrState, AndState]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateChart:
     """A hierarchical state machine; the root Or-state is the top automaton."""
 
@@ -145,7 +148,7 @@ class StateChart:
 RelationPair = tuple[str, frozenset[str]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureModel:
     funcs: frozenset[str]
     root: str
@@ -162,7 +165,7 @@ class FeatureModel:
                 yield kind, parent, children
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """A selection subtree of a feature model; validity is checked against
     the owning model, not at construction."""
@@ -173,7 +176,7 @@ class Configuration:
 
 # --- feature-to-element binding ------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImpEntry:
     """Elements directly implementing a feature, plus features whose
     element sets are folded in when the mapping is expanded."""
@@ -182,7 +185,7 @@ class ImpEntry:
     includes: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, slots=True)
 class ImpMapping:
     entries: tuple[tuple[str, ImpEntry], ...] = ()
 
@@ -202,7 +205,7 @@ class ImpMapping:
 
 # --- rewrite traces -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     rule: str
     subject: str
@@ -212,7 +215,7 @@ class TraceStep:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewriteTrace:
     """Ordered record of the rule applications of one instantiation."""
 
@@ -227,7 +230,7 @@ class RewriteTrace:
 
 # --- violations -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     element: str
     message: str

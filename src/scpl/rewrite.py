@@ -19,11 +19,12 @@ Deleting a state of any kind pairs its entries and exits by one rule.
 The state is read as a product of regions -- an And-state's regions, an
 Or-state as its own single region, none for a simple state -- and an exit
 pairs with an entry when some region tuple reachable from where the entry
-lands holds the exit's source.  One map per deletion places every state
-nested in a region that is an Or-state at its region and coordinate, the
-region's direct substate holding it; a state inside any other region is
-reached with that region, so it needs no place.  An exit asks only which
-coordinates its own region reaches, so the deletion searches the regions
+lands holds the exit's source.  A state nested in a region that is an
+Or-state has a coordinate, the region's direct substate holding it, which
+a deletion finds by walking up from that state, for the names it reads
+alone; a state inside any other region is reached with that region, so it
+has no coordinate.  An exit asks only which coordinates its own region
+reaches, so the deletion searches the regions
 one coupled component (``model.partition``) at a time -- regions are
 coupled only through in-state atoms naming each other's states, never
 through shared triggers -- and costs the product of each component's
@@ -34,6 +35,9 @@ on an unpruned machine do.  ``reachable_and`` returns the full tuple set
 of one joint search; ``reachable_or`` is the one-region search.
 A deletion reads names only, never the order of the machine's
 transitions: its compositions are owned, checked and added in name order.
+It walks its subtree once, to find what it reads (``boundary``), and tears
+the subtree down in one pass over it and the transitions touching it, so
+it costs what it touches, not the machine.
 
 The public rules below keep the pure machine-in, machine-out form: each
 builds a working tree from its input, applies the shared rule and freezes
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import product
-from typing import Collection, Sequence
+from typing import Callable, Collection, Sequence
 
 from .errors import (EmptyCompositeError, IsInitialError, NoInitialError,
                      NotAndError, NotOptionalError, NotSimpleError,
@@ -192,7 +196,10 @@ class WorkingTree(MachineIndex):
     its transitions by name in ``adjacent`` and ``owned``.
 
     Building one costs the index walk plus one pass over the transitions,
-    which fills ``adjacent``.
+    which fills ``adjacent``.  A state deletion then costs its subtree and
+    the transitions touching it (``boundary`` and one pass over each to
+    tear them down) plus the pairing of its entries and exits, never a
+    pass over the machine.
     """
 
     def __init__(self, sc: StateChart):
@@ -247,44 +254,58 @@ class WorkingTree(MachineIndex):
     # -- region projection --
 
     def _region_moves(self, elem: str, blocked: Collection[str],
-                      ) -> tuple[list[str], dict, list[list[Move]]]:
+                      ) -> tuple[list[str], Callable, list[list[Move]]]:
         """A state's regions -- an And-state's children, an Or-state
-        itself, none for a simple state -- with ``where``, the one map from
-        every state strictly inside a region that is an Or-state to its
+        itself, none for a simple state -- with ``coordinate``, which maps
+        a state strictly inside a region that is an Or-state to its
         region's index and coordinate (the region's direct substate holding
-        it), and, per region, its usable internal transitions as moves
-        between coordinates.  A region that is not an Or-state is its own
-        only coordinate and has no moves, so whatever lies inside it is
-        reached with the region and needs no entry.  A transition named in
-        ``blocked`` is no move, nor is one with an end outside its owner
-        (possible on an unvalidated machine).  Inside an And-state an
-        in-state atom naming a state in ``where`` requires that coordinate;
-        any other atom always holds there or is about a foreign state.  An
-        Or-state's moves carry no requirements: its reachability ignores
-        conditions."""
+        it) and any other name to None, and, per region, its usable
+        internal transitions as moves between coordinates.  A region that
+        is not an Or-state is its own only coordinate and has no moves, so
+        whatever lies inside it is reached with the region and has no
+        coordinate.  A transition named in ``blocked`` is no move, nor is one
+        with an end outside its owner (possible on an unvalidated machine).
+        Inside an And-state an in-state atom naming a state with a
+        coordinate requires that coordinate; any other atom always holds
+        there or is about a foreign state.  An Or-state's moves carry no
+        requirements: its reachability ignores conditions.
+
+        ``coordinate`` walks ``parent`` up from the name it is asked about
+        to the region, never down the subtree: a deletion asks only about
+        move endpoints, entry targets, exit sources and in-state atoms."""
         st = self.states[elem]
         regions = (list(self.children[elem]) if isinstance(st, AndState)
                    else [elem] if isinstance(st, OrState) else [])
-        where: dict[str, tuple[int, str]] = {}
-        for j, region in enumerate(regions):
-            if region in self.initial:
-                for node in self.children[region]:
-                    where.update(dict.fromkeys(
-                        reached(node, self.children), (j, node)))
-        coupling = where if isinstance(st, AndState) else {}
+        index = {region: j for j, region in enumerate(regions)}
+        parent, initial = self.parent, self.initial
+
+        def coordinate(name: str) -> tuple[int, str] | None:
+            prev, cur = name, parent.get(name)
+            while cur is not None:
+                j = index.get(cur)
+                if j is not None:
+                    return (j, prev) if cur in initial else None
+                if cur == elem:
+                    return None
+                prev, cur = cur, parent.get(cur)
+            return None
+
+        coupled = isinstance(st, AndState)
         moves: list[list[Move]] = []
         for j, region in enumerate(regions):
             rt: list[Move] = []
             for t in map(self.transitions.__getitem__,
                          self.owned.get(region, ())):
-                u, v = where.get(t.source), where.get(t.target)
-                if u and v and u[0] == v[0] == j and t.name not in blocked:
-                    needs = tuple(coupling[a.state] for a in t.cond.atoms
-                                  if isinstance(a, InState)
-                                  and a.state in coupling)
+                if t.name in blocked:
+                    continue
+                u, v = coordinate(t.source), coordinate(t.target)
+                if u and v and u[0] == v[0] == j:
+                    needs = tuple(filter(None, (
+                        coordinate(a.state) for a in t.cond.atoms
+                        if isinstance(a, InState)))) if coupled else ()
                     rt.append((u[1], t.trigger, needs, v[1]))
             moves.append(rt)
-        return regions, where, moves
+        return regions, coordinate, moves
 
     # -- state deletion --
 
@@ -299,7 +320,11 @@ class WorkingTree(MachineIndex):
         owning none, gets no entries.  Optional transitions and those in
         ``blocked`` (the pending set, or ``()`` under ``include_pending``)
         are unusable; one with both ends in the subtree, self-loops
-        included, is neither an entry nor an exit."""
+        included, is neither an entry nor an exit.
+
+        This is the one walk of the subtree a deletion makes: ``doomed``
+        comes from ``reached`` over ``children``, and the pairing resolves
+        coordinates by walking up from the names it reads."""
         doomed = reached(elem, self.children)
         touching = {n for s in doomed for n in self.adjacent.get(s, ())}
         for s in doomed & self.owned.keys():
@@ -351,16 +376,29 @@ class WorkingTree(MachineIndex):
                 f"name(s) {sorted(clash)}")
 
         before = added & self.transitions.keys()
+        # One pass over each set.  A map entry keyed by a doomed state goes
+        # with that state, so a dropped transition is unlisted only from an
+        # owner and from ends that survive; and only a composite has
+        # ``children``, ``initial`` and ``owned`` entries.
+        transitions, owner, owned = self.transitions, self.owner, self.owned
+        adjacent, children = self.adjacent, self.children
         for name in touching:
-            self._drop_transition(name)
-        del self.children[parent][elem]
-        self.reshaped[parent] = None
+            t = transitions.pop(name)
+            home = owner.pop(name)
+            if home not in doomed:
+                del owned[home][name]
+            for end in (t.source, t.target):
+                if end not in doomed:
+                    adjacent[end].discard(name)
         for name in doomed:
             del self.states[name], self.parent[name]
-            self.adjacent.pop(name, None)
-            self.children.pop(name, None)
-            self.initial.pop(name, None)
-            self.owned.pop(name, None)
+            adjacent.pop(name, None)
+            if name in children:
+                del children[name]
+                if name in self.initial:
+                    del self.initial[name], owned[name]
+        del children[parent][elem]
+        self.reshaped[parent] = None
         for t, owner in zip(additions, owners):
             self._add_transition(t, owner)
         pending.difference_update(doomed, touching)
@@ -401,7 +439,7 @@ class WorkingTree(MachineIndex):
         """Composes each entry with every exit reachable from where the
         entry lands, over the state's regions (``_region_moves``): the
         search starts from the tuple of region initials with the entry
-        target's coordinate (from ``where``) substituted in its region.  An
+        target's coordinate (``coordinate``) substituted in its region.  An
         exit pairs when its source has no coordinate -- it is the state, a
         region, or inside a region that is not an Or-state -- or when its
         coordinate is in its region's projection of the reachable tuples,
@@ -409,20 +447,21 @@ class WorkingTree(MachineIndex):
         simple state has no regions, so all its entries and exits pair."""
         if not (entries and exits):
             return []
-        regions, where, moves = self._region_moves(elem, blocked)
+        regions, coordinate, moves = self._region_moves(elem, blocked)
         components = _components(moves)
         default = [self.initial.get(r, r) for r in regions]
-        leaving = [replace(ts, source=elem) for ts in exits]
+        leaving = [(coordinate(ts.source), replace(ts, source=elem))
+                   for ts in exits]
         out: list[Transition] = []
         for te in entries:
             start = list(default)
-            if te.target in where:
-                j, node = where[te.target]
+            lands = coordinate(te.target)
+            if lands is not None:
+                j, node = lands
                 start[j] = node
             reach = _projections(components, moves, tuple(start))
             entering = replace(te, target=elem)
-            for ts, leave in zip(exits, leaving):
-                at = where.get(ts.source)
+            for at, leave in leaving:
                 if at is None or at[1] in reach[at[0]]:
                     out.append(comp(entering, leave))
         return out

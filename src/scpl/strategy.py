@@ -170,7 +170,7 @@ def _record(steps: list[TraceStep], budget: int, step: TraceStep) -> None:
 
 # --- confluence harness ---------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfluenceReport:
     confluent: bool
     trials: int

@@ -218,9 +218,14 @@ def test_fuzz_reports_an_invalid_seed_at_the_validate_stage(monkeypatch,
     pytest.param("surrogate", 2,
                  "syntax error: string 'A\\ud800' holds a lone surrogate",
                  id="lone-surrogate"),
+    pytest.param("runtime", 4, "internal error: RuntimeError: boom at 3",
+                 id="internal-error"),
+    pytest.param("recursion", 4,
+                 "internal error: RecursionError: maximum recursion depth "
+                 "exceeded", id="recursion-error"),
 ])
 def test_exit_code_and_message_per_error_kind(case, code, prefix, paths,
-                                              tmp_path, capsys):
+                                              tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "out.json")
     dot = tmp_path / "out.dot"
     if case == "faulty":
@@ -260,6 +265,17 @@ def test_exit_code_and_message_per_error_kind(case, code, prefix, paths,
         conf.write_text('{"selected": ["F"]}', encoding="utf-8")
         argv = ["instantiate", str(line), str(conf), "-o", out,
                 "--dot", str(dot)]
+    elif case in ("runtime", "recursion"):
+        # A fault of the program itself, stubbed into the kernel command;
+        # a message over several lines is still reported on one.
+        error = (RuntimeError("boom\nat 3") if case == "runtime" else
+                 RecursionError("maximum recursion depth exceeded"))
+
+        def failing(fm):
+            raise error
+
+        monkeypatch.setattr(cli, "kernel", failing)
+        argv = ["kernel", paths["mp.pl.json"]]
     else:
         argv = ["validate", str(tmp_path / "missing.pl.json")]
     assert main(argv) == code

@@ -12,8 +12,10 @@ the machine once and rebuilds it only to resolve a dotted path, and the
 command line builds its argument parser once per process.  None of these,
 nor the product-line generator that ``scpl fuzz`` runs per seed, nor a
 command that writes a JSON document, leaves a reference cycle behind.
-Deleting an And-state searches each coupled component of its regions on
-its own, never the product of all regions; within an instantiation no
+A layer-2 state deletion walks its subtree once, to find what it reads,
+and resolves a coordinate of a region by walking up from the name asked
+about, never down the subtree.  Deleting an And-state searches each
+coupled component of its regions on its own, never the product of all regions; within an instantiation no
 region is coupled at all, since layer 1 prunes every in-state atom that
 names a state inside a doomed one.
 """
@@ -90,6 +92,19 @@ def test_instantiate_indexes_and_rebuilds_a_constant_number_of_times(
         assert len(result.trace) > 100
         assert indexes[0] == 1, validate
         assert freezes[0] == 1, validate
+
+
+def test_a_state_deletion_walks_its_subtree_once(monkeypatch):
+    line = generate_random_product_line(S1K_SEED, **S1K_GENERATOR)
+    # Validation walks the feature model with the same function, bound in
+    # other modules; only the rewrite rules' binding counts here.
+    walks = _count_calls(monkeypatch, scpl.rewrite, "reached")
+    result = instantiate(*line)
+    deletions = sum(step.rule in ("delete_simple_state", "delete_or_state",
+                                  "delete_and_state")
+                    for step in result.trace)
+    assert deletions > 50
+    assert walks[0] == deletions
 
 
 def test_check_confluence_compares_trees_without_rebuilding(monkeypatch):

@@ -1,4 +1,7 @@
+import dataclasses
+import pickle
 import random
+from copy import deepcopy
 
 import pytest
 from hypothesis import given
@@ -7,12 +10,16 @@ from hypothesis import strategies as st
 from conftest import S1K_GENERATOR, S1K_SEED
 from generators import inject_faults, inject_transition_faults
 from oracles import reference_well_formed
-from scpl.model import (AndState, Condition, Guard, InState, MachineIndex,
-                        OrState, SimpleState, StateChart, Transition,
-                        canonicalize, check_well_formed, partition, reached,
-                        valid_name, valid_transition_name, var_elems)
+import scpl.model
+from scpl.model import (AndState, Condition, Configuration, FeatureModel,
+                        Guard, ImpEntry, ImpMapping, InState, MachineIndex,
+                        OrState, RewriteTrace, SimpleState, StateChart,
+                        TraceStep, Transition, Violation, canonicalize,
+                        check_well_formed, partition, reached, valid_name,
+                        valid_transition_name, var_elems)
 from scpl.rewrite import WorkingTree
-from scpl.strategy import generate_random_product_line
+from scpl.strategy import (ConfluenceReport, generate_random_product_line,
+                           instantiate)
 
 
 def test_valid_name_accepts_ordinary_identifiers():
@@ -300,3 +307,46 @@ def test_canonicalize_identifies_reordered_machines():
     b = StateChart(OrState("Root", (SimpleState("B"), SimpleState("A")), "A"))
     assert a != b
     assert canonicalize(a) == canonicalize(b)
+
+
+# One value of every dataclass the library defines as a value type.
+_VALUES = (
+    Guard("g"), InState("A"), Condition((InState("A"),)),
+    Transition("t", "A", "B", ("e",)), SimpleState("A"),
+    OrState("Root", (SimpleState("A"),), "A"),
+    AndState("P", (SimpleState("A"), SimpleState("B"))),
+    StateChart(OrState("Root", (SimpleState("A"),), "A")),
+    FeatureModel(frozenset({"R"}), "R"), Configuration(frozenset({"R"})),
+    ImpEntry(frozenset({"A"})), ImpMapping(), TraceStep("rule", "A"),
+    RewriteTrace(), Violation("A", "message"),
+    ConfluenceReport(confluent=True, trials=1, nsc_size=0),
+)
+
+
+def test_every_value_type_is_covered():
+    in_model = {cls for cls in vars(scpl.model).values()
+                if dataclasses.is_dataclass(cls)
+                and cls.__module__ == "scpl.model"}
+    assert in_model | {ConfluenceReport} == {type(v) for v in _VALUES}
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda v: type(v).__name__)
+def test_values_are_slotted(value):
+    assert "__slots__" in vars(type(value))
+    assert not hasattr(value, "__dict__")
+    field = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
+
+
+def test_values_survive_pickle_deepcopy_and_replace():
+    for seed in range(20):
+        line = generate_random_product_line(seed)
+        result = instantiate(*line)
+        for value in (*line, result.statechart, result.trace):
+            twins = [pickle.loads(pickle.dumps(value, protocol))
+                     for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            twins += [deepcopy(value), dataclasses.replace(value)]
+            for twin in twins:
+                assert twin == value, (seed, type(value).__name__)
+                assert hash(twin) == hash(value)

@@ -1,3 +1,5 @@
+import random
+from contextlib import suppress
 from copy import deepcopy
 from dataclasses import replace
 
@@ -6,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import simple_chain
-from generators import random_and_composite, random_or_composite
+from generators import (inject_transition_faults, random_and_composite,
+                        random_or_composite)
 from oracles import and_closure, closure
 from scpl.errors import (EmptyCompositeError, IsInitialError, NoInitialError,
                          NotAndError, NotOptionalError, NotSimpleError,
                          NotSubstateError, OptionalComposeError,
-                         RewriteError)
+                         RewriteError, ScplError)
 from scpl import datasets
 from scpl.binding import nsc
 from scpl.model import (AndState, Condition, Guard, History, InState,
@@ -23,7 +26,7 @@ from scpl.rewrite import (PendingSet, WorkingTree, comp, comp_name,
                           entry_exit_pairs, finalize_optionals,
                           prune_conditions, reachable_and, reachable_or,
                           repair_initial)
-from scpl.strategy import generate_random_product_line
+from scpl.strategy import generate_random_product_line, instantiate
 
 
 def T(name, src, tgt, trig=("e",), **kw):
@@ -202,6 +205,64 @@ def test_working_tree_copy_edits_apart_from_its_original(chain):
     # Dict equality ignores order, so check where the addition went.
     assert list(tree.owned["Root"])[-1] == "comp(t1,t2,t3)"
     assert list(twin.owned["Root"])[-1] == "comp(t1,t2,t3)"
+
+
+def _assert_maps_agree(tree: WorkingTree, step) -> None:
+    """The working tree's maps describe one machine, and none of them
+    names a state or a transition that ``step`` removed."""
+    transitions, owner, owned = tree.transitions, tree.owner, tree.owned
+    assert owner.keys() == transitions.keys()
+    assert {n: home for home, names in owned.items() for n in names} == owner
+    ends: dict[str, set[str]] = {}
+    for name, t in transitions.items():
+        for end in (t.source, t.target):
+            ends.setdefault(end, set()).add(name)
+    assert {s: names for s, names in tree.adjacent.items() if names} == ends
+    assert tree.parent.keys() == tree.states.keys()
+    assert {c: p for p, kids in tree.children.items() for c in kids} == {
+        c: p for c, p in tree.parent.items() if p is not None}
+    assert [c for c, p in tree.parent.items() if p is None] == [tree.root]
+    assert tree.children.keys() <= tree.states.keys()
+    assert tree.initial.keys() == owned.keys() <= tree.children.keys()
+    gone = set(step.removed_states)
+    assert gone and not gone & (
+        tree.states.keys() | tree.children.keys() | tree.adjacent.keys()
+        | set(tree.initial.values()) | ends.keys())
+    assert not set(step.removed_transitions) & transitions.keys()
+
+
+def test_the_maps_agree_after_every_state_deletion(monkeypatch):
+    # A deletion pops the entries keyed by a doomed state without editing
+    # them first; the maps must still agree, on unvalidated input too.
+    checked = [0]
+    orig = WorkingTree.delete_state
+
+    def checking(self, *args, **kwargs):
+        step = orig(self, *args, **kwargs)
+        _assert_maps_agree(self, step)
+        checked[0] += 1
+        return step
+
+    monkeypatch.setattr(WorkingTree, "delete_state", checking)
+    rules = {SimpleState: delete_simple_state, OrState: delete_or_state,
+             AndState: delete_and_state}
+    faulty = 0
+    for seed in range(200):
+        line = generate_random_product_line(seed)
+        instantiate(*line)
+        sc = inject_transition_faults(line.sc, random.Random(seed))
+        faulty += sc != line.sc
+        with suppress(ScplError):
+            instantiate(line.fm, line.conf, sc, line.imp, validate=False)
+        for machine in (line.sc, sc):
+            idx = MachineIndex(machine)
+            doomed = nsc(line.fm, line.conf, machine, line.imp)
+            for name in sorted(doomed & idx.states.keys()):
+                rule = rules[type(idx.states[name])]
+                with suppress(ScplError):
+                    rule(name, machine, PendingSet(doomed))
+    assert faulty > 50
+    assert checked[0] > 500
 
 
 def test_delete_simple_state_refuses_a_duplicate_composed_name():
