@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields, replace
 from itertools import count, permutations
-from math import factorial
+from math import factorial, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .binding import imp_violations
@@ -217,13 +217,22 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
     transition named comp(...), since a composition may clash with it or
     not by whether another group dropped it first.  An order whose key has
     already run is skipped: that earlier outcome agreed with the reference,
-    or the check would have returned; when no group holds two states every
-    order has the reference's key, and the check returns after the
-    reference.  ``trials`` still counts every order, and
-    ``divergent_orders`` pairs the first order with the first divergent one
-    in iteration order.  ``divergent_outcomes`` gives, per outcome, the
-    first few elements and fields on which the two differ with that
-    outcome's values."""
+    or the check would have returned.
+
+    The check stops as soon as its verdict is settled, at one of two
+    exits.  With fewer than two eligible states every order has the same
+    key under either keying, so no outcome can differ from the reference
+    and none runs, the reference included; when no group holds two states
+    the check returns after the reference for the same reason.  Once as
+    many keys have run as there are, the product of ``|group|!`` over the
+    groups, no later order can bring a new one, so no further order is
+    drawn.  Neither exit changes a field of the report: ``trials`` still
+    counts every order, and ``divergent_orders`` pairs the first order
+    with the first divergent one in iteration order.  That order's key
+    cannot have run before it, since every key that ran gave the
+    reference's outcome, so it is met before the last key runs.
+    ``divergent_outcomes`` gives, per outcome, the first few elements and
+    fields on which the two differ with that outcome's values."""
     if not exhaustive and trials < 1:
         raise InvalidInputError(
             [Violation("trials", f"must be at least 1, got {trials}")])
@@ -248,6 +257,10 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
 
     agreed = ConfluenceReport(confluent=True, trials=total,
                               nsc_size=len(base))
+    eligible = sorted(_eligible(tree, doomed))
+    if len(eligible) < 2:
+        # Every order has the one empty or single-state projection.
+        return agreed
 
     def outcome(order):
         copy = tree.copy()
@@ -259,7 +272,6 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
 
     first = next(orders)
     reference = outcome(first)
-    eligible = sorted(_eligible(tree, doomed))
     if isinstance(reference, str) or any(
             comp_parts(name) != (name,) for name in tree.transitions):
         groups = [eligible]
@@ -276,6 +288,7 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
         return tuple(sorted((n for n in order if n in group_of),
                             key=group_of.__getitem__))
 
+    keys = prod(factorial(len(group)) for group in groups)
     ran = {key(first)}
     for order in orders:
         projection = key(order)
@@ -287,6 +300,9 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
             return replace(agreed, confluent=False,
                            divergent_orders=(first, order),
                            divergent_outcomes=_diff(reference, got))
+        if len(ran) == keys:
+            # Every key has run: no later order can bring a new one.
+            break
     return agreed
 
 

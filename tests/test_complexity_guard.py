@@ -6,8 +6,9 @@ once per rule application; its output is checked on that tree, over the
 edits alone or, without validation, whole.  A
 confluence check indexes and validates its input once, not once per
 order, runs the four layers once per distinct order of the layer-2
-state deletions, and compares the trees it edited without rebuilding a
-machine.  Parsing walks
+state deletions, and not at all with fewer than two states eligible for
+layer 2, draws no order after the last distinct one has run, and
+compares the trees it edited without rebuilding a machine.  Parsing walks
 the machine once and rebuilds it only to resolve a dotted path, and the
 command line builds its argument parser once per process.  None of these,
 nor the product-line generator that ``scpl fuzz`` runs per seed, nor a
@@ -28,6 +29,7 @@ import json
 import random
 import sys
 from importlib import resources
+from math import factorial
 
 import pytest
 
@@ -35,14 +37,16 @@ import scpl.model
 import scpl.rewrite
 import scpl.strategy
 from conftest import S1K_GENERATOR, S1K_SEED, line_for
+from oracles import reference_confluence
 from scpl import cli, datasets
+from scpl.errors import NoInitialError
 from scpl.formats import (export_dot, parse_product_line,
                           serialize_configuration)
 from scpl.model import (AndState, Condition, InState, MachineIndex, OrState,
                         SimpleState, StateChart, Transition, canonicalize)
 from scpl.rewrite import PendingSet, delete_and_state
-from scpl.strategy import (check_confluence, generate_random_product_line,
-                           instantiate)
+from scpl.strategy import (EXHAUSTIVE_CAP, check_confluence,
+                           generate_random_product_line, instantiate)
 
 MP_TEXT = resources.files("scpl.data.mobile_phone").joinpath(
     "mp.pl.json").read_text(encoding="utf-8")
@@ -122,7 +126,7 @@ def test_check_confluence_compares_trees_without_rebuilding(monkeypatch):
 def test_check_confluence_runs_one_order_per_layer_two_projection(
         monkeypatch):
     # One doomed state and four doomed transitions: 5! orders, all with
-    # the one state as their layer-2 projection.
+    # the one state as their layer-2 projection, so none needs to run.
     sc = StateChart(OrState(
         "Root", (SimpleState("A"), SimpleState("B"), SimpleState("S", True)),
         "A", tuple(Transition(f"t{i}", "A", "B", (f"e{i}",), optional=True)
@@ -132,7 +136,55 @@ def test_check_confluence_runs_one_order_per_layer_two_projection(
     report = check_confluence(fm, conf, sc, imp, exhaustive=True)
     assert report.confluent
     assert report.trials == 120
-    assert runs[0] == 1
+    assert runs[0] == 0
+
+
+def test_check_confluence_runs_no_order_for_one_eligible_state(monkeypatch):
+    # The doomed initial I has no way out, so every order fails in layer
+    # 1; with I the only eligible state every order has one key, and the
+    # check settles its verdict without running any.
+    sc = StateChart(OrState(
+        "Root", (SimpleState("I", True), SimpleState("A"), SimpleState("B")),
+        "I", (Transition("ab", "A", "B", ("a",), optional=True),
+              Transition("ba", "B", "A", ("b",), optional=True))))
+    fm, conf, imp = line_for(sc, {"I", "ab", "ba"})
+    line = (fm, conf, sc, imp)
+    with pytest.raises(NoInitialError):
+        instantiate(*line)
+    expected = reference_confluence(*line, exhaustive=True)
+    runs = _count_calls(monkeypatch, scpl.strategy, "_rewrite")
+    report = check_confluence(*line, exhaustive=True)
+    assert runs[0] == 0
+    assert report == expected
+    assert report.confluent and report.trials == 6
+
+
+def test_check_confluence_draws_no_order_after_the_last_key(monkeypatch):
+    # Eight doomed siblings, of which only S0 and S1 share a transition:
+    # two keys, S0 before S1 and S1 before S0.  The first order with S1
+    # ahead of S0 is the first one starting with S1, after the 7! orders
+    # that start with S0; no order after it is drawn.
+    doomed = [f"S{i}" for i in range(EXHAUSTIVE_CAP)]
+    sc = StateChart(OrState(
+        "Root", (SimpleState("A"), *(SimpleState(s, True) for s in doomed)),
+        "A", (Transition("s01", "S0", "S1", ("a",)),)))
+    fm, conf, imp = line_for(sc, doomed)
+    expected = reference_confluence(fm, conf, sc, imp, exhaustive=True)
+    drawn = [0]
+    permutations = scpl.strategy.permutations
+
+    def counted(base):
+        for order in permutations(base):
+            drawn[0] += 1
+            yield order
+
+    monkeypatch.setattr(scpl.strategy, "permutations", counted)
+    runs = _count_calls(monkeypatch, scpl.strategy, "_rewrite")
+    report = check_confluence(fm, conf, sc, imp, exhaustive=True)
+    assert report == expected
+    assert report.confluent and report.trials == 40_320
+    assert runs[0] == 2
+    assert drawn[0] == factorial(EXHAUSTIVE_CAP - 1) + 1
 
 
 def test_parse_walks_the_machine_once(monkeypatch):
