@@ -24,15 +24,17 @@ Or-state has a coordinate, the region's direct substate holding it, which
 a deletion finds by walking up from that state, for the names it reads
 alone; a state inside any other region is reached with that region, so it
 has no coordinate.  An exit asks only which coordinates its own region
-reaches, so the deletion searches the regions
-one coupled component (``model.partition``) at a time -- regions are
-coupled only through in-state atoms naming each other's states, never
-through shared triggers -- and costs the product of each component's
-coordinates, not of all regions'.  ``strategy.instantiate`` meets no
-coupled component, as layer 1 has pruned every in-state atom naming a
-state inside a doomed one; only ``delete_and_state`` and ``reachable_and``
-on an unpruned machine do.  ``reachable_and`` returns the full tuple set
-of one joint search; ``reachable_or`` is the one-region search.
+reaches, so the deletion searches the regions one coupled component
+(``model.partition``) at a time -- regions are coupled only through
+in-state atoms naming each other's states, never through shared triggers.
+A region alone in its component is a plain graph, and costs one closure
+(``model.reached``) over its moves; only a component of two or more
+regions is searched over its region tuples, up to ``TUPLE_BUDGET`` of
+them.  ``strategy.instantiate`` meets no coupled component, as layer 1 has
+pruned every in-state atom naming a state inside a doomed one, so it
+searches no tuples; only ``delete_and_state`` and ``reachable_and`` on an
+unpruned machine do.  ``reachable_and`` returns the full tuple set of one
+joint search; ``reachable_or`` is the closure of its one region.
 A deletion reads names only, never the order of the machine's
 transitions: its compositions are owned, checked and added in name order.
 It walks its subtree once, to find what it reads (``boundary``), and tears
@@ -54,13 +56,13 @@ pending set, or ``()`` under ``include_pending``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import product
 from typing import Callable, Collection, Sequence
 
 from .errors import (EmptyCompositeError, IsInitialError, NoInitialError,
                      NotAndError, NotOptionalError, NotSimpleError,
-                     NotSubstateError, OptionalComposeError, RewriteError)
+                     NotSubstateError, OptionalComposeError, RewriteError,
+                     TooLargeError)
 from .model import (AndState, Condition, InState, MachineIndex, OrState,
                     SimpleState, StateChart, TraceStep, Transition,
                     comp_parts, partition, reached)
@@ -89,16 +91,16 @@ def comp(t1: Transition, t2: Transition) -> Transition:
         raise RewriteError(
             f"{t1.name!r} ends at {t1.target!r} but {t2.name!r} starts at "
             f"{t2.source!r}")
-    return Transition(
-        name=comp_name(t1.name, t2.name),
-        source=t1.source,
-        target=t2.target,
-        trigger=t1.trigger + t2.trigger,
-        cond=t1.cond & t2.cond,
-        actions=t1.actions + t2.actions,
-        history=t2.history,
-        optional=False,
-    )
+    return _composed(t1, t2)
+
+
+def _composed(t1: Transition, t2: Transition) -> Transition:
+    """The composition rule, unchecked: ``comp`` once its checks pass, and
+    a state deletion, whose entries and exits are usable and meet at the
+    deleted state by construction."""
+    return Transition(comp_name(t1.name, t2.name), t1.source, t2.target,
+                      t1.trigger + t2.trigger, t1.cond & t2.cond,
+                      t1.actions + t2.actions, t2.history)
 
 
 # --- reachability over region tuples --------------------------------------
@@ -108,13 +110,22 @@ def comp(t1: Transition, t2: Transition) -> Transition:
 # coordinate is ``node``.
 Move = tuple[str, tuple[str, ...], tuple[tuple[int, str], ...], str]
 
+# Most tuples one joint search of regions may reach; one more raises
+# TooLargeError.  The largest legitimate search known, ``reachable_and``
+# over six rings of six substates on three triggers, reaches 18,644.
+TUPLE_BUDGET = 50_000
+
 
 def _tuple_search(region_indices: Sequence[int], start: tuple[str, ...],
                   moves: list[list[Move]]) -> set[tuple[str, ...]]:
     """Tuples over the given regions reachable from ``start`` by maximal
     synchronous steps: per trigger, every region with an enabled move
     fires, the others stay put, and at least one region fires.  Every
-    requirement of a move of the given regions must name one of them."""
+    requirement of a move of the given regions must name one of them.
+    This is the search of ``reachable_and`` and of a component of two or
+    more coupled regions; a lone region is closed as a graph instead
+    (``_successors``).  Raises TooLargeError on reaching more than
+    TUPLE_BUDGET tuples."""
     position = {j: p for p, j in enumerate(region_indices)}
     out_of: list[dict[str, list]] = []
     for j in region_indices:
@@ -136,6 +147,10 @@ def _tuple_search(region_indices: Sequence[int], start: tuple[str, ...],
             for nxt in product(*(fired.get(p) or (node,)
                                  for p, node in enumerate(cur))):
                 if nxt not in seen:
+                    if len(seen) == TUPLE_BUDGET:
+                        raise TooLargeError(
+                            f"{len(position)} regions searched jointly reach "
+                            f"more than the tuple budget of {TUPLE_BUDGET}")
                     seen.add(nxt)
                     frontier.append(nxt)
     return seen
@@ -154,12 +169,33 @@ def _components(moves: list[list[Move]]) -> list[list[int]]:
                       for _, _, needs, _ in rt for j, _ in needs))
 
 
+def _successors(region_moves: list[Move]) -> dict[str, list[str]]:
+    """A region alone in its component as a plain graph: each coordinate
+    maps to the targets of the moves leaving it whose requirements all
+    name it.  Alone, a region's moves can require only its own
+    coordinate, which holds exactly when it is the move's source, and a
+    trigger fires that region alone, so each enabled move is one step:
+    ``model.reached`` over this map is the region's one-region tuple
+    search, projected."""
+    out: dict[str, list[str]] = {}
+    for u, _, needs, v in region_moves:
+        if not needs or all(node == u for _, node in needs):
+            out.setdefault(u, []).append(v)
+    return out
+
+
 def _projections(components: list[list[int]], moves: list[list[Move]],
                  start: tuple[str, ...]) -> list[set[str]]:
     """Per region, the coordinates that tuples reachable from ``start``
-    take there, searching one component at a time."""
+    take there, one component at a time: a region alone in its component
+    by the closure of its moves (``_successors``), two or more coupled
+    regions by the search of their tuples (``_tuple_search``)."""
     reach: list[set[str]] = [set() for _ in start]
     for regions in components:
+        if len(regions) == 1:
+            j = regions[0]
+            reach[j] = reached(start[j], _successors(moves[j]))
+            continue
         found = _tuple_search(regions, tuple(start[j] for j in regions), moves)
         for p, j in enumerate(regions):
             reach[j] = {tup[p] for tup in found}
@@ -300,9 +336,11 @@ class WorkingTree(MachineIndex):
                     continue
                 u, v = coordinate(t.source), coordinate(t.target)
                 if u and v and u[0] == v[0] == j:
-                    needs = tuple(filter(None, (
-                        coordinate(a.state) for a in t.cond.atoms
-                        if isinstance(a, InState)))) if coupled else ()
+                    needs = ()
+                    if coupled and t.cond.atoms:
+                        needs = tuple(filter(None, (
+                            coordinate(a.state) for a in t.cond.atoms
+                            if isinstance(a, InState))))
                     rt.append((u[1], t.trigger, needs, v[1]))
             moves.append(rt)
         return regions, coordinate, moves
@@ -442,16 +480,17 @@ class WorkingTree(MachineIndex):
         target's coordinate (``coordinate``) substituted in its region.  An
         exit pairs when its source has no coordinate -- it is the state, a
         region, or inside a region that is not an Or-state -- or when its
-        coordinate is in its region's projection of the reachable tuples,
-        so each component of coupled regions is searched on its own.  A
-        simple state has no regions, so all its entries and exits pair."""
+        coordinate is in its region's projection of the reachable tuples
+        (``_projections``).  A simple state has no regions, so all its
+        entries and exits pair.  Each pair composes by ``_composed``: the
+        entry and exit are usable and meet at the state by construction,
+        so ``comp``'s checks could not fail."""
         if not (entries and exits):
             return []
         regions, coordinate, moves = self._region_moves(elem, blocked)
         components = _components(moves)
         default = [self.initial.get(r, r) for r in regions]
-        leaving = [(coordinate(ts.source), replace(ts, source=elem))
-                   for ts in exits]
+        leaving = [(coordinate(ts.source), ts) for ts in exits]
         out: list[Transition] = []
         for te in entries:
             start = list(default)
@@ -460,10 +499,9 @@ class WorkingTree(MachineIndex):
                 j, node = lands
                 start[j] = node
             reach = _projections(components, moves, tuple(start))
-            entering = replace(te, target=elem)
-            for at, leave in leaving:
+            for at, ts in leaving:
                 if at is None or at[1] in reach[at[0]]:
-                    out.append(comp(entering, leave))
+                    out.append(_composed(te, ts))
         return out
 
     def _lca_or_owner(self, source: str, target: str) -> str:
@@ -656,17 +694,20 @@ def delete_and_state(elem: str, sc: StateChart, pending: PendingSet, *,
     exit is reachable when some reachable tuple holds its source substate
     at that region's coordinate.  Only that per-region projection is
     computed: regions are partitioned into components joined by in-state
-    atoms naming a state of another region, and each component's tuples
-    are searched from the start tuple's projection onto it."""
+    atoms naming a state of another region; a region alone in its
+    component is closed over its moves as a graph, and the tuples of a
+    component of two or more are searched from the start tuple's
+    projection onto it, raising TooLargeError past TUPLE_BUDGET."""
     return _delete(AndState, elem, sc, pending, include_pending)
 
 
 def reachable_or(elem: str, start: str, sc: StateChart, pending: PendingSet,
                  *, include_pending: bool = False) -> set[str]:
     """Reflexive-transitive closure over an Or-state's internal transitions,
-    projected onto its direct substates: the region-tuple search of
-    ``reachable_and`` with the Or-state as its one region.  Conditions are
-    ignored; pending transitions grant no reachability."""
+    projected onto its direct substates: the closure of its one region
+    (``_successors``), which a deletion also runs for each region alone in
+    its component.  Conditions are ignored; pending transitions grant no
+    reachability."""
     tree = WorkingTree(sc)
     if not isinstance(tree.states.get(elem), OrState):
         raise RewriteError(f"{elem!r} is not an Or-state")
@@ -675,7 +716,7 @@ def reachable_or(elem: str, start: str, sc: StateChart, pending: PendingSet,
             f"{start!r} is not a direct substate of {elem!r}")
     _, _, moves = tree._region_moves(
         elem, () if include_pending else pending)
-    return {node for node, in _tuple_search([0], (start,), moves)}
+    return reached(start, _successors(moves[0]))
 
 
 def reachable_and(elem: str, start: tuple[str, ...], sc: StateChart,
@@ -688,7 +729,9 @@ def reachable_and(elem: str, start: tuple[str, ...], sc: StateChart,
     in-state atoms hold for the current tuple fires (maximal synchronous
     step), the others stay put, and at least one region must move.  Opaque
     guards and in-state atoms about foreign states are assumed satisfiable.
-    Every region is searched as one component.
+    Every region is searched as one component, coupled or not, so this
+    is the one rule that searches the product of all regions; it raises
+    TooLargeError once it reaches more than TUPLE_BUDGET tuples.
     """
     tree = WorkingTree(sc)
     if not isinstance(tree.states.get(elem), AndState):

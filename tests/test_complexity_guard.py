@@ -15,10 +15,12 @@ nor the product-line generator that ``scpl fuzz`` runs per seed, nor a
 command that writes a JSON document, leaves a reference cycle behind.
 A layer-2 state deletion walks its subtree once, to find what it reads,
 and resolves a coordinate of a region by walking up from the name asked
-about, never down the subtree.  Deleting an And-state searches each
-coupled component of its regions on its own, never the product of all regions; within an instantiation no
-region is coupled at all, since layer 1 prunes every in-state atom that
-names a state inside a doomed one.
+about, never down the subtree.  Deleting an And-state closes each region
+that no in-state atom couples to another as a plain graph, and searches
+tuples only for a component of coupled regions, never the product of all
+regions; within an instantiation no region is coupled at all, since
+layer 1 prunes every in-state atom that names a state inside a doomed
+one, so it searches no tuples.  A tuple search stops at a budget.
 """
 
 import argparse
@@ -28,6 +30,7 @@ import io
 import json
 import random
 import sys
+import time
 from importlib import resources
 from math import factorial
 
@@ -39,12 +42,12 @@ import scpl.strategy
 from conftest import S1K_GENERATOR, S1K_SEED, line_for
 from oracles import reference_confluence
 from scpl import cli, datasets
-from scpl.errors import NoInitialError
+from scpl.errors import NoInitialError, ScplError, TooLargeError
 from scpl.formats import (export_dot, parse_product_line,
                           serialize_configuration)
 from scpl.model import (AndState, Condition, InState, MachineIndex, OrState,
                         SimpleState, StateChart, Transition, canonicalize)
-from scpl.rewrite import PendingSet, delete_and_state
+from scpl.rewrite import PendingSet, delete_and_state, reachable_and
 from scpl.strategy import (EXHAUSTIVE_CAP, check_confluence,
                            generate_random_product_line, instantiate)
 
@@ -98,17 +101,56 @@ def test_instantiate_indexes_and_rebuilds_a_constant_number_of_times(
         assert freezes[0] == 1, validate
 
 
+def _record_closures(monkeypatch) -> list[tuple[bool, int]]:
+    """Wraps the rewrite rules' ``reached`` by a recorder of one pair per
+    call: whether it walked a working tree's ``children`` (compared by
+    identity) and how many names it reached.  Validation walks the
+    feature model with the same function, bound in other modules, and a
+    deletion closes each lone region's moves with it."""
+    trees: list[scpl.rewrite.WorkingTree] = []
+    init = scpl.rewrite.WorkingTree.__init__
+
+    def recording_init(self, sc):
+        init(self, sc)
+        trees.append(self)
+
+    orig = scpl.rewrite.reached
+    calls: list[tuple[bool, int]] = []
+
+    def recording(start, successors):
+        found = orig(start, successors)
+        calls.append((any(successors is tree.children for tree in trees),
+                      len(found)))
+        return found
+
+    monkeypatch.setattr(scpl.rewrite.WorkingTree, "__init__", recording_init)
+    monkeypatch.setattr(scpl.rewrite, "reached", recording)
+    return calls
+
+
+def _record_tuple_searches(monkeypatch) -> list[list[int]]:
+    """Wraps ``rewrite._tuple_search`` by a recorder of the regions each
+    call searches jointly."""
+    orig = scpl.rewrite._tuple_search
+    searched: list[list[int]] = []
+
+    def recording(region_indices, start, moves):
+        searched.append(list(region_indices))
+        return orig(region_indices, start, moves)
+
+    monkeypatch.setattr(scpl.rewrite, "_tuple_search", recording)
+    return searched
+
+
 def test_a_state_deletion_walks_its_subtree_once(monkeypatch):
     line = generate_random_product_line(S1K_SEED, **S1K_GENERATOR)
-    # Validation walks the feature model with the same function, bound in
-    # other modules; only the rewrite rules' binding counts here.
-    walks = _count_calls(monkeypatch, scpl.rewrite, "reached")
+    calls = _record_closures(monkeypatch)
     result = instantiate(*line)
     deletions = sum(step.rule in ("delete_simple_state", "delete_or_state",
                                   "delete_and_state")
                     for step in result.trace)
     assert deletions > 50
-    assert walks[0] == deletions
+    assert sum(walk for walk, _ in calls) == deletions
 
 
 def test_check_confluence_compares_trees_without_rebuilding(monkeypatch):
@@ -296,78 +338,154 @@ def test_check_confluence_checks_well_formedness_once(monkeypatch):
     assert calls[0] == 1
 
 
-def test_and_state_deletion_searches_uncoupled_regions_apart(monkeypatch):
-    # 12 rings of 6 substates over three shared triggers, no in-state
-    # atoms: 6**12 (about 2.2e9) tuples, but 12 components of 6 each.  The
-    # triggers are drawn at random: a periodic pattern would keep the
-    # regions in lockstep, and even the full product search small.
+def _rings(count: int) -> StateChart:
+    """An optional And-state A of ``count`` rings of 6 substates over three
+    shared triggers, with no in-state atoms, entered from In and left from
+    R0S3 and from A itself.  The triggers are drawn at random: a periodic
+    pattern would keep the regions in lockstep, and even the product of
+    all regions small."""
     rng = random.Random(3)
     regions = []
-    for i in range(12):
+    for i in range(count):
         names = [f"R{i}S{j}" for j in range(6)]
         ring = tuple(Transition(f"r{i}t{j}", names[j], names[(j + 1) % 6],
                                 (rng.choice("abc"),)) for j in range(6))
         regions.append(OrState(f"R{i}", tuple(SimpleState(n) for n in names),
                                names[0], ring))
-    root = OrState(
+    return StateChart(OrState(
         "Root",
         (SimpleState("In"), AndState("A", tuple(regions), True),
          SimpleState("OutX"), SimpleState("OutY")),
         "In",
         (Transition("enter", "In", "A", ("go",)),
          Transition("exitX", "R0S3", "OutX", ("x",)),
-         Transition("exitY", "A", "OutY", ("y",))))
-    sc = StateChart(root)
-    orig = scpl.rewrite._tuple_search
-    visited = [0]
+         Transition("exitY", "A", "OutY", ("y",)))))
 
-    def counting(region_indices, start, moves):
-        # Refuse a coupled search up front: it would run for hours.
-        assert len(region_indices) == 1, "uncoupled regions searched jointly"
-        found = orig(region_indices, start, moves)
-        visited[0] += len(found)
-        return found
 
-    monkeypatch.setattr(scpl.rewrite, "_tuple_search", counting)
+def test_and_state_deletion_searches_uncoupled_regions_apart(monkeypatch):
+    # 12 rings: 6**12 (about 2.2e9) tuples, but 12 lone regions, each
+    # closed over its own moves with no tuple search at all.
+    sc = _rings(12)
+    searched = _record_tuple_searches(monkeypatch)
+    calls = _record_closures(monkeypatch)
     fm, conf, imp = line_for(sc, {"A"})
     result = instantiate(fm, conf, sc, imp)
-    assert 0 < visited[0] <= 72
+    assert searched == []
+    closures = [size for walk, size in calls if not walk]
+    assert len(closures) == 12
+    assert all(0 < size <= 6 for size in closures)
     assert set(MachineIndex(result.statechart).transitions) == {
         "comp(enter,exitX)", "comp(enter,exitY)"}
 
 
-def test_instantiate_never_searches_coupled_regions(monkeypatch):
-    # R1's move waits for R2's B2, which couples the two regions; layer 1
-    # prunes that atom before P is deleted, so instantiate searches each
-    # region alone.  The public rule on the unpruned machine searches
-    # them as one component, and both pair the entry with the exit.
+def _coupled_pair() -> StateChart:
+    """R1's move waits for R2's B2, which couples the two regions of the
+    optional And-state P, entered from In and left from A2."""
     r1 = OrState("R1", (SimpleState("A1"), SimpleState("A2")), "A1",
                  (Transition("a", "A1", "A2", ("e",),
                              Condition((InState("B2"),))),))
     r2 = OrState("R2", (SimpleState("B1"), SimpleState("B2")), "B1",
                  (Transition("b", "B1", "B2", ("f",)),))
-    sc = StateChart(OrState(
+    return StateChart(OrState(
         "Root",
         (SimpleState("In"), SimpleState("Out"),
          AndState("P", (r1, r2), optional=True)),
         "In",
         (Transition("in", "In", "P", ("g",)),
          Transition("out", "A2", "Out", ("h",)))))
-    orig = scpl.rewrite._tuple_search
-    coupled: list[bool] = []
 
-    def recording(region_indices, start, moves):
-        coupled.append(any(needs for j in region_indices
-                           for _, _, needs, _ in moves[j]))
-        return orig(region_indices, start, moves)
 
-    monkeypatch.setattr(scpl.rewrite, "_tuple_search", recording)
+def test_instantiate_never_searches_coupled_regions(monkeypatch):
+    # Layer 1 prunes R1's atom before P is deleted, so instantiate closes
+    # each region alone and searches no tuples.  The public rule on the
+    # unpruned machine searches R1 and R2 as one component, once, and
+    # both pair the entry with the exit.
+    sc = _coupled_pair()
+    searched = _record_tuple_searches(monkeypatch)
     fm, conf, imp = line_for(sc, {"P"})
     result = instantiate(fm, conf, sc, imp)
-    assert coupled == [False, False]
+    assert searched == []
     assert set(MachineIndex(result.statechart).transitions) == {
         "comp(in,out)"}
-    coupled.clear()
     out = delete_and_state("P", sc, PendingSet({"P"}))
-    assert coupled == [True]
+    assert searched == [[0, 1]]
     assert set(MachineIndex(out).transitions) == {"comp(in,out)"}
+
+
+@pytest.mark.parametrize("include_pending", [False, True])
+def test_instantiate_searches_no_tuples(monkeypatch, include_pending):
+    large = {"max_depth": 3, "max_substates": 6, "max_features": 12}
+    lines = ([generate_random_product_line(seed) for seed in range(200)]
+             + [generate_random_product_line(seed, **large)
+                for seed in range(1_500_000, 1_500_050)])
+    searched = _record_tuple_searches(monkeypatch)
+    calls = _record_closures(monkeypatch)
+    for line in lines:
+        with contextlib.suppress(ScplError):
+            instantiate(*line, include_pending=include_pending)
+    assert searched == []
+    # Each lone region was closed over its moves, so a sweep that
+    # searched them as tuples again would have recorded searches here.
+    assert sum(not walk for walk, _ in calls) > 0
+
+
+def _coupled_rings(count: int) -> StateChart:
+    """An optional And-state A of ``count`` rings of 4 substates, each on
+    its own trigger, plus one chord per ring waiting for the next ring's
+    first substate, which couples all of them into one component of
+    4**count tuples; entered from In and left from R0S3."""
+    regions = []
+    for i in range(count):
+        names = [f"R{i}S{j}" for j in range(4)]
+        ring = [Transition(f"r{i}t{j}", names[j], names[(j + 1) % 4],
+                           (f"e{i}",)) for j in range(4)]
+        ring.append(Transition(f"r{i}x", names[0], names[2], (f"f{i}",),
+                               Condition((InState(f"R{(i + 1) % count}S0"),))))
+        regions.append(OrState(f"R{i}", tuple(SimpleState(n) for n in names),
+                               names[0], tuple(ring)))
+    return StateChart(OrState(
+        "Root",
+        (SimpleState("In"), AndState("A", tuple(regions), True),
+         SimpleState("Out")),
+        "In",
+        (Transition("enter", "In", "A", ("go",)),
+         Transition("exit", "R0S3", "Out", ("x",)))))
+
+
+def _starts(count: int) -> tuple[str, ...]:
+    return tuple(f"R{i}S0" for i in range(count))
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda sc: delete_and_state("A", sc, PendingSet({"A"})),
+                 id="delete_and_state"),
+    pytest.param(lambda sc: reachable_and("A", _starts(10), sc, PendingSet()),
+                 id="reachable_and"),
+])
+def test_a_coupled_search_stops_at_the_tuple_budget(run):
+    # 4**10 (about 1e6) tuples through one coupled component.
+    sc = _coupled_rings(10)
+    began = time.perf_counter()
+    with pytest.raises(TooLargeError, match="10 regions"):
+        run(sc)
+    assert time.perf_counter() - began < 2
+
+
+def test_reachable_and_stops_at_the_tuple_budget_on_uncoupled_regions():
+    # reachable_and searches every region jointly, coupled or not: 6**12
+    # (about 2.2e9) tuples over the 12 rings.
+    sc = _rings(12)
+    began = time.perf_counter()
+    with pytest.raises(TooLargeError, match="12 regions"):
+        reachable_and("A", _starts(12), sc, PendingSet())
+    assert time.perf_counter() - began < 2
+
+
+def test_the_tuple_budget_bounds_the_tuples_reached(monkeypatch):
+    # The coupled pair reaches (A1,B1), (A1,B2) and (A2,B2).
+    sc = _coupled_pair()
+    monkeypatch.setattr(scpl.rewrite, "TUPLE_BUDGET", 3)
+    assert len(reachable_and("P", ("A1", "B1"), sc, PendingSet())) == 3
+    monkeypatch.setattr(scpl.rewrite, "TUPLE_BUDGET", 2)
+    with pytest.raises(TooLargeError):
+        reachable_and("P", ("A1", "B1"), sc, PendingSet())

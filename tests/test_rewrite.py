@@ -25,7 +25,7 @@ from scpl.rewrite import (PendingSet, WorkingTree, comp, comp_name,
                           delete_simple_state, delete_transition,
                           entry_exit_pairs, finalize_optionals,
                           prune_conditions, reachable_and, reachable_or,
-                          repair_initial)
+                          repair_initial, _projections, _tuple_search)
 from scpl.strategy import generate_random_product_line, instantiate
 
 
@@ -603,6 +603,33 @@ def test_reachable_and_matches_oracle(seed):
     got = reachable_and("E", start, sc, PendingSet(set()))
     want = and_closure(region_nodes, region_moves, start, instate_ok)
     assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.booleans(), st.data())
+def test_a_lone_region_closure_is_its_tuple_search(seed, and_state, data):
+    # A region no other region couples is closed over its moves as a
+    # plain graph; its one-region tuple search is the reference.  Each move
+    # keeps the requirements naming its own region and draws more of them
+    # over the region's coordinates.
+    sc, _ = (random_and_composite if and_state else random_or_composite)(seed)
+    tree = WorkingTree(sc)
+    regions, _, moves = tree._region_moves("E", ())
+    default = [tree.initial[r] for r in regions]
+    for j, region in enumerate(regions):
+        coords = list(tree.children[region])
+        own = [(u, trigger,
+                tuple(need for need in needs if need[0] == j)
+                + tuple((j, node) for node in data.draw(
+                    st.lists(st.sampled_from(coords), max_size=2))),
+                v)
+               for u, trigger, needs, v in moves[j]]
+        alone = [own if i == j else [] for i in range(len(regions))]
+        for node in coords:
+            start = tuple(node if i == j else default[i]
+                          for i in range(len(regions)))
+            want = {tup[0] for tup in _tuple_search([j], (node,), alone)}
+            assert _projections([[j]], alone, start)[j] == want
 
 
 @settings(max_examples=80, deadline=None)
