@@ -1,22 +1,26 @@
 """Feature-model validation, configuration validity, kernel computation,
 and a brute-force configuration enumerator used as a testing oracle.
+
+Both validators test each rule in bulk, over all features, pairs or edges
+at once, and look at single elements only when the test fails.  Each
+violation found carries its report key; violations of one key keep the
+order they are found in.  The violations are sorted by key once, so a
+valid input is accepted without a sort and no hash seed changes a report.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import TooLargeError, UnknownFeatureError
-from .model import (Configuration, FeatureModel, RelationPair, Violation,
-                    reached, valid_name)
+from .model import (Configuration, FeatureModel, Violation, _invalid, reached,
+                    valid_name)
 
 ENUMERATION_CAP = 16
-
-
-def _in_order(pairs) -> list[RelationPair]:
-    """Relation pairs by parent, then by children: the validators report
-    in this order, which no hash seed can change."""
-    return sorted(pairs, key=lambda pair: (pair[0], sorted(pair[1])))
+_KINDS = ("mand", "opt", "alt", "or")
+_SHAPES = ("child set must have exactly one element",) * 2 \
+    + ("group must have at least two children",) * 2
 
 
 def validate_feature_model(fm: FeatureModel) -> list[Violation]:
@@ -27,49 +31,49 @@ def validate_feature_model(fm: FeatureModel) -> list[Violation]:
     an authoring error).  Every non-root feature must be the child of
     exactly one relation pair and the child graph must form a tree.
 
-    Violations come in a fixed order: features sorted, then relation
-    pairs by kind (mand, opt, alt, or) and ``_in_order`` within a kind,
-    each pair's children sorted.
+    The report is in key order: invalid names by name; a root that is no
+    feature; the relation pairs by kind (mand, opt, alt, or), parent and
+    sorted children, each with its unknown parent, unknown children by
+    name and cardinality; the root as a child; each child of several pairs
+    at the first pair holding it; unreachable features by name.
     """
-    out: list[Violation] = []
-    for f in sorted(fm.funcs):
-        if not valid_name(f):
-            out.append(Violation(f, "invalid feature name"))
-    if fm.root not in fm.funcs:
-        out.append(Violation(fm.root, "root is not a feature of the model"))
-
-    child_parent_count: dict[str, int] = {}
-    children: dict[str, set[str]] = {}
-    for kind, pairs in (("mand", fm.mand), ("opt", fm.opt),
-                        ("alt", fm.alt), ("or", fm.or_rel)):
-        for parent, kids in _in_order(pairs):
-            if parent not in fm.funcs:
-                out.append(Violation(parent, f"{kind} parent is not a feature"))
-            for c in sorted(kids):
-                if c not in fm.funcs:
-                    out.append(Violation(c, f"{kind} child is not a feature"))
-                child_parent_count[c] = child_parent_count.get(c, 0) + 1
-                children.setdefault(parent, set()).add(c)
-            if kind in ("mand", "opt") and len(kids) != 1:
-                out.append(Violation(
-                    parent, f"{kind} child set must have exactly one element, "
-                            f"got {sorted(kids)}"))
-            if kind in ("alt", "or") and len(kids) < 2:
-                out.append(Violation(
-                    parent, f"{kind} group must have at least two children, "
-                            f"got {sorted(kids)}"))
-
-    if child_parent_count.get(fm.root):
-        out.append(Violation(fm.root, "root appears as a child"))
-    for c, n in child_parent_count.items():
-        if n > 1:
-            out.append(Violation(c, f"appears as a child in {n} relation pairs"))
-
-    # Reachability from the root; with single parents this implies tree shape.
-    if fm.root in fm.funcs:
-        for f in sorted(fm.funcs - reached(fm.root, children)):
-            out.append(Violation(f, "not reachable from the root"))
-    return out
+    funcs, root = fm.funcs, fm.root
+    found = [((0, f), Violation(f, "invalid feature name"))
+             for f in _invalid(funcs, valid_name)]
+    if root not in funcs:
+        found.append(((1,), Violation(root, "root is not a feature of the model")))
+    children: dict[str, list[str]] = {}
+    shapely = True
+    for k, pairs in enumerate((fm.mand, fm.opt, fm.alt, fm.or_rel)):
+        for parent, kids in pairs:
+            children.setdefault(parent, []).extend(kids)
+            if len(kids) != 1 if k < 2 else len(kids) < 2:
+                shapely = False
+    union = set().union(*children.values())
+    if not (shapely and children.keys() <= funcs and union <= funcs
+            and sum(map(len, children.values())) == len(union)):
+        holders: dict[str, list[tuple]] = {}
+        for kind, parent, kids in fm.relations():
+            key = (2, _KINDS.index(kind), parent, sorted(kids))
+            if parent not in funcs:
+                found.append((key, Violation(
+                    parent, f"{kind} parent is not a feature")))
+            for c in key[3]:
+                if c not in funcs:
+                    found.append((key, Violation(c, f"{kind} child is not a feature")))
+                holders.setdefault(c, []).append(key)
+            if len(kids) != 1 if kind in ("mand", "opt") else len(kids) < 2:
+                found.append((key, Violation(
+                    parent, f"{kind} {_SHAPES[key[1]]}, got {key[3]}")))
+        found += [((4, min(keys), c), Violation(
+            c, f"appears as a child in {len(keys)} relation pairs"))
+            for c, keys in holders.items() if len(keys) > 1]
+    if root in union:
+        found.append(((3,), Violation(root, "root appears as a child")))
+    if root in funcs:
+        for f in funcs - reached(root, children):
+            found.append(((5, f), Violation(f, "not reachable from the root")))
+    return [v for _, v in sorted(found, key=itemgetter(0))] if found else []
 
 
 def validate_configuration(fm: FeatureModel, conf: Configuration) -> list[Violation]:
@@ -79,74 +83,78 @@ def validate_configuration(fm: FeatureModel, conf: Configuration) -> list[Violat
     forced, exactly one alternative, at least one of an or-group), the edge
     set must restrict the model's relations -- an edge with no children
     restricts none -- and connect every selected feature to the root as a
-    tree.
+    tree.  A mandatory pair with no child forces no edge.
 
-    Raises UnknownFeatureError when the configuration names a feature the
-    model does not know.  Violations come in a fixed order: each group of
-    pairs is visited in ``_in_order``.  An edge is checked against its
-    parent's relation pairs alone, looked up by parent, so the check does
-    not grow with the product of edges and pairs.
+    Raises UnknownFeatureError, naming them sorted, when the configuration
+    names features the model does not know.  The report is in key order:
+    an unselected root; the edges by parent and sorted children, each with
+    its unselected parent, unselected children and whether it restricts no
+    relation; the mandatory, alternative and or-group pairs, in that
+    order, by parent and sorted children; children with several parents,
+    then unconnected features, by name.
     """
-    unknown = sorted((conf.selected | {p for p, _ in conf.edges}
-                      | {c for _, cs in conf.edges for c in cs}) - fm.funcs)
-    if unknown:
+    funcs, root, selected, edges = fm.funcs, fm.root, conf.selected, conf.edges
+    below: dict[str, list[str]] = {}
+    for parent, kids in edges:
+        below.setdefault(parent, []).extend(kids)
+    union = set().union(*below.values())
+    if not (selected <= funcs and union <= funcs and below.keys() <= funcs):
+        unknown = sorted((selected | union | below.keys()) - funcs)
         raise UnknownFeatureError(f"unknown feature(s): {', '.join(unknown)}")
-
-    out: list[Violation] = []
-    selected = conf.selected
-    if fm.root not in selected:
-        out.append(Violation(fm.root, "root feature is not selected"))
-
-    relations: dict[str, list[frozenset[str]]] = {}
-    for _, p, cs in fm.relations():
-        relations.setdefault(p, []).append(cs)
-    below: dict[str, set[str]] = {}
-    for parent, kids in _in_order(conf.edges):
-        if parent not in selected:
-            out.append(Violation(parent, "edge parent is not selected"))
-        if not kids <= selected:
-            out.append(Violation(
-                parent, f"edge children {sorted(kids - selected)} not selected"))
-        if not kids or not any(kids <= cs
-                               for cs in relations.get(parent, ())):
-            out.append(Violation(
-                parent, f"edge to {sorted(kids)} restricts no model relation"))
-        below.setdefault(parent, set()).update(kids)
-
-    # Condition (2): a selected parent forces its mandatory edges.
-    for parent, kids in _in_order(fm.mand):
-        if parent in selected and (parent, kids) not in conf.edges:
-            out.append(Violation(
-                parent, f"mandatory child {sorted(kids)[0]!r} edge missing"))
-
-    # Condition (3): exactly one alternative child.
-    for parent, kids in _in_order(fm.alt):
-        if parent in selected:
-            chosen = kids & selected
-            if len(chosen) != 1:
-                out.append(Violation(
-                    parent, f"alternative group {sorted(kids)} needs exactly "
-                            f"one selected child, got {sorted(chosen)}"))
-
-    # Condition (4): at least one child of an or-group.
-    for parent, kids in _in_order(fm.or_rel):
-        if parent in selected and not kids & selected:
-            out.append(Violation(
+    found = []
+    if root not in selected:
+        found.append(((0,), Violation(root, "root feature is not selected")))
+    # Only an edge that is no model pair, or has no child, can restrict none.
+    loose = set(edges.difference(fm.mand, fm.opt, fm.alt, fm.or_rel))
+    if frozenset() in map(itemgetter(1), edges):
+        loose.update(edge for edge in edges if not edge[1])
+    if loose:
+        relations: dict[str, list[frozenset[str]]] = {}
+        for _, p, cs in fm.relations():
+            relations.setdefault(p, []).append(cs)
+        for parent, kids in tuple(loose):
+            for cs in relations.get(parent, ()):
+                if kids and kids <= cs:
+                    loose.discard((parent, kids))
+                    break
+    if loose or not (below.keys() <= selected and union <= selected):
+        for parent, kids in edges:
+            key = (1, parent, sorted(kids))
+            if parent not in selected:
+                found.append((key, Violation(parent, "edge parent is not selected")))
+            if not kids <= selected:
+                found.append((key, Violation(
+                    parent, f"edge children {sorted(kids - selected)} not selected")))
+            if (parent, kids) in loose:
+                found.append((key, Violation(
+                    parent, f"edge to {key[2]} restricts no model relation")))
+    # Conditions (2)-(4): mandatory edges, one alternative, an or-group child.
+    for parent, kids in fm.mand - edges:
+        if kids and parent in selected:
+            found.append(((2, parent, sorted(kids)), Violation(
+                parent, f"mandatory child {min(kids)!r} edge missing")))
+    for parent, kids in fm.alt:
+        if parent in selected and len(kids & selected) != 1:
+            found.append(((3, parent, sorted(kids)), Violation(
+                parent, f"alternative group {sorted(kids)} needs exactly "
+                        f"one selected child, got {sorted(kids & selected)}")))
+    for parent, kids in fm.or_rel:
+        if parent in selected and kids.isdisjoint(selected):
+            found.append(((4, parent, sorted(kids)), Violation(
                 parent, f"or-group {sorted(kids)} needs at least one "
-                        "selected child"))
-
+                        "selected child")))
     # Tree shape: unique parent per selected non-root feature, and the
     # edge relation must reach every selected feature from the root.
-    parents: dict[str, set[str]] = {}
-    for p, kids in below.items():
-        for c in kids:
-            parents.setdefault(c, set()).add(p)
-    for c, ps in sorted(parents.items()):
-        if len(ps) > 1:
-            out.append(Violation(c, f"selected under several parents {sorted(ps)}"))
-    for f in sorted(selected - reached(fm.root, below)):
-        out.append(Violation(f, "selected but not connected to the root"))
-    return out
+    if sum(map(len, below.values())) != len(union):
+        parents: dict[str, set[str]] = {}
+        for p, kids in edges:
+            for c in kids:
+                parents.setdefault(c, set()).add(p)
+        found += [((5, c), Violation(c, f"selected under several parents {sorted(ps)}"))
+                  for c, ps in parents.items() if len(ps) > 1]
+    for f in selected - reached(root, below):
+        found.append(((6, f), Violation(f, "selected but not connected to the root")))
+    return [v for _, v in sorted(found, key=itemgetter(0))] if found else []
 
 
 def kernel(fm: FeatureModel) -> frozenset[str]:

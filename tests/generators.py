@@ -1,14 +1,16 @@
 """Seeded generators for composites used by the reachability suites, and
-fault injectors, for states and for transitions, for the well-formedness
-suites."""
+fault injectors: for states and for transitions, for the well-formedness
+suites, and for feature models and configurations, for the feature
+checks."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
 
-from scpl.model import (AndState, Condition, InState, MachineIndex, OrState,
-                        SimpleState, StateChart, Transition, map_states)
+from scpl.model import (AndState, Condition, Configuration, FeatureModel,
+                        InState, MachineIndex, OrState, SimpleState,
+                        StateChart, Transition, map_states)
 
 EVENTS = ("e1", "e2")
 
@@ -150,3 +152,132 @@ def inject_transition_faults(sc: StateChart, rng: random.Random) -> StateChart:
         return state
 
     return map_states(sc, faulty)
+
+
+def inject_feature_faults(fm: FeatureModel, conf: Configuration,
+                          rng: random.Random
+                          ) -> tuple[FeatureModel, Configuration]:
+    """The model and configuration with random faults, one draw per fault
+    kind at 8% each.
+
+    Model faults: a feature renamed to an invalid or empty name, a pair
+    under an unknown parent or with an unknown child, a pair of the wrong
+    cardinality, a pair with no child (half of them also made an edge), a
+    child put under a second pair, the root as a child, a further group of
+    random features under a parent of groups of that kind, an unreachable
+    feature, a root that is no feature.  Configuration faults: an edge
+    parent or edge children left unselected, one or two edges of up to two
+    children that may restrict no relation, a mandatory edge dropped,
+    every alternative group of a parent with no or two choices, every
+    or-group of a parent left empty, a child under a second parent, a
+    selected feature no edge reaches, an unselected root, an unknown
+    feature selected, as an edge parent or as an edge child.  No draw
+    follows the hash seed."""
+    funcs, root = set(fm.funcs), fm.root
+    groups = {"mand": set(fm.mand), "opt": set(fm.opt),
+              "alt": set(fm.alt), "or": set(fm.or_rel)}
+    selected, edges = set(conf.selected), set(conf.edges)
+
+    def hit() -> bool:
+        return rng.random() < 0.08
+
+    def pick(items):
+        """A random item, or None; pairs are ordered by parent and sorted
+        children, so that no hash seed changes the draw."""
+        if not items:
+            return None
+        return rng.choice(sorted(items, key=lambda item: (
+            (item[0], sorted(item[1])) if isinstance(item, tuple) else item)))
+
+    if hit():
+        old = pick(funcs - {root})
+        if old is not None:
+            new = rng.choice(("", f"{old} x", f"{old}.y", f"({old})"))
+            funcs = funcs - {old} | {new}
+    if hit():
+        groups[pick(groups)].add(("Ghost", frozenset({pick(funcs)})))
+    if hit():
+        groups[pick(groups)].add(
+            (pick(funcs), frozenset({"Nobody", pick(funcs)})))
+    if hit():
+        kind = pick(groups)
+        size = rng.choice((0, 2, 3) if kind in ("mand", "opt") else (0, 1))
+        kids = rng.sample(sorted(funcs), min(size, len(funcs)))
+        groups[kind].add((pick(funcs), frozenset(kids)))
+    if hit():
+        empty = (pick(selected) or root, frozenset())
+        groups[pick(groups)].add(empty)
+        if rng.random() < 0.5:
+            edges.add(empty)
+    if hit():
+        pair = pick(set().union(*groups.values()))
+        if pair is not None and pair[1]:
+            groups[pick(groups)].add((pick(funcs), frozenset({pick(pair[1])})))
+    if hit():
+        groups[pick(groups)].add((pick(funcs), frozenset({root})))
+    if hit():
+        kind = rng.choice(("alt", "or"))
+        parent = pick({p for p, _ in groups[kind]}) or root
+        size = min(rng.randint(2, 3), len(funcs))
+        groups[kind].add((parent, frozenset(rng.sample(sorted(funcs), size))))
+    if hit():
+        funcs.add(f"Lone{rng.randint(0, 9)}")
+    if hit():
+        root = rng.choice(("Ghost", pick(funcs - {root}) or "Ghost"))
+
+    if hit():
+        pair = pick(edges)
+        if pair is not None:
+            selected.discard(pair[0])
+    if hit():
+        pair = pick({e for e in edges if e[1]})
+        if pair is not None:
+            selected.discard(pick(pair[1]))
+    if hit():
+        parent = pick(selected) or root
+        for _ in range(rng.randint(1, 2)):
+            size = min(rng.randint(0, 2), len(funcs))
+            edges.add((parent, frozenset(rng.sample(sorted(funcs), size))))
+    if hit():
+        pair = pick(groups["mand"] & edges)
+        if pair is not None:
+            edges.discard(pair)
+    if hit():
+        parent = pick({p for p, _ in groups["alt"] if p in selected})
+        none = rng.random() < 0.5
+        for kids in sorted((kids for p, kids in groups["alt"] if p == parent),
+                           key=sorted):
+            if none:
+                selected -= kids
+                edges -= {e for e in edges if e[0] == parent and e[1] <= kids}
+            else:
+                two = frozenset(rng.sample(sorted(kids), min(2, len(kids))))
+                selected |= two
+                edges.add((parent, two))
+    if hit():
+        parent = pick({p for p, _ in groups["or"] if p in selected})
+        for p, kids in groups["or"]:
+            if p == parent:
+                selected -= kids
+    if hit():
+        child = pick(selected - {root})
+        parent = pick(selected - {child})
+        if child is not None and parent is not None:
+            edges.add((parent, frozenset({child})))
+    if hit():
+        selected.add(pick(funcs - selected) or pick(funcs) or root)
+    if hit():
+        selected.discard(fm.root)
+    if hit():
+        roll = rng.random()
+        if roll < 1 / 3:
+            selected.add("Ghost")
+        elif roll < 2 / 3:
+            edges.add(("Ghost", frozenset({pick(funcs) or root})))
+        else:
+            edges.add((root, frozenset({"Nobody"})))
+
+    model = FeatureModel(frozenset(funcs), root, frozenset(groups["mand"]),
+                         frozenset(groups["opt"]), frozenset(groups["alt"]),
+                         frozenset(groups["or"]))
+    return model, Configuration(frozenset(selected), frozenset(edges))

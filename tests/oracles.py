@@ -1,6 +1,6 @@
 """Independent reference implementations the fast paths are tested against.
 
-Everything here but the confluence and well-formedness references is
+Everything here but the confluence, well-formedness and feature references is
 written from scratch against the definitions, not by calling into the
 package, so a shared bug cannot hide: selections are checked by
 structural recursion over the feature tree, reachability by dense fixpoint
@@ -11,6 +11,9 @@ against the shortcuts ``check_confluence`` takes.  The well-formedness
 reference reads each composite's shape off its state object, not off the
 index maps, and checks each transition the plain way: every name and event
 by its own regular-expression match, every endpoint by a walk up from it.
+The feature-model and configuration references are the sorted walks the
+feature checks once made, each report built in the order it is read, and
+stand against the checks' bulk tests.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from math import factorial
 
 from scpl import strategy
 from scpl.binding import nsc
-from scpl.errors import InvalidInputError, ScplError
+from scpl.errors import InvalidInputError, ScplError, UnknownFeatureError
 from scpl.model import AndState, InState, MachineIndex, OrState, Violation
 from scpl.rewrite import WorkingTree
 
@@ -66,6 +69,124 @@ def all_valid_selections(fm) -> set[frozenset[str]]:
             | {fm.root}
         if valid_selection(fm, sel):
             out.add(sel)
+    return out
+
+
+# --- feature-model and configuration reports, by sorted walks -------------
+
+def _pairs_in_order(pairs) -> list:
+    """Relation pairs by parent, then by sorted children."""
+    return sorted(pairs, key=lambda pair: (pair[0], sorted(pair[1])))
+
+
+def _reach(start: str, successors: dict[str, set[str]]) -> set[str]:
+    seen, todo = {start}, [start]
+    while todo:
+        for name in successors.get(todo.pop(), ()):
+            if name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return seen
+
+
+def reference_feature_model_violations(fm) -> list[Violation]:
+    """The feature-tree report built in its own order: features sorted,
+    every name tested alone; each relation pair visited by kind (mand,
+    opt, alt, or), parent and sorted children, its children sorted; then
+    the root as a child, each child of several pairs at its first pair,
+    and the features the root does not reach, sorted."""
+    out: list[Violation] = []
+    for f in sorted(fm.funcs):
+        if not _plain_name(f):
+            out.append(Violation(f, "invalid feature name"))
+    if fm.root not in fm.funcs:
+        out.append(Violation(fm.root, "root is not a feature of the model"))
+
+    child_parent_count: dict[str, int] = {}
+    children: dict[str, set[str]] = {}
+    for kind, pairs in (("mand", fm.mand), ("opt", fm.opt),
+                        ("alt", fm.alt), ("or", fm.or_rel)):
+        for parent, kids in _pairs_in_order(pairs):
+            if parent not in fm.funcs:
+                out.append(Violation(parent, f"{kind} parent is not a feature"))
+            for c in sorted(kids):
+                if c not in fm.funcs:
+                    out.append(Violation(c, f"{kind} child is not a feature"))
+                child_parent_count[c] = child_parent_count.get(c, 0) + 1
+                children.setdefault(parent, set()).add(c)
+            if kind in ("mand", "opt") and len(kids) != 1:
+                out.append(Violation(
+                    parent, f"{kind} child set must have exactly one element, "
+                            f"got {sorted(kids)}"))
+            if kind in ("alt", "or") and len(kids) < 2:
+                out.append(Violation(
+                    parent, f"{kind} group must have at least two children, "
+                            f"got {sorted(kids)}"))
+
+    if child_parent_count.get(fm.root):
+        out.append(Violation(fm.root, "root appears as a child"))
+    for c, n in child_parent_count.items():
+        if n > 1:
+            out.append(Violation(c, f"appears as a child in {n} relation pairs"))
+    if fm.root in fm.funcs:
+        for f in sorted(fm.funcs - _reach(fm.root, children)):
+            out.append(Violation(f, "not reachable from the root"))
+    return out
+
+
+def reference_configuration_violations(fm, conf) -> list[Violation]:
+    """The configuration report built in its own order: the root, each
+    edge by parent and sorted children, then the mandatory, alternative
+    and or-group pairs the same way, children with several parents and
+    unconnected features, sorted.  A mandatory pair without a child
+    forces no edge.  Raises ``UnknownFeatureError`` naming every unknown
+    feature, sorted."""
+    unknown = sorted((conf.selected | {p for p, _ in conf.edges}
+                      | {c for _, cs in conf.edges for c in cs}) - fm.funcs)
+    if unknown:
+        raise UnknownFeatureError(f"unknown feature(s): {', '.join(unknown)}")
+
+    out: list[Violation] = []
+    selected = conf.selected
+    if fm.root not in selected:
+        out.append(Violation(fm.root, "root feature is not selected"))
+    relations: dict[str, list[frozenset[str]]] = {}
+    for _, p, cs in fm.relations():
+        relations.setdefault(p, []).append(cs)
+    below: dict[str, set[str]] = {}
+    for parent, kids in _pairs_in_order(conf.edges):
+        if parent not in selected:
+            out.append(Violation(parent, "edge parent is not selected"))
+        if not kids <= selected:
+            out.append(Violation(
+                parent, f"edge children {sorted(kids - selected)} not selected"))
+        if not kids or not any(kids <= cs for cs in relations.get(parent, ())):
+            out.append(Violation(
+                parent, f"edge to {sorted(kids)} restricts no model relation"))
+        below.setdefault(parent, set()).update(kids)
+    for parent, kids in _pairs_in_order(fm.mand):
+        if parent in selected and kids and (parent, kids) not in conf.edges:
+            out.append(Violation(
+                parent, f"mandatory child {sorted(kids)[0]!r} edge missing"))
+    for parent, kids in _pairs_in_order(fm.alt):
+        if parent in selected and len(kids & selected) != 1:
+            out.append(Violation(
+                parent, f"alternative group {sorted(kids)} needs exactly "
+                        f"one selected child, got {sorted(kids & selected)}"))
+    for parent, kids in _pairs_in_order(fm.or_rel):
+        if parent in selected and not kids & selected:
+            out.append(Violation(
+                parent, f"or-group {sorted(kids)} needs at least one "
+                        "selected child"))
+    parents: dict[str, set[str]] = {}
+    for p, kids in below.items():
+        for c in kids:
+            parents.setdefault(c, set()).add(p)
+    for c, ps in sorted(parents.items()):
+        if len(ps) > 1:
+            out.append(Violation(c, f"selected under several parents {sorted(ps)}"))
+    for f in sorted(selected - _reach(fm.root, below)):
+        out.append(Violation(f, "selected but not connected to the root"))
     return out
 
 

@@ -20,7 +20,9 @@ that no in-state atom couples to another as a plain graph, and searches
 tuples only for a component of coupled regions, never the product of all
 regions; within an instantiation no region is coupled at all, since
 layer 1 prunes every in-state atom that names a state inside a doomed
-one, so it searches no tuples.  A tuple search stops at a budget.
+one, so it searches no tuples.  A tuple search stops at a budget.  The
+feature checks accept a valid model and configuration without sorting
+anything.
 """
 
 import argparse
@@ -36,6 +38,7 @@ from math import factorial
 
 import pytest
 
+import scpl.features
 import scpl.model
 import scpl.rewrite
 import scpl.strategy
@@ -489,3 +492,20 @@ def test_the_tuple_budget_bounds_the_tuples_reached(monkeypatch):
     monkeypatch.setattr(scpl.rewrite, "TUPLE_BUDGET", 2)
     with pytest.raises(TooLargeError):
         reachable_and("P", ("A1", "B1"), sc, PendingSet())
+
+
+def test_valid_features_are_checked_without_sorting(monkeypatch):
+    # An empty report has no order to fix; sorting every relation pair and
+    # its children to order one costs some 20 sorts a line here.
+    lines = [generate_random_product_line(seed) for seed in range(200)]
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(scpl.features, "sorted", counting, raising=False)
+    for line in lines:
+        assert scpl.features.validate_feature_model(line.fm) == []
+        assert scpl.features.validate_configuration(line.fm, line.conf) == []
+    assert calls[0] == 0

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_valid_selections, valid_selection
+from conftest import S1K_GENERATOR
+from generators import inject_feature_faults
+from oracles import (all_valid_selections, reference_configuration_violations,
+                     reference_feature_model_violations, valid_selection)
 from scpl.errors import TooLargeError, UnknownFeatureError
 from scpl.features import (build_configuration, enumerate_configurations,
                            kernel, nsf, validate_configuration,
@@ -116,6 +120,17 @@ def test_validate_configuration_names_edge_breaches(selected, edges,
     conf = Configuration(frozenset(selected), frozenset(edges))
     assert violation in [str(v) for v in validate_configuration(_DIAMOND,
                                                                 conf)]
+
+
+def test_an_empty_mandatory_pair_forces_no_edge():
+    # The missing-edge message names the pair's first child; a pair with
+    # none forces no edge, so there is nothing to report, and no IndexError.
+    fm = FeatureModel(frozenset({"R", "A"}), "R",
+                      mand=frozenset({("R", frozenset())}),
+                      opt=frozenset({("R", frozenset({"A"}))}))
+    assert "R: mand child set must have exactly one element, got []" in [
+        str(v) for v in validate_feature_model(fm)]
+    assert validate_configuration(fm, Configuration(frozenset({"R"}))) == []
 
 
 def test_validate_configuration_unknown_feature_raises():
@@ -276,3 +291,52 @@ def test_violation_order_does_not_depend_on_the_hash_seed():
     assert lines[:3] == ["a b: invalid feature name",
                          "c.d: invalid feature name",
                          "e,f: invalid feature name"]
+
+
+# Every message of the two feature checks, by a fragment of its text.
+_FEATURE_MESSAGES = (
+    "invalid feature name", "root is not a feature of the model",
+    "parent is not a feature", "child is not a feature",
+    "child set must have exactly one element",
+    "group must have at least two children", "root appears as a child",
+    "relation pairs", "not reachable from the root",
+    "root feature is not selected", "edge parent is not selected",
+    "edge children", "restricts no model relation", "edge missing",
+    "needs exactly one selected child", "needs at least one selected child",
+    "selected under several parents", "selected but not connected to the root")
+_LARGE_BAND = {"max_depth": 3, "max_substates": 6, "max_features": 12}
+
+
+def _outcome(check, *args):
+    """The check's violations, or the text of the UnknownFeatureError it
+    raised."""
+    try:
+        return check(*args)
+    except UnknownFeatureError as exc:
+        return str(exc)
+
+
+def test_feature_checks_equal_the_reference_on_faulty_lines():
+    # Default, large-band and ladder-generator lines, each as generated and
+    # with faults; every message must be hit, so the fault mix cannot be
+    # tuned down to hide a failure.
+    found = dict.fromkeys(_FEATURE_MESSAGES + ("unknown feature(s)",), 0)
+    for generator, seeds in (({}, range(2000)),
+                             (_LARGE_BAND, range(1_500_000, 1_501_000)),
+                             (S1K_GENERATOR, range(200))):
+        for seed in seeds:
+            line = generate_random_product_line(seed, **generator)
+            for fm, conf in ((line.fm, line.conf), inject_feature_faults(
+                    line.fm, line.conf, random.Random(seed))):
+                model = validate_feature_model(fm)
+                assert model == reference_feature_model_violations(fm), seed
+                config = _outcome(validate_configuration, fm, conf)
+                assert config == _outcome(
+                    reference_configuration_violations, fm, conf), seed
+                if isinstance(config, str):
+                    found["unknown feature(s)"] += 1
+                    config = []
+                for v in model + config:
+                    for fragment in _FEATURE_MESSAGES:
+                        found[fragment] += fragment in v.message
+    assert min(found.values()) >= 20, found
