@@ -109,14 +109,20 @@ def validate_configuration(fm: FeatureModel, conf: Configuration) -> list[Violat
     if frozenset() in map(itemgetter(1), edges):
         loose.update(edge for edge in edges if not edge[1])
     if loose:
-        relations: dict[str, list[frozenset[str]]] = {}
-        for _, p, cs in fm.relations():
-            relations.setdefault(p, []).append(cs)
-        for parent, kids in tuple(loose):
-            for cs in relations.get(parent, ()):
-                if kids and kids <= cs:
-                    loose.discard((parent, kids))
-                    break
+        # A pair the edge restricts holds each of its children, so only
+        # the pairs holding its first child are looked at.
+        holding: dict[str, list[tuple[str, frozenset[str]]]] = {
+            next(iter(kids)): [] for _, kids in loose if kids}
+        for pairs in (fm.mand, fm.opt, fm.alt, fm.or_rel):
+            for pair in pairs:
+                for c in pair[1]:
+                    if c in holding:
+                        holding[c].append(pair)
+        for edge in tuple(loose):
+            parent, kids = edge
+            if kids and any(p == parent and kids <= cs for p, cs in
+                            holding[next(iter(kids))]):
+                loose.discard(edge)
     if loose or not (below.keys() <= selected and union <= selected):
         for parent, kids in edges:
             key = (1, parent, sorted(kids))

@@ -6,12 +6,15 @@ separate documents.  Dotted state paths ("A.B.C") are accepted anywhere a
 state name is expected and resolved against the hierarchy; canonical
 output always uses plain unique names.
 
-Every JSON document the package writes, here and in the command line, goes
-through one writer, ``dump_json``: its output is byte for byte the
-standard library's ``json`` output with a two-space indent and ASCII
-escapes.  Below Python 3.13 the standard library produces indented output
-only through its pure-Python encoder, which is two to three times slower
-and leaves reference cycles behind on every call.
+The machine part of a product line is written straight from the model
+values, each object's keys in ``sort_keys`` order; every other JSON
+document the package writes, here and in the command line, goes through
+``dump_json``.  Both write byte for byte the standard library's ``json``
+output with a two-space indent and ASCII escapes.  Below Python 3.13 the
+standard library produces indented output only through its pure-Python
+encoder, which is two to three times slower and leaves reference cycles
+behind on every call.  Reading a machine tests each field once, inline,
+and builds a message only for a field that fails.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ def _expect(value, types, path: str, key: str = ""):
 def _string_list(value, path: str, key: str = "") -> list[str]:
     """``value`` itself once it is a list of strings; an item that is not
     is reported at ``path + key`` and its index."""
-    _expect(value, list, path, key)
+    if not isinstance(value, list):
+        _expect(value, list, path, key)
     for i, item in enumerate(value):
         if not isinstance(item, str):
             _expect(item, str, path, f"{key}[{i}]")
@@ -153,104 +157,73 @@ def _condition_from_json(value, path: str) -> Condition:
     return Condition(tuple(atoms))
 
 
-def _condition_to_json(cond: Condition) -> list:
-    out = []
-    for atom in cond.atoms:
-        if isinstance(atom, Guard):
-            out.append({"guard": atom.text})
-        else:
-            out.append({"in": atom.state})
-    return out
-
-
 _HISTORY = {h.value: h for h in History}
+# An absent ``cond`` or ``actions``, shared; no decoded value is either.
+_TRUE, _NO_ACTIONS = Condition(), ()
 
 
 def _transition_from_json(doc, path: str) -> Transition:
-    _expect(doc, dict, path)
+    if not isinstance(doc, dict):
+        _expect(doc, dict, path)
     get = doc.get
     history = get("history", "none")
     # A list or an object cannot be looked up in a dict; it is refused like
     # any other unknown value.
     if not isinstance(history, str) or history not in _HISTORY:
         raise FormatSyntaxError(f"{path}.history: unknown value {history!r}")
-    return Transition(
-        _expect(get("name", ""), str, path, ".name"),
-        _expect(get("source", ""), str, path, ".source"),
-        _expect(get("target", ""), str, path, ".target"),
-        tuple(_string_list(get("trigger", []), path, ".trigger")),
-        _condition_from_json(get("cond", []), path),
-        tuple(_string_list(get("actions", []), path, ".actions")),
-        _HISTORY[history],
-        _expect(get("optional", False), bool, path, ".optional"),
-    )
-
-
-def _transition_to_json(t: Transition) -> dict:
-    out: dict[str, Any] = {
-        "name": t.name,
-        "source": t.source,
-        "target": t.target,
-        "trigger": list(t.trigger),
-    }
-    if t.cond.atoms:
-        out["cond"] = _condition_to_json(t.cond)
-    if t.actions:
-        out["actions"] = list(t.actions)
-    if t.history is not History.NONE:
-        out["history"] = t.history.value
-    if t.optional:
-        out["optional"] = True
-    return out
+    name, source, target = get("name", ""), get("source", ""), get("target", "")
+    if not (isinstance(name, str) and isinstance(source, str)
+            and isinstance(target, str)):
+        _expect(name, str, path, ".name")
+        _expect(source, str, path, ".source")
+        _expect(target, str, path, ".target")
+    trigger = tuple(_string_list(get("trigger", []), path, ".trigger"))
+    cond, actions = get("cond", _TRUE), get("actions", _NO_ACTIONS)
+    if cond is not _TRUE:
+        cond = _condition_from_json(cond, path)
+    if actions is not _NO_ACTIONS:
+        actions = tuple(_string_list(actions, path, ".actions"))
+    optional = get("optional", False)
+    if not isinstance(optional, bool):
+        _expect(optional, bool, path, ".optional")
+    return Transition(name, source, target, trigger, cond, actions,
+                      _HISTORY[history], optional)
 
 
 def _state_from_json(doc, path: str) -> State:
-    _expect(doc, dict, path)
+    if not isinstance(doc, dict):
+        _expect(doc, dict, path)
     get = doc.get
-    kind = get("kind")
-    name = _expect(get("name", ""), str, path, ".name")
-    optional = _expect(get("optional", False), bool, path, ".optional")
+    kind, name, optional = get("kind"), get("name", ""), get("optional", False)
+    if not (isinstance(name, str) and isinstance(optional, bool)):
+        _expect(name, str, path, ".name")
+        _expect(optional, bool, path, ".optional")
     if kind == "simple":
         return SimpleState(name, optional)
     if kind == "or":
-        subs = _expect(get("substates", []), list, path, ".substates")
+        subs = get("substates", [])
+        if not isinstance(subs, list):
+            _expect(subs, list, path, ".substates")
         substates = tuple([_state_from_json(s, f"{path}.substates[{i}]")
                            for i, s in enumerate(subs)])
-        ts = _expect(get("transitions", []), list, path, ".transitions")
+        ts = get("transitions", [])
+        if not isinstance(ts, list):
+            _expect(ts, list, path, ".transitions")
         transitions = tuple([
             _transition_from_json(t, f"{path}.transitions[{i}]")
             for i, t in enumerate(ts)])
-        return OrState(name, substates,
-                       _expect(get("initial", ""), str, path, ".initial"),
-                       transitions, optional)
+        initial = get("initial", "")
+        if not isinstance(initial, str):
+            _expect(initial, str, path, ".initial")
+        return OrState(name, substates, initial, transitions, optional)
     if kind == "and":
-        regions = _expect(get("regions", []), list, path, ".regions")
+        regions = get("regions", [])
+        if not isinstance(regions, list):
+            _expect(regions, list, path, ".regions")
         return AndState(name, tuple([_state_from_json(r, f"{path}.regions[{i}]")
                                      for i, r in enumerate(regions)]),
                         optional)
     raise FormatSyntaxError(f"{path}.kind: expected simple/or/and, got {kind!r}")
-
-
-def _state_to_json(state: State) -> dict:
-    if isinstance(state, SimpleState):
-        out: dict[str, Any] = {"kind": "simple", "name": state.name}
-    elif isinstance(state, OrState):
-        out = {
-            "kind": "or",
-            "name": state.name,
-            "initial": state.initial,
-            "substates": [_state_to_json(s) for s in state.substates],
-            "transitions": [_transition_to_json(t) for t in state.transitions],
-        }
-    else:
-        out = {
-            "kind": "and",
-            "name": state.name,
-            "regions": [_state_to_json(r) for r in state.regions],
-        }
-    if state.optional:
-        out["optional"] = True
-    return out
 
 
 # --- dotted-path resolution ----------------------------------------------
@@ -311,14 +284,14 @@ def _resolve_names(idx: MachineIndex) -> bool:
 
 def _imp_from_json(doc, path: str, idx: MachineIndex) -> ImpMapping:
     _expect(doc, dict, path)
-    known = idx.states.keys() | idx.transitions.keys()
+    states, transitions = idx.states, idx.transitions
     entries: dict[str, ImpEntry] = {}
     for feature, raw in doc.items():
         where = f"{path}.{feature}"
         _expect(raw, dict, where)
         elements = _string_list(raw.get("elements", []), where, ".elements")
         for el in elements:
-            if el not in known:
+            if el not in states and el not in transitions:
                 raise UnknownReferenceError(
                     f"{where}: unknown element {el!r}")
         includes = _string_list(raw.get("includes", []), where, ".includes")
@@ -355,12 +328,10 @@ def _write_json(value, pad: str, sort_keys: bool, out: list[str]) -> None:
         if not value:
             out.append("[]")
             return
-        inner = pad + "  "
         if all(isinstance(v, str) for v in value):
-            out.append("[\n" + inner
-                       + (",\n" + inner).join(map(_quote_json, value))
-                       + "\n" + pad + "]")
+            out.append(_json_strings(value, pad))
             return
+        inner = pad + "  "
         sep = "[\n" + inner
         for item in value:
             out.append(sep)
@@ -395,6 +366,71 @@ def dump_json(value, sort_keys: bool = False) -> str:
     return "".join(out)
 
 
+def _json_strings(values, pad: str) -> str:
+    """A list of strings whose closing bracket sits at ``pad``."""
+    if not values:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return f'[{inner}{("," + inner).join(map(_quote_json, values))}\n{pad}]'
+
+
+def _write_items(items, pad: str, write, out: list[str]) -> None:
+    """A list of states or transitions, each written by ``write``."""
+    if not items:
+        out.append("[]")
+        return
+    inner = pad + "  "
+    sep = "[\n" + inner
+    for item in items:
+        out.append(sep)
+        write(item, inner, out)
+        sep = ",\n" + inner
+    out.append("\n" + pad + "]")
+
+
+def _write_transition(t: Transition, pad: str, out: list[str]) -> None:
+    inner = pad + "  "
+    fields = []
+    if t.actions:
+        fields.append('"actions": ' + _json_strings(t.actions, inner))
+    if t.cond.atoms:
+        cell = "\n" + inner + "  "
+        fields.append('"cond": [' + ",".join(
+            f'{cell}{{{cell}  "guard": {_quote_json(a.text)}{cell}}}'
+            if isinstance(a, Guard) else
+            f'{cell}{{{cell}  "in": {_quote_json(a.state)}{cell}}}'
+            for a in t.cond.atoms) + "\n" + inner + "]")
+    if t.history is not History.NONE:
+        fields.append('"history": ' + _quote_json(t.history.value))
+    fields.append('"name": ' + _quote_json(t.name))
+    if t.optional:
+        fields.append('"optional": true')
+    fields.append(f'"source": {_quote_json(t.source)},\n{inner}'
+                  f'"target": {_quote_json(t.target)},\n{inner}'
+                  f'"trigger": {_json_strings(t.trigger, inner)}')
+    out.append("{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}")
+
+
+def _write_state(state: State, pad: str, out: list[str]) -> None:
+    inner = pad + "  "
+    sep = ",\n" + inner
+    tail = sep + '"optional": true' if state.optional else ""
+    name = _quote_json(state.name)
+    if isinstance(state, OrState):
+        out.append(f'{{\n{inner}"initial": {_quote_json(state.initial)}{sep}'
+                   f'"kind": "or"{sep}"name": {name}{tail}{sep}"substates": ')
+        _write_items(state.substates, inner, _write_state, out)
+        out.append(sep + '"transitions": ')
+        _write_items(state.transitions, inner, _write_transition, out)
+    elif isinstance(state, AndState):
+        out.append(f'{{\n{inner}"kind": "and"{sep}"name": {name}{tail}'
+                   f'{sep}"regions": ')
+        _write_items(state.regions, inner, _write_state, out)
+    else:
+        out.append(f'{{\n{inner}"kind": "simple"{sep}"name": {name}{tail}')
+    out.append("\n" + pad + "}")
+
+
 # --- public product-line API ----------------------------------------------
 
 def parse_product_line(text: str) -> tuple[FeatureModel, StateChart, ImpMapping]:
@@ -418,12 +454,14 @@ def parse_product_line(text: str) -> tuple[FeatureModel, StateChart, ImpMapping]
 
 def serialize_product_line(fm: FeatureModel, sc: StateChart,
                            imp: ImpMapping) -> str:
-    doc = {
-        "feature_model": _feature_model_to_json(fm),
-        "statechart": {"root": _state_to_json(sc.root)},
-        "imp": _imp_to_json(imp),
-    }
-    return dump_json(doc, sort_keys=True) + "\n"
+    out = ['{\n  "feature_model": ']
+    _write_json(_feature_model_to_json(fm), "  ", True, out)
+    out.append(',\n  "imp": ')
+    _write_json(_imp_to_json(imp), "  ", True, out)
+    out.append(',\n  "statechart": {\n    "root": ')
+    _write_state(sc.root, "    ", out)
+    out.append("\n  }\n}\n")
+    return "".join(out)
 
 
 def parse_configuration(text: str) -> Configuration:

@@ -526,16 +526,32 @@ class WorkingTree(MachineIndex):
 
     def repair_initial(self, parent: str, pending: PendingSet) -> TraceStep:
         """Moves an Or-state's initial marker off a doomed substate, hop by
-        hop along internal transitions, until it rests on a survivor."""
+        hop along internal transitions, until it rests on a survivor.  A
+        hop takes the least-named transition leaving the marked substate
+        for a survivor, else for a doomed substate.  One pass over the
+        parent's transitions in name order maps each substate to the
+        substates they lead to from it (``_region_moves`` finds a
+        coordinate by walking up), so a hop looks at its own substate's."""
         if not isinstance(self.states.get(parent), OrState):
             raise RewriteError(f"{parent!r} is not an Or-state")
         old = self.initial[parent]
         if old not in pending:
             raise RewriteError(f"initial {old!r} of {parent!r} is not pending")
-        by_name = [self.transitions[n] for n in sorted(self.owned[parent])]
+        _, coordinate, _ = self._region_moves(parent, ())
+        leads: dict[str, list] = {}
+        for name in sorted(self.owned[parent]):
+            t = self.transitions[name]
+            src, tgt = coordinate(t.source), coordinate(t.target)
+            if src and (tgt is None or tgt[1] != src[1]):
+                leads.setdefault(src[1], []).append(tgt and tgt[1])
         cur, visited = old, {old}
         while cur in pending:
-            cur = self._next_initial(parent, cur, by_name, pending)
+            if cur not in leads:
+                raise NoInitialError(
+                    f"no transition leads from {cur!r} to a surviving "
+                    f"substate of {parent!r}")
+            cur = next((s for s in leads[cur] if s not in pending),
+                       leads[cur][0])
             if cur in visited:
                 raise NoInitialError("cycle of doomed initial substates")
             visited.add(cur)
@@ -543,27 +559,6 @@ class WorkingTree(MachineIndex):
         self.reshaped[parent] = None
         return TraceStep("repair_initial", parent,
                          detail=f"initial {old} -> {cur}")
-
-    def _next_initial(self, parent: str, cur: str, by_name: list[Transition],
-                      pending: PendingSet) -> str:
-        """One hop: the target substate of the least-named internal
-        transition leaving ``cur`` for a survivor, else for a doomed
-        substate."""
-        doomed_successor = None
-        for t in by_name:
-            src = self.direct_child_within(parent, t.source)
-            tgt = self.direct_child_within(parent, t.target)
-            if src != cur or tgt == cur:
-                continue
-            if tgt not in pending:
-                return tgt
-            if doomed_successor is None:
-                doomed_successor = tgt
-        if doomed_successor is None:
-            raise NoInitialError(
-                f"no transition leads from {cur!r} to a surviving substate "
-                f"of {parent!r}")
-        return doomed_successor
 
     def prune_conditions(self, names: Sequence[str]) -> list[str]:
         """Strips every in-state atom naming one of the states or anything

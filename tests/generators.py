@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from scpl.model import (AndState, Condition, Configuration, FeatureModel,
                         InState, MachineIndex, OrState, SimpleState,
-                        StateChart, Transition, map_states)
+                        StateChart, Transition, map_states, reached)
 
 EVENTS = ("e1", "e2")
 
@@ -134,9 +134,10 @@ def inject_transition_faults(sc: StateChart, rng: random.Random) -> StateChart:
                        if idx.direct_child_within(owner, s) is None]
             return replace(t, target=rng.choice(outside))
         if roll < 0.12:
-            deep = [c for c in idx.children[owner] if idx.descendants(c)]
+            deep = [c for c in idx.children[owner] if idx.children.get(c)]
             if deep:
-                inside = sorted(idx.descendants(rng.choice(deep)))
+                c = rng.choice(deep)
+                inside = sorted(reached(c, idx.children) - {c})
                 return replace(t, source=rng.choice(inside),
                                target=rng.choice(inside))
         elif roll < 0.14:
@@ -171,8 +172,13 @@ def inject_feature_faults(fm: FeatureModel, conf: Configuration,
     every alternative group of a parent with no or two choices, every
     or-group of a parent left empty, a child under a second parent, a
     selected feature no edge reaches, an unselected root, an unknown
-    feature selected, as an edge parent or as an edge child.  No draw
-    follows the hash seed."""
+    feature selected, as an edge parent or as an edge child, two
+    alternative or two or-groups under one selected parent with none of
+    their children selected.  Each of those two groups pairs a one-digit
+    with a two-digit feature, such as F9 with F10, which sort one way as
+    text and, under about half of the hash seeds, the other way in set
+    order, so a report keyed by unsorted children changes its order.  No
+    draw follows the hash seed."""
     funcs, root = set(fm.funcs), fm.root
     groups = {"mand": set(fm.mand), "opt": set(fm.opt),
               "alt": set(fm.alt), "or": set(fm.or_rel)}
@@ -276,6 +282,13 @@ def inject_feature_faults(fm: FeatureModel, conf: Configuration,
             edges.add(("Ghost", frozenset({pick(funcs) or root})))
         else:
             edges.add((root, frozenset({"Nobody"})))
+    if hit():
+        kind = rng.choice(("alt", "or"))
+        parent = pick(selected) or root
+        for _ in range(2):
+            kids = frozenset({f"F{rng.randint(2, 9)}", f"F{rng.randint(10, 19)}"})
+            groups[kind].add((parent, kids))
+            selected -= kids - {parent, root}
 
     model = FeatureModel(frozenset(funcs), root, frozenset(groups["mand"]),
                          frozenset(groups["opt"]), frozenset(groups["alt"]),

@@ -13,7 +13,10 @@ index maps, and checks each transition the plain way: every name and event
 by its own regular-expression match, every endpoint by a walk up from it.
 The feature-model and configuration references are the sorted walks the
 feature checks once made, each report built in the order it is read, and
-stand against the checks' bulk tests.
+stand against the checks' bulk tests.  The product-line document reference
+builds the machine as the dicts and lists the writer once went through,
+which the standard library's ``json`` turns into the text the direct
+writer must produce.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ import re
 from itertools import permutations, product
 from math import factorial
 
-from scpl import strategy
+from scpl import formats, strategy
 from scpl.binding import nsc
 from scpl.errors import InvalidInputError, ScplError, UnknownFeatureError
-from scpl.model import AndState, InState, MachineIndex, OrState, Violation
+from scpl.model import (AndState, Guard, History, InState, MachineIndex,
+                        OrState, SimpleState, Violation)
 from scpl.rewrite import WorkingTree
 
 
@@ -377,6 +381,71 @@ def _endpoint_breaches(idx, t) -> list[Violation]:
             t.name,
             f"endpoints {t.source!r} and {t.target!r} both lie inside "
             f"{cs!r}; the transition does not belong to {owner!r}"))
+    return out
+
+
+# --- the product-line document, built as dicts ----------------------------
+
+def reference_product_line_document(fm, sc, imp) -> dict:
+    """The document ``serialize_product_line`` writes, as the dicts and
+    lists that ``json.dumps(..., indent=2, sort_keys=True)`` turns into the
+    same text: the machine built state by state and transition by
+    transition, the feature model and the mapping by the library's own
+    builders, which go through ``dump_json``."""
+    return {
+        "feature_model": formats._feature_model_to_json(fm),
+        "statechart": {"root": _state_to_json(sc.root)},
+        "imp": formats._imp_to_json(imp),
+    }
+
+
+def _condition_to_json(cond) -> list:
+    out = []
+    for atom in cond.atoms:
+        if isinstance(atom, Guard):
+            out.append({"guard": atom.text})
+        else:
+            out.append({"in": atom.state})
+    return out
+
+
+def _transition_to_json(t) -> dict:
+    out = {
+        "name": t.name,
+        "source": t.source,
+        "target": t.target,
+        "trigger": list(t.trigger),
+    }
+    if t.cond.atoms:
+        out["cond"] = _condition_to_json(t.cond)
+    if t.actions:
+        out["actions"] = list(t.actions)
+    if t.history is not History.NONE:
+        out["history"] = t.history.value
+    if t.optional:
+        out["optional"] = True
+    return out
+
+
+def _state_to_json(state) -> dict:
+    if isinstance(state, SimpleState):
+        out = {"kind": "simple", "name": state.name}
+    elif isinstance(state, OrState):
+        out = {
+            "kind": "or",
+            "name": state.name,
+            "initial": state.initial,
+            "substates": [_state_to_json(s) for s in state.substates],
+            "transitions": [_transition_to_json(t) for t in state.transitions],
+        }
+    else:
+        out = {
+            "kind": "and",
+            "name": state.name,
+            "regions": [_state_to_json(r) for r in state.regions],
+        }
+    if state.optional:
+        out["optional"] = True
     return out
 
 

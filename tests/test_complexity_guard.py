@@ -22,7 +22,10 @@ regions; within an instantiation no region is coupled at all, since
 layer 1 prunes every in-state atom that names a state inside a doomed
 one, so it searches no tuples.  A tuple search stops at a budget.  The
 feature checks accept a valid model and configuration without sorting
-anything.
+anything.  Writing a product line spells its machine out without the
+generic JSON writer, so that writer runs as often for any machine, and
+an initial-marker repair looks, per hop, at the transitions leaving the
+marked substate alone.
 """
 
 import argparse
@@ -39,6 +42,7 @@ from math import factorial
 import pytest
 
 import scpl.features
+import scpl.formats
 import scpl.model
 import scpl.rewrite
 import scpl.strategy
@@ -47,8 +51,9 @@ from oracles import reference_confluence
 from scpl import cli, datasets
 from scpl.errors import NoInitialError, ScplError, TooLargeError
 from scpl.formats import (export_dot, parse_product_line,
-                          serialize_configuration)
-from scpl.model import (AndState, Condition, InState, MachineIndex, OrState,
+                          serialize_configuration, serialize_product_line)
+from scpl.model import (AndState, Condition, Configuration, FeatureModel,
+                        ImpEntry, ImpMapping, InState, MachineIndex, OrState,
                         SimpleState, StateChart, Transition, canonicalize)
 from scpl.rewrite import PendingSet, delete_and_state, reachable_and
 from scpl.strategy import (EXHAUSTIVE_CAP, check_confluence,
@@ -230,6 +235,50 @@ def test_check_confluence_draws_no_order_after_the_last_key(monkeypatch):
     assert report.confluent and report.trials == 40_320
     assert runs[0] == 2
     assert drawn[0] == factorial(EXHAUSTIVE_CAP - 1) + 1
+
+
+def _flat_line(states: int) -> StateChart:
+    names = [f"S{i}" for i in range(states)]
+    return StateChart(OrState("Root", tuple(map(SimpleState, names)),
+                              names[0], tuple(
+        Transition(f"t{i}", a, b, ("e",), Condition((InState(a),)), ("x",))
+        for i, (a, b) in enumerate(zip(names, names[1:])))))
+
+
+def test_the_machine_is_written_without_the_generic_writer(monkeypatch):
+    # The generic writer runs once per value it writes, so writing the
+    # machine through it costs several calls per state and transition; the
+    # product-line writer spells the machine out itself.
+    fm, _, imp = datasets.mobile_phone()
+    calls = _count_calls(monkeypatch, scpl.formats, "_write_json")
+    counts = []
+    for states in (20, 2000):
+        calls[0] = 0
+        serialize_product_line(fm, _flat_line(states), imp)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
+
+
+def test_initial_repair_costs_each_hop_its_own_transitions():
+    # Scanning all of the parent's transitions per hop is quadratic: about
+    # 1.2 s at 2,000 states, and well over a minute on this chain of 20,000
+    # doomed states, which the marker crosses hop by hop.  The names sort
+    # in chain order, so each deletion finds its predecessor gone and
+    # composes nothing.
+    names = [f"S{i:05d}" for i in range(20_000)]
+    sc = StateChart(OrState(
+        "Root", tuple(SimpleState(n, optional=True) for n in names)
+        + (SimpleState("E"),), names[0], tuple(
+            Transition(f"t{i}", a, b, ("e",))
+            for i, (a, b) in enumerate(zip(names, names[1:] + ["E"])))))
+    fm = FeatureModel(frozenset({"R", "X"}), "R",
+                      opt=frozenset({("R", frozenset({"X"}))}))
+    imp = ImpMapping.from_dict({"X": ImpEntry(frozenset(names))})
+    start = time.perf_counter()
+    result = instantiate(fm, Configuration(frozenset({"R"})), sc, imp)
+    assert time.perf_counter() - start < 1.0
+    assert result.statechart.root.initial == "E"
+    assert result.trace.steps[0].detail == f"initial {names[0]} -> E"
 
 
 def test_parse_walks_the_machine_once(monkeypatch):

@@ -185,6 +185,24 @@ def test_a_long_feature_chain_is_validated_in_linear_time():
     assert violations == []
 
 
+def test_a_wide_feature_model_is_validated_in_linear_time():
+    # Looking each restricting edge up among all pairs of its parent is
+    # quadratic: about 0.5 s at 5,000 groups, and some 50 s on this root
+    # of 50,000 alternative groups, each restricted to one child.
+    kids = [(f"A{i}", f"B{i}") for i in range(50_000)]
+    fm = FeatureModel(
+        funcs=frozenset({"R"}.union(*kids)), root="R",
+        alt=frozenset(("R", frozenset(pair)) for pair in kids))
+    conf = build_configuration(fm, frozenset({"R"} | {a for a, _ in kids}))
+    timings = []
+    for _ in range(3):
+        start = time.perf_counter()
+        violations = validate_configuration(fm, conf)
+        timings.append(time.perf_counter() - start)
+        assert violations == []
+    assert min(timings) < 1.0
+
+
 def test_kernel_is_mandatory_closure():
     fm = FeatureModel(
         funcs=frozenset({"R", "A", "B", "C"}),

@@ -183,6 +183,37 @@ _T0 = "$.statechart.root.transitions[0]"
      "$.imp.R.elements: expected list, got str"),
     (_configuration({"selected": ["R", None]}), FormatSyntaxError,
      "$.selected[1]: expected str, got NoneType"),
+    (_set((*_ROOT, "transitions"), [{**_LOOP, "actions": None}]),
+     FormatSyntaxError, f"{_T0}.actions: expected list, got NoneType"),
+    (_set((*_ROOT, "transitions"), [{**_LOOP, "optional": 0}]),
+     FormatSyntaxError, f"{_T0}.optional: expected bool, got int"),
+    (_set((*_ROOT, "transitions"), [{**_LOOP, "optional": None}]),
+     FormatSyntaxError, f"{_T0}.optional: expected bool, got NoneType"),
+    (_set((*_ROOT, "substates"),
+          [{"kind": "simple", "name": "A", "optional": None}]),
+     FormatSyntaxError,
+     "$.statechart.root.substates[0].optional: expected bool, got NoneType"),
+    # When several fields are bad, the first in this order is named:
+    # history, name, source, target, trigger, cond, actions, optional.
+    (_set((*_ROOT, "transitions"),
+          [{**_LOOP, "name": 1, "source": [], "target": None}]),
+     FormatSyntaxError, f"{_T0}.name: expected str, got int"),
+    (_set((*_ROOT, "transitions"), [{**_LOOP, "source": [], "target": 2}]),
+     FormatSyntaxError, f"{_T0}.source: expected str, got list"),
+    (_set((*_ROOT, "transitions"), [{**_LOOP, "name": 1, "history": 3}]),
+     FormatSyntaxError, f"{_T0}.history: unknown value 3"),
+    (_set((*_ROOT, "transitions"),
+          [{**_LOOP, "trigger": "e", "cond": None, "optional": 0}]),
+     FormatSyntaxError, f"{_T0}.trigger: expected list, got str"),
+    (_set((*_ROOT, "transitions"),
+          [{**_LOOP, "cond": None, "actions": None, "optional": 0}]),
+     FormatSyntaxError, f"{_T0}.cond: expected list, got NoneType"),
+    (_set((*_ROOT, "transitions"), [{**_LOOP, "actions": 1, "optional": 0}]),
+     FormatSyntaxError, f"{_T0}.actions: expected list, got int"),
+    (_set((*_ROOT, "substates"),
+          [{"kind": "blob", "name": 5, "optional": "x"}]),
+     FormatSyntaxError,
+     "$.statechart.root.substates[0].name: expected str, got int"),
 ], ids=["feature-model-not-a-dict", "relation-pair-of-one",
         "duplicate-feature", "duplicate-transition", "unknown-history",
         "unknown-kind", "no-statechart", "simple-root",
@@ -190,7 +221,12 @@ _T0 = "$.statechart.root.transitions[0]"
         "transition-name-not-a-string", "trigger-item-not-a-string",
         "state-optional-not-a-bool", "transition-optional-not-a-bool",
         "substates-not-a-list", "null-condition", "actions-not-a-list",
-        "imp-elements-not-a-list", "selected-item-not-a-string"])
+        "imp-elements-not-a-list", "selected-item-not-a-string",
+        "null-actions", "transition-optional-zero", "transition-optional-null",
+        "state-optional-null", "name-before-source-and-target",
+        "source-before-target", "history-before-name", "trigger-before-cond",
+        "cond-before-actions", "actions-before-optional",
+        "state-name-before-optional-and-kind"])
 def test_the_parser_names_each_malformed_part(edit, error, message):
     doc = json.loads(MINIMAL)
     parse, doc = edit(doc) or (parse_product_line, doc)

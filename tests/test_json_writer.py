@@ -6,19 +6,26 @@ one implementation of it.  Each document the package writes is checked by
 reading it back and encoding it again with the standard library.
 """
 
+import itertools
 import json
+import random
 from http import HTTPStatus
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_product_line_document
 from scpl import datasets
 from scpl.cli import main
 from scpl.formats import (dump_json, serialize_configuration,
                           serialize_product_line)
-from scpl.model import ImpEntry, ImpMapping
+from scpl.model import (AndState, Condition, Guard, History, ImpEntry,
+                        ImpMapping, InState, OrState, SimpleState, StateChart,
+                        Transition)
 from scpl.strategy import generate_random_product_line, instantiate
+
+_LARGE_BAND = {"max_depth": 3, "max_substates": 6, "max_features": 12}
 
 
 def _reference(text: str, sort_keys: bool) -> str:
@@ -45,6 +52,91 @@ def test_serialized_instantiations_match_the_standard_library(mp, mp_full):
     product = instantiate(fm, mp_full, sc, imp).statechart
     text = serialize_product_line(fm, product, ImpMapping())
     assert text == _reference(text, True) + "\n"
+
+
+def _written_as_dicts(fm, sc, imp) -> str:
+    return json.dumps(reference_product_line_document(fm, sc, imp),
+                      indent=2, sort_keys=True) + "\n"
+
+
+def _generated_lines():
+    """Default seeds 0-1999, each as generated and instantiated, and
+    large-band seeds 1500000-1500999 as generated."""
+    for seed in range(2000):
+        line = generate_random_product_line(seed)
+        yield seed, line.fm, line.sc, line.imp
+        product = instantiate(line.fm, line.conf, line.sc, line.imp)
+        yield seed, line.fm, product.statechart, ImpMapping()
+    for seed in range(1_500_000, 1_501_000):
+        line = generate_random_product_line(seed, **_LARGE_BAND)
+        yield seed, line.fm, line.sc, line.imp
+
+
+def test_product_lines_are_written_as_their_dicts_would_be(mp, mp_full,
+                                                           mp_no_poly):
+    # The machine is written straight from the model values; the text must
+    # be what writing the dicts it stands for gives.
+    fm, sc, imp = mp
+    cases = [("mobile-phone", fm, sc, imp)] + [
+        ("mobile-phone product", fm,
+         instantiate(fm, conf, sc, imp).statechart, imp)
+        for conf in (mp_full, mp_no_poly)]
+    for name, *line in itertools.chain(cases, _generated_lines()):
+        assert serialize_product_line(*line) == _written_as_dicts(*line), name
+
+
+_NAME_CHARACTERS = 'ab"\\\n\t \u00e9\u20ac\U0001f600\x00/'
+
+
+def _hand_made_machine(rng: random.Random) -> StateChart:
+    """A machine, well-formed or not, whose names mix quotes, backslashes,
+    control characters, non-ASCII and the empty name, with every history
+    marker, guards and in-state atoms, actions, optional flags, empty
+    composites and empty triggers."""
+    def name():
+        return "".join(rng.choice(_NAME_CHARACTERS)
+                       for _ in range(rng.randint(0, 4)))
+
+    def names():
+        return tuple(name() for _ in range(rng.randint(0, 2)))
+
+    def transition():
+        atoms = tuple(Guard(name()) if rng.random() < 0.5 else InState(name())
+                      for _ in range(rng.randint(0, 2)))
+        return Transition(name(), name(), name(), names(), Condition(atoms),
+                          names(), rng.choice(list(History)),
+                          rng.random() < 0.3)
+
+    def state(depth):
+        roll, optional = rng.random(), rng.random() < 0.3
+        if depth > 3 or roll < 0.4:
+            return SimpleState(name(), optional)
+        kids = tuple(state(depth + 1) for _ in range(rng.randint(0, 3)))
+        if roll < 0.8:
+            return OrState(name(), kids, name(), tuple(
+                transition() for _ in range(rng.randint(0, 3))), optional)
+        return AndState(name(), kids, optional)
+
+    return StateChart(OrState(name(), tuple(state(1) for _ in range(3)),
+                              name(), (transition(),)))
+
+
+def test_hand_made_machines_are_written_as_their_dicts_would_be(mp):
+    fm, _, imp = mp
+    texts = []
+    for seed in range(500):
+        sc = _hand_made_machine(random.Random(seed))
+        text = serialize_product_line(fm, sc, imp)
+        assert text == _written_as_dicts(fm, sc, imp), seed
+        texts.append(text)
+    # Every part the writer spells out itself occurred.
+    joined = "".join(texts)
+    for fragment in ('"history": "shallow"', '"history": "deep"',
+                     '"guard": ', '"in": ', '"actions": [', '"trigger": []',
+                     '"optional": true', '"substates": []', '"regions": []',
+                     '"transitions": []', '"name": ""', "\\u0000",
+                     "\\ud83d\\ude00", '\\"', "\\\\", "\\n", "\\t"):
+        assert fragment in joined, fragment
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import pickle
 import random
 from copy import deepcopy
@@ -98,7 +99,7 @@ def test_index_hierarchy_queries():
     assert list(idx.ancestors("Q")) == ["R1", "Par", "Root"]
     assert idx.direct_child_within("Par", "Q") == "R1"
     assert idx.direct_child_within("Inner", "Q") is None
-    assert idx.descendants("Par") == {"R1", "R2", "P", "Q", "U"}
+    assert reached("Par", idx.children) == {"Par", "R1", "R2", "P", "Q", "U"}
     assert idx.direct_child_within("Root", "Y") == "Inner"
     assert idx.direct_child_within("Root", "Root") is None
 
@@ -161,8 +162,8 @@ def test_index_maps_match_the_state_objects(seeds, generator):
             [(k, [n for n, _ in pairs]) for k, pairs in owned.items()], seed
         assert all(idx.transitions[n] is t
                    for pairs in owned.values() for n, t in pairs), seed
-        assert {name: idx.descendants(name) for name in idx.states} == \
-            inside, seed
+        assert {name: reached(name, idx.children) - {name}
+                for name in idx.states} == inside, seed
         assert WorkingTree(sc).freeze() == sc, seed
 
 
@@ -172,8 +173,8 @@ def test_index_of_a_state_nested_in_its_namesake():
     idx = MachineIndex(sc)
     assert idx.duplicate_states == ["A"]
     assert idx.children == {"Root": {"A": None}, "A": {"B": None}}
-    assert idx.descendants("Root") == {"A", "B"}
-    assert idx.descendants("A") == {"B"}
+    assert reached("Root", idx.children) == {"Root", "A", "B"}
+    assert reached("A", idx.children) == {"A", "B"}
     assert [str(v) for v in check_well_formed(sc)] == [
         "A: duplicate state name"]
 
@@ -337,6 +338,45 @@ def test_values_are_slotted(value):
     field = dataclasses.fields(value)[0].name
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(value, field, getattr(value, field))
+
+
+def _generated_twin(cls):
+    """``cls`` as ``dataclasses`` alone would make it: the same fields,
+    defaults and annotations, with the generated ``__init__``."""
+    return dataclasses.make_dataclass(cls.__name__, [
+        (f.name, f.type) if f.default is dataclasses.MISSING
+        else (f.name, f.type, dataclasses.field(default=f.default))
+        for f in dataclasses.fields(cls)], frozen=True, slots=True)
+
+
+@pytest.mark.parametrize("value", [v for v in _VALUES
+                                   if type(v).__module__ == "scpl.model"],
+                         ids=lambda v: type(v).__name__)
+def test_value_constructors_behave_as_generated(value):
+    # The model's constructors set each slot through its member
+    # descriptor; nothing else about the values may differ from what
+    # dataclasses generates.
+    cls = type(value)
+    twin = _generated_twin(cls)
+    assert inspect.signature(cls) == inspect.signature(twin)
+    assert cls.__init__.__defaults__ == twin.__init__.__defaults__
+    assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    assert [(f.name, f.type, f.default) for f in dataclasses.fields(cls)] == \
+        [(f.name, f.type, f.default) for f in dataclasses.fields(twin)]
+    values = {f.name: getattr(value, f.name) for f in dataclasses.fields(cls)}
+    assert cls(**values) == value and hash(cls(**values)) == hash(value)
+    assert cls(*values.values()) == value
+    for name in values:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, values[name])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+        changed = dataclasses.replace(value, **{name: "other"})
+        assert getattr(changed, name) == "other" and changed != value
+        assert pickle.loads(pickle.dumps(changed)) == changed
+    assert pickle.loads(pickle.dumps(value)) == value
+    with pytest.raises(TypeError):
+        cls(*values.values(), "one too many")
 
 
 def test_values_survive_pickle_deepcopy_and_replace():

@@ -13,7 +13,7 @@ from scpl.errors import (InvalidInputError, NoInitialError, RewriteError,
 from scpl.model import (AndState, Configuration, ImpMapping, MachineIndex,
                         OrState, RewriteTrace, SimpleState, StateChart,
                         TraceStep, Transition, canonicalize,
-                        check_well_formed, var_elems)
+                        check_well_formed, reached, var_elems)
 from scpl.rewrite import WorkingTree
 from scpl.strategy import (EXHAUSTIVE_CAP, check_confluence,
                            generate_random_product_line, instantiate,
@@ -477,7 +477,7 @@ def _groups(line, eligible) -> list[set[str]]:
     transition has an end in a subtree of each."""
     idx = MachineIndex(line.sc)
     groups = [{n} for n in sorted(eligible)]
-    home = {s: n for n in eligible for s in (n, *idx.descendants(n))}
+    home = {s: n for n in eligible for s in reached(n, idx.children)}
     for t in idx.transitions.values():
         ends = {home.get(t.source), home.get(t.target)} - {None}
         if len(ends) == 2:
