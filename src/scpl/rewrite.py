@@ -65,7 +65,7 @@ from .errors import (EmptyCompositeError, IsInitialError, NoInitialError,
                      TooLargeError)
 from .model import (AndState, Condition, InState, MachineIndex, OrState,
                     SimpleState, StateChart, TraceStep, Transition,
-                    comp_parts, partition, reached)
+                    partition, reached)
 
 
 class PendingSet(set):
@@ -76,8 +76,17 @@ class PendingSet(set):
 
 def comp_name(first: str, second: str) -> str:
     """Composed-transition name, flattened so that both association orders
-    of a chain produce the same string."""
-    return "comp(" + ",".join(comp_parts(first) + comp_parts(second)) + ")"
+    of a chain produce the same string: ``comp(`` and the parts of both
+    names (``comp_parts``) joined by commas.  Each composed name's inner
+    text is sliced out whole, which joins the same string as splitting it
+    into its parts and joining them again, at the cost of one copy."""
+    return "comp(" + _inner(first) + "," + _inner(second) + ")"
+
+
+def _inner(name: str) -> str:
+    """The parts of ``name``, joined by commas."""
+    return (name[5:-1] if name.startswith("comp(") and name.endswith(")")
+            else name)
 
 
 def comp(t1: Transition, t2: Transition) -> Transition:
@@ -611,26 +620,27 @@ class WorkingTree(MachineIndex):
     def finalize_optionals(self) -> TraceStep:
         """Flips every remaining optional flag, in one pass over the
         transitions and one over the states; each flagged element is
-        rebuilt once, with its flag cleared (``_cleared``)."""
+        rebuilt once, with its flag cleared (``flagged``)."""
         for t in [t for t in self.transitions.values() if t.optional]:
-            self.transitions[t.name] = _cleared(t)
+            self.transitions[t.name] = flagged(t)
         for name, st in self.states.items():
             if st.optional:
-                self.states[name] = _cleared(st)
+                self.states[name] = flagged(st)
         return TraceStep("finalize_optionals", self.root)
 
 
-def _cleared(x):
-    """``dataclasses.replace(x, optional=False)`` of a transition or state,
-    built by its constructor, which costs a fraction of ``replace``."""
+def flagged(x, optional: bool = False):
+    """``dataclasses.replace(x, optional=optional)`` of a transition or
+    state, built by its constructor, which costs a fraction of ``replace``."""
     if isinstance(x, Transition):
         return Transition(x.name, x.source, x.target, x.trigger, x.cond,
-                          x.actions, x.history)
+                          x.actions, x.history, optional)
     if isinstance(x, OrState):
-        return OrState(x.name, x.substates, x.initial, x.transitions)
+        return OrState(x.name, x.substates, x.initial, x.transitions,
+                       optional)
     if isinstance(x, AndState):
-        return AndState(x.name, x.regions)
-    return SimpleState(x.name)
+        return AndState(x.name, x.regions, optional)
+    return SimpleState(x.name, optional)
 
 
 # --- the public rules -----------------------------------------------------

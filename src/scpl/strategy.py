@@ -12,7 +12,7 @@ change the result (the confluence harness checks exactly that).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import count, permutations
 from math import factorial, prod
 from typing import Iterator, NamedTuple, Sequence
@@ -28,7 +28,7 @@ from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
                     TraceStep, Transition, Violation, comp_parts,
                     optional_elements, partition, touched_violations,
                     well_formed_violations)
-from .rewrite import PendingSet, WorkingTree
+from .rewrite import PendingSet, WorkingTree, flagged
 
 
 # Largest NSC that ``check_confluence(exhaustive=True)`` runs every order
@@ -297,9 +297,8 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
         ran.add(projection)
         got = outcome(order)
         if _shape(got) != _shape(reference):
-            return replace(agreed, confluent=False,
-                           divergent_orders=(first, order),
-                           divergent_outcomes=_diff(reference, got))
+            return ConfluenceReport(False, total, len(base), (first, order),
+                                    _diff(reference, got))
         if len(ran) == keys:
             # Every key has run: no later order can bring a new one.
             break
@@ -410,7 +409,13 @@ class GeneratedLine(NamedTuple):
 def generate_random_product_line(seed: int, *, max_depth: int = 3,
                                  max_substates: int = 4,
                                  max_features: int = 8) -> GeneratedLine:
-    """Reproducible quadruple of mutually valid artifacts.
+    """Quadruple of mutually valid artifacts, a fixed function of ``seed``
+    and the parameters: one ``random.Random(seed)`` draws it through public
+    calls, whose index pairs and feature draws are the draws ``sample`` and
+    ``choices`` make (``_pair``).  The parity test against
+    ``tests/oracles.reference_random_product_line`` and ``bench/pinned.json``
+    hold every line fixed; an adversarial generator belongs in
+    ``tests/generators.py`` and leaves this one as it is.
 
     The machines are shaped so that instantiation always completes: root,
     initial substates, and And-regions are never optional, and sibling
@@ -509,51 +514,57 @@ def _random_state(draw: _Draw, depth: int) -> State:
     return SimpleState(name)
 
 
+def _pair(rng: random.Random, k: int):
+    """``sorted(rng.sample(range(k), 2))`` by the draws ``sample`` makes: up
+    to 21 items, ``randrange(k)`` then ``randrange(k - 1)``, the second
+    standing for the last item when it repeats the first."""
+    if k > 21:
+        return sorted(rng.sample(range(k), 2))
+    i, j = rng.randrange(k), rng.randrange(k - 1)
+    return (i, k - 1) if j == i else (i, j) if i < j else (j, i)
+
+
+# Shared by every generated transition with no condition, or with the guard.
+_TRUE, _BATTERY = Condition(), Condition((Guard("batteryOk"),))
+
+
 def _random_or(draw: _Draw, name: str, depth: int,
                register: bool = False) -> OrState:
-    rng, all_states = draw.rng, draw.all_states
+    rng, all_states, chance = draw.rng, draw.all_states, draw.rng.random
     if register:
         all_states.append(name)
     k = rng.randint(2, max(2, draw.max_substates))
     subs = [_random_state(draw, depth) for _ in range(k)]
-    transitions = []
+    drawn = []
     # Forward edges over the substate order keep cycles away from
     # composites; simple-to-simple back edges reintroduce cycles where
     # composition is associative.
     for _ in range(rng.randint(k - 1, k + 2)):
-        i, j = sorted(rng.sample(range(k), 2))
+        i, j = _pair(rng, k)
         src, tgt = subs[i], subs[j]
-        if (rng.random() < 0.3 and isinstance(src, SimpleState)
+        if (chance() < 0.3 and isinstance(src, SimpleState)
                 and isinstance(tgt, SimpleState)):
             src, tgt = tgt, src
         target_name = tgt.name
-        if isinstance(tgt, OrState) and rng.random() < 0.35:
+        if isinstance(tgt, OrState) and chance() < 0.35:
             target_name = rng.choice(tgt.substates).name
-        cond = Condition()
-        if rng.random() < 0.15:
-            if all_states and rng.random() < 0.5:
-                cond = Condition((InState(rng.choice(all_states)),))
-            else:
-                cond = Condition((Guard("batteryOk"),))
-        transitions.append(Transition(
-            name=f"t{next(draw.transition_numbers):02d}",
-            source=src.name,
-            target=target_name,
-            trigger=(rng.choice(_EVENTS),),
-            cond=cond,
-            actions=("beep",) if rng.random() < 0.3 else (),
-            optional=False,
-        ))
-    # Optional flags: never the initial substate, never And-regions.
-    for i, sub in enumerate(subs):
-        if i > 0 and rng.random() < 0.35:
-            draw.optionals.append(sub.name)
-            subs[i] = replace(sub, optional=True)
-    for i, t in enumerate(transitions):
-        if rng.random() < 0.3:
-            draw.optionals.append(t.name)
-            transitions[i] = replace(t, optional=True)
-    return OrState(name, tuple(subs), subs[0].name, tuple(transitions))
+        cond = _TRUE
+        if chance() < 0.15:
+            cond = (Condition((InState(rng.choice(all_states)),))
+                    if all_states and chance() < 0.5 else _BATTERY)
+        drawn.append((f"t{next(draw.transition_numbers):02d}", src.name,
+                      target_name, (rng.choice(_EVENTS),), cond,
+                      ("beep",) if chance() < 0.3 else ()))
+    # Optional flags, drawn after the transitions: never the initial
+    # substate, never And-regions.  Each transition is built once.
+    for i in range(1, k):
+        if chance() < 0.35:
+            draw.optionals.append(subs[i].name)
+            subs[i] = flagged(subs[i], True)
+    transitions = tuple([Transition(*args, History.NONE, chance() < 0.3)
+                         for args in drawn])
+    draw.optionals.extend(t.name for t in transitions if t.optional)
+    return OrState(name, tuple(subs), subs[0].name, transitions)
 
 
 def _random_imp(rng: random.Random, fm: FeatureModel,
@@ -562,8 +573,12 @@ def _random_imp(rng: random.Random, fm: FeatureModel,
     entries: dict[str, set[str]] = {}
     if nonkernel:
         for el in optionals:
-            n = rng.choices((0, 1, 2), weights=(25, 60, 15))[0]
-            for feature in rng.sample(nonkernel, min(n, len(nonkernel))):
+            n = min(rng.choices((0, 1, 2), cum_weights=(25, 85, 100))[0],
+                    len(nonkernel))
+            # ``sample(nonkernel, n)`` draws nothing for none, and for one
+            # what ``choice`` draws.
+            for feature in (rng.sample(nonkernel, 2) if n == 2 else
+                            (rng.choice(nonkernel),) if n else ()):
                 entries.setdefault(feature, set()).add(el)
     includes: dict[str, set[str]] = {}
     domain = sorted(entries)

@@ -1,18 +1,34 @@
-"""Seeded generators for composites used by the reachability suites, and
-fault injectors: for states and for transitions, for the well-formedness
-suites, and for feature models and configurations, for the feature
-checks."""
+"""Seeded generators for composites used by the reachability suites, the
+generated product lines every sweep shares, and fault injectors: for
+states and for transitions, for the well-formedness suites, and for
+feature models and configurations, for the feature checks."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
+from functools import cache
 
 from scpl.model import (AndState, Condition, Configuration, FeatureModel,
                         InState, MachineIndex, OrState, SimpleState,
                         StateChart, Transition, map_states, reached)
+from scpl.strategy import GeneratedLine, generate_random_product_line
 
 EVENTS = ("e1", "e2")
+
+
+def generated_line(seed: int, **generator) -> GeneratedLine:
+    """``generate_random_product_line(seed, **generator)``, drawn once per
+    test session: a line is an immutable value and a fixed function of its
+    arguments, so every sweep that meets one seed again shares its first
+    draw.  The parameters are keyed in name order, whatever order a
+    caller writes them in."""
+    return _drawn(seed, tuple(sorted(generator.items())))
+
+
+@cache
+def _drawn(seed: int, generator: tuple) -> GeneratedLine:
+    return generate_random_product_line(seed, **dict(generator))
 
 
 def random_or_composite(seed: int, max_substates: int = 6):

@@ -1,7 +1,7 @@
 """Independent reference implementations the fast paths are tested against.
 
-Everything here but the confluence, well-formedness and feature references is
-written from scratch against the definitions, not by calling into the
+Everything here but the confluence, well-formedness, feature and generator
+references is written from scratch against the definitions, not by calling into the
 package, so a shared bug cannot hide: selections are checked by
 structural recursion over the feature tree, reachability by dense fixpoint
 iteration over explicit relations, and the DOT output by a tiny parser of
@@ -16,21 +16,29 @@ feature checks once made, each report built in the order it is read, and
 stand against the checks' bulk tests.  The product-line document reference
 builds the machine as the dicts and lists the writer once went through,
 which the standard library's ``json`` turns into the text the direct
-writer must produce.
+writer must produce.  The product-line generator reference draws the
+machine and the mapping as the generator once did, through
+``random.sample``, ``choices`` with plain weights and
+``dataclasses.replace``, on the library's own feature-model and
+configuration draws.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from itertools import permutations, product
+from dataclasses import replace
+from itertools import count, permutations, product
 from math import factorial
+from typing import Iterator, NamedTuple
 
 from scpl import formats, strategy
 from scpl.binding import nsc
 from scpl.errors import InvalidInputError, ScplError, UnknownFeatureError
-from scpl.model import (AndState, Guard, History, InState, MachineIndex,
-                        OrState, SimpleState, Violation)
+from scpl.features import kernel
+from scpl.model import (AndState, Condition, Guard, History, ImpEntry,
+                        ImpMapping, InState, MachineIndex, OrState,
+                        SimpleState, StateChart, Transition, Violation)
 from scpl.rewrite import WorkingTree
 
 
@@ -447,6 +455,131 @@ def _state_to_json(state) -> dict:
     if state.optional:
         out["optional"] = True
     return out
+
+
+# --- the product-line generator's former draws ----------------------------
+
+def reference_random_product_line(seed: int, *, max_depth: int = 3,
+                                  max_substates: int = 4,
+                                  max_features: int = 8):
+    """``generate_random_product_line`` as it drew the machine and the
+    mapping before they were built element by element: through
+    ``random.sample`` for each index pair and feature draw, ``choices`` with
+    plain weights and ``dataclasses.replace`` for each optional flag.  The
+    feature model and configuration come from the library's own draws,
+    which are unchanged.  The generator must give equal lines, so any
+    change of draw order or of a draw's arguments shows."""
+    rng = random.Random(seed)
+    fm = strategy._random_feature_model(rng, max_features)
+    conf = strategy._random_configuration(rng, fm)
+    sc, optionals = _random_machine(rng, max_depth, max_substates)
+    imp = _random_imp(rng, fm, optionals)
+    return strategy.GeneratedLine(fm, conf, sc, imp)
+
+
+_EVENTS = ("ePress", "eTick", "eBack", "eOk")
+
+
+class _Draw(NamedTuple):
+    """What one machine draw threads through its recursion.  Module
+    functions over it, not nested closures, so no draw leaves a reference
+    cycle behind."""
+
+    rng: random.Random
+    max_depth: int
+    max_substates: int
+    state_numbers: Iterator[int]
+    transition_numbers: Iterator[int]
+    optionals: list[str]
+    all_states: list[str]
+
+
+def _random_machine(rng: random.Random, max_depth: int,
+                    max_substates: int) -> tuple[StateChart, list[str]]:
+    draw = _Draw(rng, max_depth, max_substates, count(1), count(1), [], [])
+    root = _random_or(draw, "Root", 0, register=True)
+    return StateChart(root), draw.optionals
+
+
+def _random_state(draw: _Draw, depth: int) -> State:
+    name = f"S{next(draw.state_numbers)}"
+    draw.all_states.append(name)
+    roll = draw.rng.random()
+    if depth < draw.max_depth and roll < 0.22:
+        return _random_or(draw, name, depth + 1)
+    if depth < draw.max_depth - 1 and roll < 0.30:
+        regions = tuple(_random_or(draw, f"S{next(draw.state_numbers)}",
+                                   depth + 2, register=True)
+                        for _ in range(draw.rng.randint(2, 3)))
+        return AndState(name, regions)
+    return SimpleState(name)
+
+
+def _random_or(draw: _Draw, name: str, depth: int,
+               register: bool = False) -> OrState:
+    rng, all_states = draw.rng, draw.all_states
+    if register:
+        all_states.append(name)
+    k = rng.randint(2, max(2, draw.max_substates))
+    subs = [_random_state(draw, depth) for _ in range(k)]
+    transitions = []
+    # Forward edges over the substate order keep cycles away from
+    # composites; simple-to-simple back edges reintroduce cycles where
+    # composition is associative.
+    for _ in range(rng.randint(k - 1, k + 2)):
+        i, j = sorted(rng.sample(range(k), 2))
+        src, tgt = subs[i], subs[j]
+        if (rng.random() < 0.3 and isinstance(src, SimpleState)
+                and isinstance(tgt, SimpleState)):
+            src, tgt = tgt, src
+        target_name = tgt.name
+        if isinstance(tgt, OrState) and rng.random() < 0.35:
+            target_name = rng.choice(tgt.substates).name
+        cond = Condition()
+        if rng.random() < 0.15:
+            if all_states and rng.random() < 0.5:
+                cond = Condition((InState(rng.choice(all_states)),))
+            else:
+                cond = Condition((Guard("batteryOk"),))
+        transitions.append(Transition(
+            name=f"t{next(draw.transition_numbers):02d}",
+            source=src.name,
+            target=target_name,
+            trigger=(rng.choice(_EVENTS),),
+            cond=cond,
+            actions=("beep",) if rng.random() < 0.3 else (),
+            optional=False,
+        ))
+    # Optional flags: never the initial substate, never And-regions.
+    for i, sub in enumerate(subs):
+        if i > 0 and rng.random() < 0.35:
+            draw.optionals.append(sub.name)
+            subs[i] = replace(sub, optional=True)
+    for i, t in enumerate(transitions):
+        if rng.random() < 0.3:
+            draw.optionals.append(t.name)
+            transitions[i] = replace(t, optional=True)
+    return OrState(name, tuple(subs), subs[0].name, tuple(transitions))
+
+
+def _random_imp(rng: random.Random, fm: FeatureModel,
+                optionals: list[str]) -> ImpMapping:
+    nonkernel = sorted(fm.funcs - kernel(fm))
+    entries: dict[str, set[str]] = {}
+    if nonkernel:
+        for el in optionals:
+            n = rng.choices((0, 1, 2), weights=(25, 60, 15))[0]
+            for feature in rng.sample(nonkernel, min(n, len(nonkernel))):
+                entries.setdefault(feature, set()).add(el)
+    includes: dict[str, set[str]] = {}
+    domain = sorted(entries)
+    for feature in domain:
+        if len(domain) > 1 and rng.random() < 0.15:
+            other = rng.choice([f for f in domain if f != feature])
+            includes.setdefault(feature, set()).add(other)
+    return ImpMapping.from_dict({
+        f: ImpEntry(frozenset(els), frozenset(includes.get(f, ())))
+        for f, els in entries.items()})
 
 
 # --- a parser for the emitted DOT subset ----------------------------------

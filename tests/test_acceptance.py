@@ -7,7 +7,8 @@ pytest's capture) so the suite's verdicts are always visible.
 import random
 import time
 
-from generators import random_and_composite, random_or_composite
+from generators import (generated_line, random_and_composite,
+                        random_or_composite)
 from oracles import all_valid_selections, and_closure, closure
 from scpl import datasets
 from scpl.binding import nsc
@@ -20,8 +21,7 @@ from scpl.model import (Condition, FeatureModel, Guard, ImpEntry, ImpMapping,
                         StateChart, Transition, canonicalize,
                         check_well_formed, var_elems)
 from scpl.rewrite import PendingSet, reachable_and, reachable_or
-from scpl.strategy import (check_confluence, generate_random_product_line,
-                           instantiate)
+from scpl.strategy import check_confluence, instantiate
 
 GOLDEN_NSF = frozenset({"PolyphonicSounds", "AlarmNewMessages"})
 GOLDEN_NSC = frozenset({
@@ -102,7 +102,7 @@ def _seeds_with_nsc(limit_kw, lo, hi, count, start_seed=0):
     out = []
     seed = start_seed
     while len(out) < count:
-        line = generate_random_product_line(seed, **limit_kw)
+        line = generated_line(seed, **limit_kw)
         size = len(nsc(line.fm, line.conf, line.sc, line.imp))
         if lo <= size <= hi:
             out.append(line)
@@ -217,7 +217,7 @@ def test_criterion_5_termination_bound(capfd):
     start = time.perf_counter()
     overflows = 0
     for seed in range(200):
-        line = generate_random_product_line(seed)
+        line = generated_line(seed)
         result = instantiate(*line)
         if not trace_bound_ok(line, result):
             overflows += 1
@@ -233,7 +233,7 @@ def test_criterion_6_configuration_oracle(capfd):
     disagreements = 0
     kernel_mismatches = 0
     for seed in range(200):
-        fm = generate_random_product_line(seed, max_features=8).fm
+        fm = generated_line(seed).fm
         valid = all_valid_selections(fm)
         rest = sorted(fm.funcs - {fm.root})
         for bits in range(1 << len(rest)):
@@ -304,7 +304,7 @@ def test_criterion_8_round_trip(capfd):
     start = time.perf_counter()
     failures = 0
     for seed in range(500):
-        line = generate_random_product_line(seed)
+        line = generated_line(seed)
         text = serialize_product_line(line.fm, line.sc, line.imp)
         if parse_product_line(text) != (line.fm, line.sc, line.imp):
             failures += 1

@@ -25,7 +25,8 @@ feature checks accept a valid model and configuration without sorting
 anything.  Writing a product line spells its machine out without the
 generic JSON writer, so that writer runs as often for any machine, and
 an initial-marker repair looks, per hop, at the transitions leaving the
-marked substate alone.
+marked substate alone.  A composition's name costs its own length: the
+inner text of each composed name is sliced out, not split and joined.
 """
 
 import argparse
@@ -47,6 +48,7 @@ import scpl.model
 import scpl.rewrite
 import scpl.strategy
 from conftest import S1K_GENERATOR, S1K_SEED, line_for
+from generators import generated_line
 from oracles import reference_confluence
 from scpl import cli, datasets
 from scpl.errors import NoInitialError, ScplError, TooLargeError
@@ -97,7 +99,7 @@ def _count_function(monkeypatch, name: str) -> list[int]:
 
 def test_instantiate_indexes_and_rebuilds_a_constant_number_of_times(
         monkeypatch):
-    line = generate_random_product_line(S1K_SEED, **S1K_GENERATOR)
+    line = generated_line(S1K_SEED, **S1K_GENERATOR)
     assert len(MachineIndex(line.sc).states) == 1009
     indexes = _count_calls(monkeypatch, MachineIndex, "__init__")
     freezes = _count_calls(monkeypatch, MachineIndex, "freeze")
@@ -151,7 +153,7 @@ def _record_tuple_searches(monkeypatch) -> list[list[int]]:
 
 
 def test_a_state_deletion_walks_its_subtree_once(monkeypatch):
-    line = generate_random_product_line(S1K_SEED, **S1K_GENERATOR)
+    line = generated_line(S1K_SEED, **S1K_GENERATOR)
     calls = _record_closures(monkeypatch)
     result = instantiate(*line)
     deletions = sum(step.rule in ("delete_simple_state", "delete_or_state",
@@ -162,7 +164,7 @@ def test_a_state_deletion_walks_its_subtree_once(monkeypatch):
 
 
 def test_check_confluence_compares_trees_without_rebuilding(monkeypatch):
-    line = generate_random_product_line(S1K_SEED, **S1K_GENERATOR)
+    line = generated_line(S1K_SEED, **S1K_GENERATOR)
     indexes = _count_calls(monkeypatch, MachineIndex, "__init__")
     freezes = _count_calls(monkeypatch, MachineIndex, "freeze")
     canonical = _count_function(monkeypatch, "canonicalize")
@@ -281,6 +283,31 @@ def test_initial_repair_costs_each_hop_its_own_transitions():
     assert result.trace.steps[0].detail == f"initial {names[0]} -> E"
 
 
+def test_composed_names_cost_their_own_length():
+    # The chain of the test above, its names unpadded, so that they sort
+    # out of chain order and the deletions compose runs of the chain, each
+    # composition naming a longer run.  On a shared 2-CPU x86-64 machine,
+    # splitting both names into their parts and joining them again took
+    # 1.7-2.7 s; slicing each composed name's inner text out whole takes
+    # 0.5-0.75 s.
+    names = [f"S{i}" for i in range(8_000)]
+    sc = StateChart(OrState(
+        "Root", tuple(SimpleState(n, optional=True) for n in names)
+        + (SimpleState("E"),), names[0], tuple(
+            Transition(f"t{i}", a, b, ("e",))
+            for i, (a, b) in enumerate(zip(names, names[1:] + ["E"])))))
+    fm = FeatureModel(frozenset({"R", "X"}), "R",
+                      opt=frozenset({("R", frozenset({"X"}))}))
+    imp = ImpMapping.from_dict({"X": ImpEntry(frozenset(names))})
+    start = time.perf_counter()
+    result = instantiate(fm, Configuration(frozenset({"R"})), sc, imp)
+    assert time.perf_counter() - start < 1.3
+    assert result.statechart.root.initial == "E"
+    composed = [t for step in result.trace for t in step.added_transitions]
+    assert len(composed) > 7_000
+    assert max(map(len, composed)) > 10_000
+
+
 def test_parse_walks_the_machine_once(monkeypatch):
     indexes = _count_calls(monkeypatch, MachineIndex, "__init__")
     parse_product_line(MP_TEXT)
@@ -332,7 +359,7 @@ def test_the_command_line_builds_its_parser_once(monkeypatch, tmp_path):
 
 def test_no_reference_cycles_are_left_behind(tmp_path):
     conf = datasets.mobile_phone_no_poly()
-    line = generate_random_product_line(S1K_SEED, **S1K_GENERATOR)
+    line = generated_line(S1K_SEED, **S1K_GENERATOR)
     fm, sc, imp = parse_product_line(MP_TEXT)
     product = instantiate(fm, conf, sc, imp).statechart
     mp_path = tmp_path / "mp.pl.json"
@@ -375,7 +402,7 @@ def test_no_reference_cycles_are_left_behind(tmp_path):
 
 
 def test_check_confluence_checks_well_formedness_once(monkeypatch):
-    line = generate_random_product_line(S1K_SEED, **S1K_GENERATOR)
+    line = generated_line(S1K_SEED, **S1K_GENERATOR)
     calls = [0]
     orig = scpl.model.well_formed_violations
 
@@ -467,8 +494,8 @@ def test_instantiate_never_searches_coupled_regions(monkeypatch):
 @pytest.mark.parametrize("include_pending", [False, True])
 def test_instantiate_searches_no_tuples(monkeypatch, include_pending):
     large = {"max_depth": 3, "max_substates": 6, "max_features": 12}
-    lines = ([generate_random_product_line(seed) for seed in range(200)]
-             + [generate_random_product_line(seed, **large)
+    lines = ([generated_line(seed) for seed in range(200)]
+             + [generated_line(seed, **large)
                 for seed in range(1_500_000, 1_500_050)])
     searched = _record_tuple_searches(monkeypatch)
     calls = _record_closures(monkeypatch)
@@ -546,7 +573,7 @@ def test_the_tuple_budget_bounds_the_tuples_reached(monkeypatch):
 def test_valid_features_are_checked_without_sorting(monkeypatch):
     # An empty report has no order to fix; sorting every relation pair and
     # its children to order one costs some 20 sorts a line here.
-    lines = [generate_random_product_line(seed) for seed in range(200)]
+    lines = [generated_line(seed) for seed in range(200)]
     calls = [0]
 
     def counting(*args, **kwargs):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import S1K_GENERATOR
-from generators import inject_feature_faults
+from generators import generated_line, inject_feature_faults
 from oracles import (all_valid_selections, reference_configuration_violations,
                      reference_feature_model_violations, valid_selection)
 from scpl.errors import TooLargeError, UnknownFeatureError
@@ -343,7 +343,7 @@ def test_feature_checks_equal_the_reference_on_faulty_lines():
                              (_LARGE_BAND, range(1_500_000, 1_501_000)),
                              (S1K_GENERATOR, range(200))):
         for seed in seeds:
-            line = generate_random_product_line(seed, **generator)
+            line = generated_line(seed, **generator)
             for fm, conf in ((line.fm, line.conf), inject_feature_faults(
                     line.fm, line.conf, random.Random(seed))):
                 model = validate_feature_model(fm)

@@ -23,12 +23,13 @@ from pathlib import Path
 import pytest
 
 from conftest import line_for
+from generators import generated_line
 from scpl import datasets
 from scpl.binding import nsc
 from scpl.errors import ScplError
 from scpl.model import (AndState, Condition, Guard, InState, OrState,
                         SimpleState, StateChart, Transition)
-from scpl.strategy import generate_random_product_line, instantiate
+from scpl.strategy import instantiate
 
 GOLDEN = Path(__file__).parent / "data" / "golden_instantiate.json"
 
@@ -208,15 +209,15 @@ def cases(group: str):
             {"include_pending": True}
     elif group == "ladder":
         for name, seed in LADDER_SEEDS.items():
-            line = generate_random_product_line(seed, **LADDER_GENERATOR)
+            line = generated_line(seed, **LADDER_GENERATOR)
             yield name, tuple(line), {}
     elif group == "generated":
         for seed in GENERATED_SEEDS:
-            line = tuple(generate_random_product_line(seed))
+            line = tuple(generated_line(seed))
             yield f"{seed}", line, {}
             yield f"{seed}:reversed", line, _reversed(line)
         for seed in INCLUDE_PENDING_SEEDS:
-            line = tuple(generate_random_product_line(seed))
+            line = tuple(generated_line(seed))
             yield f"{seed}:include-pending", line, {"include_pending": True}
     else:
         for name, build in HAND_BUILT.items():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import generated_line
 from oracles import reference_product_line_document
 from scpl import datasets
 from scpl.cli import main
@@ -23,7 +24,7 @@ from scpl.formats import (dump_json, serialize_configuration,
 from scpl.model import (AndState, Condition, Guard, History, ImpEntry,
                         ImpMapping, InState, OrState, SimpleState, StateChart,
                         Transition)
-from scpl.strategy import generate_random_product_line, instantiate
+from scpl.strategy import instantiate
 
 _LARGE_BAND = {"max_depth": 3, "max_substates": 6, "max_features": 12}
 
@@ -36,7 +37,7 @@ def _lines():
     yield "mobile-phone", (*datasets.mobile_phone(),
                            datasets.mobile_phone_no_poly())
     for seed in range(200):
-        line = generate_random_product_line(seed)
+        line = generated_line(seed)
         yield seed, (line.fm, line.sc, line.imp, line.conf)
 
 
@@ -63,12 +64,12 @@ def _generated_lines():
     """Default seeds 0-1999, each as generated and instantiated, and
     large-band seeds 1500000-1500999 as generated."""
     for seed in range(2000):
-        line = generate_random_product_line(seed)
+        line = generated_line(seed)
         yield seed, line.fm, line.sc, line.imp
         product = instantiate(line.fm, line.conf, line.sc, line.imp)
         yield seed, line.fm, product.statechart, ImpMapping()
     for seed in range(1_500_000, 1_501_000):
-        line = generate_random_product_line(seed, **_LARGE_BAND)
+        line = generated_line(seed, **_LARGE_BAND)
         yield seed, line.fm, line.sc, line.imp
 
 
@@ -143,7 +144,7 @@ def test_hand_made_machines_are_written_as_their_dicts_would_be(mp):
 def files(tmp_path_factory):
     base = tmp_path_factory.mktemp("writer")
     fm, sc, imp = datasets.mobile_phone()
-    diverging = generate_random_product_line(
+    diverging = generated_line(
         5697, max_depth=2, max_substates=4, max_features=6)
     documents = {
         "mp.pl.json": serialize_product_line(fm, sc, imp),

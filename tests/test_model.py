@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import S1K_GENERATOR, S1K_SEED
-from generators import inject_faults, inject_transition_faults
+from generators import (generated_line, inject_faults,
+                        inject_transition_faults)
 from oracles import reference_well_formed
 import scpl.model
 from scpl.model import (AndState, Condition, Configuration, FeatureModel,
@@ -19,8 +20,7 @@ from scpl.model import (AndState, Condition, Configuration, FeatureModel,
                         check_well_formed, partition, reached, valid_name,
                         valid_transition_name, var_elems)
 from scpl.rewrite import WorkingTree
-from scpl.strategy import (ConfluenceReport, generate_random_product_line,
-                           instantiate)
+from scpl.strategy import ConfluenceReport, instantiate
 
 
 def test_valid_name_accepts_ordinary_identifiers():
@@ -152,7 +152,7 @@ def _maps_from_objects(sc):
 ])
 def test_index_maps_match_the_state_objects(seeds, generator):
     for seed in seeds:
-        sc = generate_random_product_line(seed, **generator).sc
+        sc = generated_line(seed, **generator).sc
         idx = MachineIndex(sc)
         children, initial, owned, inside = _maps_from_objects(sc)
         assert [(k, list(v)) for k, v in idx.children.items()] == \
@@ -212,7 +212,7 @@ def test_well_formed_reports_repeated_names_alone():
 def test_well_formed_equals_the_object_reading_on_faulty_machines():
     faulty = 0
     for seed in range(3000):
-        sc = inject_faults(generate_random_product_line(seed).sc,
+        sc = inject_faults(generated_line(seed).sc,
                            random.Random(seed))
         idx = MachineIndex(sc)
         assert not (idx.duplicate_states or idx.duplicate_transitions), seed
@@ -231,7 +231,7 @@ _TRANSITION_MESSAGES = ("invalid transition name", "invalid event name",
 def test_well_formed_equals_the_reference_on_transition_faults():
     found = dict.fromkeys(_TRANSITION_MESSAGES, 0)
     for seed in range(3000):
-        sc = inject_transition_faults(generate_random_product_line(seed).sc,
+        sc = inject_transition_faults(generated_line(seed).sc,
                                       random.Random(seed))
         idx = MachineIndex(sc)
         assert not (idx.duplicate_states or idx.duplicate_transitions), seed
@@ -381,7 +381,7 @@ def test_value_constructors_behave_as_generated(value):
 
 def test_values_survive_pickle_deepcopy_and_replace():
     for seed in range(20):
-        line = generate_random_product_line(seed)
+        line = generated_line(seed)
         result = instantiate(*line)
         for value in (*line, result.statechart, result.trace):
             twins = [pickle.loads(pickle.dumps(value, protocol))

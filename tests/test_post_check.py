@@ -16,7 +16,7 @@ import random
 import pytest
 
 from conftest import S1K_GENERATOR, S1K_SEED, line_for
-from generators import inject_faults
+from generators import generated_line, inject_faults
 from scpl import strategy
 from scpl.binding import nsc
 from scpl.errors import RewriteError, ScplError
@@ -24,7 +24,7 @@ from scpl.model import (AndState, Condition, InState, MachineIndex, OrState,
                         SimpleState, StateChart, TraceStep, Transition,
                         touched_violations, well_formed_violations)
 from scpl.rewrite import WorkingTree
-from scpl.strategy import generate_random_product_line, instantiate
+from scpl.strategy import instantiate
 
 
 def _all_checks(fm, conf, sc, imp) -> tuple[list[str], ...]:
@@ -48,14 +48,14 @@ def _all_checks(fm, conf, sc, imp) -> tuple[list[str], ...]:
 def test_checks_agree_on_generated_lines():
     touched = 0
     for seed in range(500):
-        line = generate_random_product_line(seed)
+        line = generated_line(seed)
         assert _all_checks(*line) == ([], [], []), seed
         touched += bool(nsc(line.fm, line.conf, line.sc, line.imp))
     assert touched > 100
 
 
 def test_checks_agree_on_the_s1k_line():
-    line = generate_random_product_line(S1K_SEED, **S1K_GENERATOR)
+    line = generated_line(S1K_SEED, **S1K_GENERATOR)
     assert _all_checks(*line) == ([], [], [])
 
 
@@ -154,7 +154,7 @@ def test_a_transition_owned_inside_a_deleted_state_goes_with_it():
                                   2384, 2841])
 def test_a_faulty_machine_instantiates_or_raises_a_typed_error(seed):
     # Seeds whose fault-injected machine once ended in a raw KeyError.
-    line = generate_random_product_line(seed)
+    line = generated_line(seed)
     sc = inject_faults(line.sc, random.Random(seed))
     try:
         instantiate(line.fm, line.conf, sc, line.imp, validate=False)

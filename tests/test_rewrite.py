@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import simple_chain
-from generators import (inject_transition_faults, random_and_composite,
-                        random_or_composite)
+from generators import (generated_line, inject_transition_faults,
+                        random_and_composite, random_or_composite)
 from oracles import and_closure, closure
 from scpl.errors import (EmptyCompositeError, IsInitialError, NoInitialError,
                          NotAndError, NotOptionalError, NotSimpleError,
@@ -19,14 +19,14 @@ from scpl import datasets
 from scpl.binding import nsc
 from scpl.model import (AndState, Condition, Guard, History, InState,
                         MachineIndex, OrState, SimpleState, StateChart,
-                        Transition, canonicalize)
+                        Transition, canonicalize, comp_parts)
 from scpl.rewrite import (PendingSet, WorkingTree, comp, comp_name,
                           delete_and_state, delete_or_state,
                           delete_simple_state, delete_transition,
                           entry_exit_pairs, finalize_optionals,
                           prune_conditions, reachable_and, reachable_or,
                           repair_initial, _projections, _tuple_search)
-from scpl.strategy import generate_random_product_line, instantiate
+from scpl.strategy import instantiate
 
 
 def T(name, src, tgt, trig=("e",), **kw):
@@ -65,6 +65,20 @@ def test_comp_rejects_disconnected_operands():
 def test_comp_name_flattens():
     assert comp_name("comp(a,b)", "c") == "comp(a,b,c)"
     assert comp_name("a", "comp(b,c)") == "comp(a,b,c)"
+
+
+# Names of pieces that make and break composed names: nested, unclosed,
+# empty, comma-led and bare parentheses.
+_NAME_PIECES = st.lists(st.sampled_from(["comp(", ")", ",", "a", "b", "c"]),
+                        max_size=10).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_NAME_PIECES, _NAME_PIECES)
+def test_comp_name_joins_the_parts_of_both_names(first, second):
+    # The split-and-join definition that slicing the inner text replaces.
+    assert comp_name(first, second) == (
+        "comp(" + ",".join(comp_parts(first) + comp_parts(second)) + ")")
 
 
 @given(st.lists(st.tuples(st.text("ab", min_size=1, max_size=2),
@@ -141,8 +155,8 @@ def test_entry_exit_pairs_count_a_repeated_transition_name_once():
 def test_entry_exit_pairs_are_what_a_simple_deletion_composes(
         include_pending):
     large = {"max_depth": 3, "max_substates": 6, "max_features": 12}
-    lines = ([generate_random_product_line(seed) for seed in range(200)]
-             + [generate_random_product_line(seed, **large)
+    lines = ([generated_line(seed) for seed in range(200)]
+             + [generated_line(seed, **large)
                 for seed in range(1_500_000, 1_500_050)])
     checked = 0
     for line in lines:
@@ -248,7 +262,7 @@ def test_the_maps_agree_after_every_state_deletion(monkeypatch):
              AndState: delete_and_state}
     faulty = 0
     for seed in range(200):
-        line = generate_random_product_line(seed)
+        line = generated_line(seed)
         instantiate(*line)
         sc = inject_transition_faults(line.sc, random.Random(seed))
         faulty += sc != line.sc
@@ -868,7 +882,7 @@ def _sweep_inputs():
          T("tp", "A", "P", optional=True))))
     yield datasets.mobile_phone()[1]
     for seed in range(500):
-        yield generate_random_product_line(seed).sc
+        yield generated_line(seed).sc
 
 
 def test_the_sweep_writes_what_replace_would():

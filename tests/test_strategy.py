@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import line_for
-from oracles import reference_confluence
+from conftest import S1K_GENERATOR, line_for
+from generators import generated_line
+from oracles import reference_confluence, reference_random_product_line
 from scpl import strategy
 from scpl.binding import nsc
 from scpl.errors import (InvalidInputError, NoInitialError, RewriteError,
@@ -412,7 +413,7 @@ def test_tree_comparison_agrees_with_canonical_machines():
     lines = [(seed, {}) for seed in range(300)] + DIVERGENT_LINES
     unequal = 0
     for seed, generator in lines:
-        line = generate_random_product_line(seed, **generator)
+        line = generated_line(seed, **generator)
         base = sorted(nsc(line.fm, line.conf, line.sc, line.imp))
         rng = random.Random(seed)
         orders = [base, base[::-1]] + [rng.sample(base, len(base))
@@ -455,7 +456,7 @@ def test_orders_with_one_layer_two_projection_end_alike(include_pending):
     compared = 0
     for seed, generator in [(seed, {}) for seed in range(300)] \
             + DIVERGENT_LINES:
-        line = generate_random_product_line(seed, **generator)
+        line = generated_line(seed, **generator)
         doomed = nsc(line.fm, line.conf, line.sc, line.imp)
         base = sorted(doomed)
         eligible = _eligible(line, doomed)
@@ -496,7 +497,7 @@ def test_confluence_orders_with_one_projection_per_group_end_alike(
              + [(seed, LARGE_BAND) for seed in range(1_500_000, 1_500_100)])
     compared = 0
     for seed, generator in lines:
-        line = generate_random_product_line(seed, **generator)
+        line = generated_line(seed, **generator)
         doomed = nsc(line.fm, line.conf, line.sc, line.imp)
         eligible = _eligible(line, doomed)
         groups = _groups(line, eligible)
@@ -600,20 +601,20 @@ def _parity(line, **kwargs):
 def test_check_confluence_reports_as_the_reference(include_pending):
     divergent = 0
     for seed in range(200):
-        line = generate_random_product_line(seed)
+        line = generated_line(seed)
         if len(nsc(line.fm, line.conf, line.sc, line.imp)) <= 5:
             _parity(line, exhaustive=True, include_pending=include_pending)
         else:
             _parity(line, trials=30, seed=seed,
                     include_pending=include_pending)
     for seed in range(1_500_000, 1_500_100):
-        line = generate_random_product_line(seed, **LARGE_BAND)
+        line = generated_line(seed, **LARGE_BAND)
         _parity(line, trials=10, seed=11, include_pending=include_pending)
         # Exhaustively, where both early exits can cut the orders short.
         if len(nsc(line.fm, line.conf, line.sc, line.imp)) <= 6:
             _parity(line, exhaustive=True, include_pending=include_pending)
     for seed, generator in DIVERGENT_LINES:
-        line = generate_random_product_line(seed, **generator)
+        line = generated_line(seed, **generator)
         report = _parity(line, trials=200, include_pending=include_pending)
         divergent += not report.confluent
     # Every DIVERGENT_LINES entry diverges today (ROADMAP item 1); the fix
@@ -656,6 +657,54 @@ def test_generator_is_reproducible():
     a = generate_random_product_line(424242)
     b = generate_random_product_line(424242)
     assert a == b
+
+
+# Generator parameters at the edges of the draws: one substate (two are
+# drawn anyway), two, and either side of the 21 items up to which
+# ``random.sample`` draws a pair by two ``randrange`` calls; no nesting,
+# one level and deep nesting; one feature, two and many.
+GENERATOR_EDGES = [{"max_substates": n} for n in (1, 2, 21, 22, 30)] \
+    + [{"max_depth": n} for n in (0, 1, 9)] \
+    + [{"max_features": n} for n in (1, 2, 40)]
+
+
+def _generator_parity_inputs():
+    """(seed, generator, line) over default seeds 0-1999, large-band seeds
+    1500000-1501999, ladder-generator seeds 0-250 (which hold the four
+    benchmark rungs, seeds 0, 1, 19 and 242) and 25 seeds per edge."""
+    for seeds, generator in ((range(2000), {}),
+                             (range(1_500_000, 1_502_000), LARGE_BAND),
+                             (range(251), S1K_GENERATOR)):
+        for seed in seeds:
+            yield seed, generator, generated_line(seed, **generator)
+    for generator in GENERATOR_EDGES:
+        for seed in range(25):
+            yield seed, generator, generate_random_product_line(
+                seed, **generator)
+
+
+def test_the_generator_draws_the_reference_lines():
+    # The generator builds each element once and draws index pairs and
+    # features through randrange, choice and cum_weights; the reference
+    # draws as the generator once did, through sample, weights and
+    # dataclasses.replace.  Equal values and equal reprs (which also show
+    # the iteration order of each frozenset) mean the same lines.
+    checked = 0
+    for seed, generator, line in _generator_parity_inputs():
+        reference = reference_random_product_line(seed, **generator)
+        assert line == reference, (seed, generator)
+        assert repr(line) == repr(reference), (seed, generator)
+        checked += 1
+    assert checked == 2000 + 2000 + 251 + 25 * len(GENERATOR_EDGES)
+
+
+def test_the_pair_draw_is_what_sample_draws():
+    for k in range(2, 41):
+        for seed in range(1000):
+            rng, twin = random.Random(seed), random.Random(seed)
+            assert list(strategy._pair(rng, k)) == sorted(
+                twin.sample(range(k), 2)), (k, seed)
+            assert rng.getstate() == twin.getstate(), (k, seed)
 
 
 def test_generator_degenerate_limits():
