@@ -9,6 +9,13 @@ to build and read than a dataclass without slots.  Its constructor
 through ``object.__setattr__`` as a frozen dataclass's would, which
 builds a transition in about half the time.
 
+``StateChart`` alone carries one private slot besides its field, on its
+slotted base ``_WithKept``: there ``strategy`` keeps the validation
+verdict and the unedited working tree it derived from that machine
+object.  The slot is no dataclass field, so equality, hashing, ``repr``,
+pickling, copying and ``replace`` ignore it, and a copied machine starts
+without it.
+
 A machine is a tree of states.  The root is an Or-state.  Transitions live
 in the Or-state that is the nearest common ancestor of their endpoints, so
 a transition may enter or leave a composite sibling (its endpoint then
@@ -161,8 +168,16 @@ class AndState:
 State = Union[SimpleState, OrState, AndState]
 
 
+class _WithKept:
+    """The private slot ``_kept`` of ``StateChart``, outside its fields.
+    It is empty until set through its descriptor, as the subclass is
+    frozen."""
+
+    __slots__ = ("_kept",)
+
+
 @_value
-class StateChart:
+class StateChart(_WithKept):
     """A hierarchical state machine; the root Or-state is the top automaton."""
 
     root: OrState

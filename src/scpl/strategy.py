@@ -73,21 +73,85 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
     repaired.
 
     Every rule edits one working tree in place and returns its own trace
-    step; the tree is built once from ``sc``, validated before any edit
-    and frozen once at the end.  The edited tree is checked before it is
-    frozen, read from its maps: validated input over the edits alone
-    (``model.touched_violations``), other input whole
-    (``model.well_formed_violations``).  A breach, or an optional flag
-    left over, raises RewriteError.
+    step; the tree comes validated from ``_prepared`` and is frozen once
+    at the end.  The first call on a machine object rewrites the tree it
+    built; from the second call on, a copy of the one unedited tree kept
+    on that object (``model.StateChart``'s private slot), whose
+    validation verdict is kept too, so a call on the same ``fm``, ``sc``
+    and ``imp`` objects validates only its configuration.  The edited
+    tree is checked before it is frozen, read from its maps: validated
+    input over the edits alone (``model.touched_violations``), other
+    input whole (``model.well_formed_violations``).  A breach, or an
+    optional flag left over, raises RewriteError.
     """
-    tree = WorkingTree(sc)
-    if validate:
-        violations = input_violations(fm, conf, tree, imp)
-        if violations:
-            raise InvalidInputError(violations)
+    tree = _prepared(fm, conf, sc, imp, validate=validate, edit=True)
     trace = _rewrite(tree, compute_nsc(fm, conf, sc, imp), order,
                      include_pending, validated=validate)
     return InstantiationResult(tree.freeze(), trace)
+
+
+class _Kept(NamedTuple):
+    """What ``_prepared`` keeps on one machine object: the unedited
+    working tree, once kept, and the parts of the validation verdict.
+    ``well_formed`` is the machine's own; ``features`` and ``mapping``
+    were drawn for the ``fm`` and ``imp`` objects named here, and
+    ``mapping`` is None when an earlier part already objects.  It holds
+    no reference to the machine, so no reference cycle."""
+
+    tree: WorkingTree | None = None
+    well_formed: tuple[Violation, ...] | None = None
+    fm: FeatureModel | None = None
+    imp: ImpMapping | None = None
+    features: tuple[Violation, ...] | None = None
+    mapping: tuple[Violation, ...] | None = None
+
+
+_UNSEEN = _Kept()
+_store = StateChart._kept.__set__
+
+
+def _prepared(fm: FeatureModel, conf: Configuration, sc: StateChart,
+              imp: ImpMapping, *, validate: bool, edit: bool) -> WorkingTree:
+    """The working tree of ``sc``, validated with the other inputs unless
+    ``validate`` is false (raising InvalidInputError with exactly the list
+    ``input_violations`` gives), which the caller may edit when ``edit``
+    is set and must not edit otherwise.
+
+    What it derives is kept in ``sc``'s private slot as a new ``_Kept``,
+    stored by one slot assignment, and matched by the identity of the
+    objects, never by equality.  The first call on a machine returns the
+    tree it built when the caller edits, so a one-shot instantiation pays
+    no copy.  A later call, or a first one that does not edit, builds the
+    tree it keeps unedited; a call that edits gets a copy of the kept
+    tree.  The machine's verdict is kept whatever the other inputs, the
+    feature-model and mapping verdicts are drawn again for another ``fm``
+    or ``imp`` object, and the configuration is checked on every call."""
+    seen = getattr(sc, "_kept", None)
+    (kept_tree, well_formed, kept_fm, kept_imp, features,
+     mapping) = seen or _UNSEEN
+    changed = seen is None
+    tree = kept_tree
+    if tree is None:
+        tree = WorkingTree(sc)
+        if not (changed and edit):
+            kept_tree, changed = tree, True
+    if validate and (features is None or kept_fm is not fm
+                     or kept_imp is not imp):
+        if well_formed is None:
+            well_formed = tuple(well_formed_violations(tree))
+        kept_fm, kept_imp, changed = fm, imp, True
+        features = tuple(validate_feature_model(fm))
+        mapping = (None if features or well_formed
+                   else tuple(imp_violations(fm, tree, imp)))
+    if changed:
+        _store(sc, _Kept(kept_tree, well_formed, kept_fm, kept_imp,
+                         features, mapping))
+    if validate:
+        violations = ([*features, *well_formed]
+                      or [*validate_configuration(fm, conf), *mapping])
+        if violations:
+            raise InvalidInputError(violations)
+    return tree.copy() if edit and tree is kept_tree else tree
 
 
 def _rewrite(tree: WorkingTree, doomed: frozenset[str],
@@ -190,11 +254,13 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
     raises TooLargeError when NSC holds more than EXHAUSTIVE_CAP elements;
     otherwise ``trials`` below 1 is refused with InvalidInputError.
 
-    The inputs are indexed and validated once, into one working tree.
-    Each order runs all four layers (``_rewrite``) on its own copy of that
-    tree, which it checks over its edits alone and compares by its maps
-    (``_shape``), never frozen; a failure in any layer is compared like
-    any other outcome.
+    The inputs are indexed and validated once, into one working tree,
+    which ``_prepared`` keeps on ``sc`` at once, as the check never edits
+    it: a later ``instantiate`` or check on the same machine object
+    indexes nothing.  Each order runs all four layers (``_rewrite``) on
+    its own copy of that tree, which it checks over its edits alone and
+    compares by its maps (``_shape``), never frozen; a failure in any
+    layer is compared like any other outcome.
 
     An order's outcome depends only on its layer-2 projection, the order
     restricted to the states eligible for layer 2 (``_eligible``, read off
@@ -236,11 +302,7 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
     if not exhaustive and trials < 1:
         raise InvalidInputError(
             [Violation("trials", f"must be at least 1, got {trials}")])
-    tree = WorkingTree(sc)
-    violations = input_violations(fm, conf, tree, imp)
-    if violations:
-        raise InvalidInputError(violations)
-
+    tree = _prepared(fm, conf, sc, imp, validate=True, edit=False)
     doomed = compute_nsc(fm, conf, sc, imp)
     base = tuple(sorted(doomed))
 

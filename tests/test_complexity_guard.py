@@ -1,11 +1,15 @@
 """Guards against whole-machine work creeping back into the rewrite steps.
 
-One instantiation walks its input once, into the working tree that
-validation reads and the rules edit, and rebuilds the machine once, never
-once per rule application; its output is checked on that tree, over the
-edits alone or, without validation, whole.  A
+One instantiation walks its input at most once, into the working tree
+that validation reads and the rules edit, and rebuilds the machine once,
+never once per rule application; its output is checked on that tree,
+over the edits alone or, without validation, whole.  A machine object's
+first instantiation rewrites the tree it built, its second builds the
+tree it keeps and rewrites a copy, and later ones only copy the kept
+tree.  These guards run on deep copies of the session's shared lines,
+since an earlier test may have instantiated the shared objects.  A
 confluence check indexes and validates its input once, not once per
-order, runs the four layers once per distinct order of the layer-2
+order, keeps that tree for the next instantiation of the machine, runs the four layers once per distinct order of the layer-2
 state deletions, and not at all with fewer than two states eligible for
 layer 2, draws no order after the last distinct one has run, and
 compares the trees it edited without rebuilding a machine.  Parsing walks
@@ -31,6 +35,7 @@ inner text of each composed name is sliced out, not split and joined.
 
 import argparse
 import contextlib
+import copy
 import gc
 import io
 import json
@@ -57,7 +62,8 @@ from scpl.formats import (export_dot, parse_product_line,
 from scpl.model import (AndState, Condition, Configuration, FeatureModel,
                         ImpEntry, ImpMapping, InState, MachineIndex, OrState,
                         SimpleState, StateChart, Transition, canonicalize)
-from scpl.rewrite import PendingSet, delete_and_state, reachable_and
+from scpl.rewrite import (PendingSet, WorkingTree, delete_and_state,
+                          reachable_and)
 from scpl.strategy import (EXHAUSTIVE_CAP, check_confluence,
                            generate_random_product_line, instantiate)
 
@@ -97,32 +103,50 @@ def _count_function(monkeypatch, name: str) -> list[int]:
     return calls
 
 
+def _fresh_s1k():
+    """A deep copy of the 1k-state line: a machine object no test has
+    instantiated, so nothing is kept on it yet."""
+    return copy.deepcopy(generated_line(S1K_SEED, **S1K_GENERATOR))
+
+
 def test_instantiate_indexes_and_rebuilds_a_constant_number_of_times(
         monkeypatch):
-    line = generated_line(S1K_SEED, **S1K_GENERATOR)
-    assert len(MachineIndex(line.sc).states) == 1009
+    # (index walks, freezes, tree copies) of three calls on one fresh
+    # machine: the first rewrites the tree it built; the second builds the
+    # tree it keeps and rewrites a copy; the third only copies.
     indexes = _count_calls(monkeypatch, MachineIndex, "__init__")
     freezes = _count_calls(monkeypatch, MachineIndex, "freeze")
+    copies = _count_calls(monkeypatch, WorkingTree, "copy")
     for validate in (True, False):
-        indexes[0] = freezes[0] = 0
-        result = instantiate(*line, validate=validate)
-        assert len(result.trace) > 100
-        assert indexes[0] == 1, validate
-        assert freezes[0] == 1, validate
+        line = _fresh_s1k()
+        assert len(MachineIndex(line.sc).states) == 1009
+        counts = []
+        for _ in range(3):
+            indexes[0] = freezes[0] = copies[0] = 0
+            result = instantiate(*line, validate=validate)
+            assert len(result.trace) > 100
+            counts.append((indexes[0], freezes[0], copies[0]))
+        assert counts == [(1, 1, 0), (1, 1, 1), (0, 1, 1)], validate
 
 
 def _record_closures(monkeypatch) -> list[tuple[bool, int]]:
     """Wraps the rewrite rules' ``reached`` by a recorder of one pair per
-    call: whether it walked a working tree's ``children`` (compared by
-    identity) and how many names it reached.  Validation walks the
-    feature model with the same function, bound in other modules, and a
-    deletion closes each lone region's moves with it."""
-    trees: list[scpl.rewrite.WorkingTree] = []
-    init = scpl.rewrite.WorkingTree.__init__
+    call: whether it walked the ``children`` of a working tree built or
+    copied meanwhile (compared by identity) and how many names it
+    reached.  Validation walks the feature model with the same function,
+    bound in other modules, and a deletion closes each lone region's
+    moves with it."""
+    trees: list[WorkingTree] = []
+    init, copy_tree = WorkingTree.__init__, WorkingTree.copy
 
     def recording_init(self, sc):
         init(self, sc)
         trees.append(self)
+
+    def recording_copy(self):
+        new = copy_tree(self)
+        trees.append(new)
+        return new
 
     orig = scpl.rewrite.reached
     calls: list[tuple[bool, int]] = []
@@ -133,7 +157,8 @@ def _record_closures(monkeypatch) -> list[tuple[bool, int]]:
                       len(found)))
         return found
 
-    monkeypatch.setattr(scpl.rewrite.WorkingTree, "__init__", recording_init)
+    monkeypatch.setattr(WorkingTree, "__init__", recording_init)
+    monkeypatch.setattr(WorkingTree, "copy", recording_copy)
     monkeypatch.setattr(scpl.rewrite, "reached", recording)
     return calls
 
@@ -153,18 +178,21 @@ def _record_tuple_searches(monkeypatch) -> list[list[int]]:
 
 
 def test_a_state_deletion_walks_its_subtree_once(monkeypatch):
-    line = generated_line(S1K_SEED, **S1K_GENERATOR)
+    # On the tree the first call built and on the copies later calls edit.
+    line = _fresh_s1k()
     calls = _record_closures(monkeypatch)
-    result = instantiate(*line)
-    deletions = sum(step.rule in ("delete_simple_state", "delete_or_state",
-                                  "delete_and_state")
-                    for step in result.trace)
-    assert deletions > 50
-    assert sum(walk for walk, _ in calls) == deletions
+    for _ in range(3):
+        calls.clear()
+        result = instantiate(*line)
+        deletions = sum(step.rule in ("delete_simple_state",
+                                      "delete_or_state", "delete_and_state")
+                        for step in result.trace)
+        assert deletions > 50
+        assert sum(walk for walk, _ in calls) == deletions
 
 
 def test_check_confluence_compares_trees_without_rebuilding(monkeypatch):
-    line = generated_line(S1K_SEED, **S1K_GENERATOR)
+    line = _fresh_s1k()
     indexes = _count_calls(monkeypatch, MachineIndex, "__init__")
     freezes = _count_calls(monkeypatch, MachineIndex, "freeze")
     canonical = _count_function(monkeypatch, "canonicalize")
@@ -173,6 +201,9 @@ def test_check_confluence_compares_trees_without_rebuilding(monkeypatch):
     assert indexes[0] == 1
     assert freezes[0] == 0
     assert canonical[0] == 0
+    # The check kept the tree it indexed, which the instantiation copies.
+    instantiate(*line)
+    assert indexes[0] == 1
 
 
 def test_check_confluence_runs_one_order_per_layer_two_projection(
@@ -402,7 +433,7 @@ def test_no_reference_cycles_are_left_behind(tmp_path):
 
 
 def test_check_confluence_checks_well_formedness_once(monkeypatch):
-    line = generated_line(S1K_SEED, **S1K_GENERATOR)
+    line = _fresh_s1k()
     calls = [0]
     orig = scpl.model.well_formed_violations
 
@@ -414,6 +445,10 @@ def test_check_confluence_checks_well_formedness_once(monkeypatch):
         monkeypatch.setattr(module, "well_formed_violations", counting)
     report = check_confluence(*line, trials=10)
     assert report.trials == 10
+    assert calls[0] == 1
+    # The verdict is kept on the machine, and the validated instantiation
+    # checks its output over its edits alone.
+    instantiate(*line)
     assert calls[0] == 1
 
 
@@ -494,9 +529,10 @@ def test_instantiate_never_searches_coupled_regions(monkeypatch):
 @pytest.mark.parametrize("include_pending", [False, True])
 def test_instantiate_searches_no_tuples(monkeypatch, include_pending):
     large = {"max_depth": 3, "max_substates": 6, "max_features": 12}
-    lines = ([generated_line(seed) for seed in range(200)]
-             + [generated_line(seed, **large)
-                for seed in range(1_500_000, 1_500_050)])
+    lines = copy.deepcopy(
+        [generated_line(seed) for seed in range(200)]
+        + [generated_line(seed, **large)
+           for seed in range(1_500_000, 1_500_050)])
     searched = _record_tuple_searches(monkeypatch)
     calls = _record_closures(monkeypatch)
     for line in lines:

@@ -212,7 +212,7 @@ def test_check_confluence_refuses_fewer_than_one_trial(mp, mp_no_poly,
     def unreachable(*args, **kwargs):
         raise AssertionError("trials must be checked first")
 
-    monkeypatch.setattr(strategy, "input_violations", unreachable)
+    monkeypatch.setattr(strategy, "_prepared", unreachable)
     monkeypatch.setattr(strategy, "_rewrite", unreachable)
     fm, sc, imp = mp
     with pytest.raises(InvalidInputError) as caught:
