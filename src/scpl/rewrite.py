@@ -12,8 +12,8 @@ too) and rebuild only the elements they change, each by its constructor;
 every other edit costs work proportional to the elements it touches,
 not to the machine.  A rule returns its delta -- removed states, removed
 and added transitions -- as a ``TraceStep``.
-``strategy.instantiate`` builds one working tree, runs every rule on it
-and freezes it once.
+``strategy.instantiate`` builds one working tree, or copies the one kept
+on the machine, runs every rule on it and freezes it once.
 
 Deleting a state of any kind pairs its entries and exits by one rule.
 The state is read as a product of regions -- an And-state's regions, an

@@ -75,10 +75,10 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
     Every rule edits one working tree in place and returns its own trace
     step; the tree comes validated from ``_prepared`` and is frozen once
     at the end.  The first call on a machine object rewrites the tree it
-    built; from the second call on, a copy of the one unedited tree kept
-    on that object (``model.StateChart``'s private slot), whose
-    validation verdict is kept too, so a call on the same ``fm``, ``sc``
-    and ``imp`` objects validates only its configuration.  The edited
+    built; from the second on, each call rewrites a copy of one unedited
+    tree kept on that object (``model.StateChart``'s private slot), and a
+    call on the same ``fm``, ``sc`` and ``imp`` objects as an earlier one
+    validates only its configuration.  The edited
     tree is checked before it is frozen, read from its maps: validated
     input over the edits alone (``model.touched_violations``), other
     input whole (``model.well_formed_violations``).  A breach, or an
