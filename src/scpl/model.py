@@ -13,8 +13,8 @@ builds a transition in about half the time.
 slotted base ``_WithKept``: there ``strategy`` keeps the validation
 verdict and the unedited working tree it derived from that machine
 object.  The slot is no dataclass field, so equality, hashing, ``repr``,
-pickling, copying and ``replace`` ignore it, and a copied machine starts
-without it.
+pickling, copying (``__reduce__`` names the fields alone) and ``replace``
+ignore it, and a copied machine starts without it.
 
 A machine is a tree of states.  The root is an Or-state.  Transitions live
 in the Or-state that is the nearest common ancestor of their endpoints, so
@@ -72,20 +72,32 @@ def _value(cls):
     slot once through its member descriptor, where the generated one calls
     ``object.__setattr__`` per field.  Its parameters, defaults and
     annotations are the generated one's; every field takes a plain value
-    or default, none a factory."""
+    or default, none a factory.
+
+    ``__reduce__`` gives the class and the field values in field order, so
+    pickling and ``copy`` rebuild a value through that constructor; the
+    ``__getstate__`` that the dataclass generates, which they would call
+    otherwise, calls ``dataclasses.fields`` once per value."""
     cls = dataclass(frozen=True, slots=True)(cls)
     names = [f.name for f in fields(cls)]
-    setters = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
+    scope = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
+    scope["_cls"] = cls
     namespace: dict = {}
     exec(f"def __init__(self, {', '.join(names)}):"
-         + "".join(f"\n    _set_{n}(self, {n})" for n in names),
-         setters, namespace)
+         + "".join(f"\n    _set_{n}(self, {n})" for n in names)
+         + "\ndef __reduce__(self):\n    return _cls, ("
+         + "".join(f"self.{n}, " for n in names) + ")",
+         scope, namespace)
     init, generated = namespace["__init__"], cls.__init__
     init.__defaults__ = generated.__defaults__
     init.__annotations__ = generated.__annotations__
     init.__qualname__ = generated.__qualname__
     init.__module__ = cls.__module__
     cls.__init__ = init
+    reduce = namespace["__reduce__"]
+    reduce.__qualname__ = f"{cls.__qualname__}.__reduce__"
+    reduce.__module__ = cls.__module__
+    cls.__reduce__ = reduce
     return cls
 
 
@@ -582,11 +594,7 @@ def _check_endpoints(idx: MachineIndex, t: Transition,
 
 def var_elems(sc: StateChart) -> tuple[frozenset[str], frozenset[str]]:
     """Names of optional states and optional transitions, at any depth."""
-    return optional_elements(MachineIndex(sc))
-
-
-def optional_elements(idx: MachineIndex) -> tuple[frozenset[str], frozenset[str]]:
-    """``var_elems`` over an index of the machine."""
+    idx = MachineIndex(sc)
     sop = frozenset(n for n, s in idx.states.items() if s.optional)
     top = frozenset(n for n, t in idx.transitions.items() if t.optional)
     return sop, top

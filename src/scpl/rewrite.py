@@ -13,7 +13,9 @@ every other edit costs work proportional to the elements it touches,
 not to the machine.  A rule returns its delta -- removed states, removed
 and added transitions -- as a ``TraceStep``.
 ``strategy.instantiate`` builds one working tree, or copies the one kept
-on the machine, runs every rule on it and freezes it once.
+on the machine, runs every rule on it and freezes it once.  A copy shares
+the inner dicts and sets of its source's maps and copies one only when
+it first writes it, so copying and rewriting cost what the rules touch.
 
 Deleting a state of any kind pairs its entries and exits by one rule.
 The state is read as a product of regions -- an And-state's regions, an
@@ -213,11 +215,6 @@ def _projections(components: list[list[int]], moves: list[list[Move]],
 
 # --- the working tree -----------------------------------------------------
 
-def _copied_values(mapping: dict) -> dict:
-    """A copy of a map of dicts or sets with each value copied too."""
-    return {key: value.copy() for key, value in mapping.items()}
-
-
 # Rule names recorded for a state deletion, and the error raised when a
 # public rule is asked to delete a state of another kind.
 _DELETION = {
@@ -245,6 +242,13 @@ class WorkingTree(MachineIndex):
     the transitions touching it (``boundary`` and one pass over each to
     tear them down) plus the pairing of its entries and exits, never a
     pass over the machine.
+
+    The inner dicts and sets of ``children``, ``owned`` and ``adjacent``
+    may be shared with other trees (``copy``).  ``mine`` holds a
+    ``(map name, key)`` pair for each one this tree owns, and every write
+    goes through ``_writable``, which copies a container the tree does
+    not own yet.  ``mine`` is empty on a built tree, so its first write
+    to a container copies it too, and ``copy`` empties it on both trees.
     """
 
     def __init__(self, sc: StateChart):
@@ -259,42 +263,65 @@ class WorkingTree(MachineIndex):
         self.adjacent = adjacent
         self.reshaped: dict[str, None] = {}
         self.added: dict[str, None] = {}
+        self.mine: set[tuple[str, str]] = set()
 
     def copy(self) -> "WorkingTree":
-        """A tree with the same maps that edits apart from this one: every
-        map and every inner dict or set is copied; the state and
+        """A tree with the same maps that edits apart from this one.  Each
+        map is copied flat: the inner dicts and sets of ``children``,
+        ``owned`` and ``adjacent`` stay shared until a write copies one
+        (``_writable``), and the copy leaves neither tree owning any, so
+        an edit of either never reaches the other.  The state and
         transition objects are immutable and shared."""
         new = WorkingTree.__new__(WorkingTree)
         new.root = self.root
         new.states = self.states.copy()
         new.parent = self.parent.copy()
-        new.children = _copied_values(self.children)
+        new.children = self.children.copy()
         new.initial = self.initial.copy()
         new.transitions = self.transitions.copy()
         new.owner = self.owner.copy()
-        new.owned = _copied_values(self.owned)
+        new.owned = self.owned.copy()
         new.duplicate_states = self.duplicate_states.copy()
         new.duplicate_transitions = self.duplicate_transitions.copy()
-        new.adjacent = _copied_values(self.adjacent)
+        new.adjacent = self.adjacent.copy()
         new.reshaped = self.reshaped.copy()
         new.added = self.added.copy()
+        new.mine = set()
+        self.mine = set()
         return new
 
     # -- edits --
 
+    def _writable(self, tag: str, mapping: dict, key: str):
+        """``mapping[key]``, an inner dict or set of the map named ``tag``,
+        ready for this tree to write: first replaced by a copy that the
+        tree owns from then on, unless it owns it already."""
+        mine = self.mine
+        if (tag, key) in mine:
+            return mapping[key]
+        mine.add((tag, key))
+        container = mapping[key] = mapping[key].copy()
+        return container
+
     def _add_transition(self, t: Transition, owner: str) -> None:
         self.transitions[t.name] = t
         self.owner[t.name] = owner
-        self.owned[owner][t.name] = None
+        self._writable("owned", self.owned, owner)[t.name] = None
         self.added[t.name] = None
-        self.adjacent.setdefault(t.source, set()).add(t.name)
-        self.adjacent.setdefault(t.target, set()).add(t.name)
+        adjacent = self.adjacent
+        for end in (t.source, t.target):
+            if end in adjacent:
+                self._writable("adjacent", adjacent, end).add(t.name)
+            else:
+                adjacent[end] = {t.name}
+                self.mine.add(("adjacent", end))
 
     def _drop_transition(self, name: str) -> None:
         t = self.transitions.pop(name)
-        del self.owned[self.owner.pop(name)][name]
+        del self._writable("owned", self.owned, self.owner.pop(name))[name]
         for end in (t.source, t.target):
-            self.adjacent.get(end, set()).discard(name)
+            if end in self.adjacent:
+                self._writable("adjacent", self.adjacent, end).discard(name)
 
     # -- region projection --
 
@@ -373,7 +400,8 @@ class WorkingTree(MachineIndex):
         comes from ``reached`` over ``children``, and the pairing resolves
         coordinates by walking up from the names it reads."""
         doomed = reached(elem, self.children)
-        touching = {n for s in doomed for n in self.adjacent.get(s, ())}
+        adjacent = self.adjacent
+        touching = set().union(*(adjacent.get(s, ()) for s in doomed))
         for s in doomed & self.owned.keys():
             touching.update(self.owned[s])
         entries: list[Transition] = []
@@ -425,18 +453,20 @@ class WorkingTree(MachineIndex):
         before = added & self.transitions.keys()
         # One pass over each set.  A map entry keyed by a doomed state goes
         # with that state, so a dropped transition is unlisted only from an
-        # owner and from ends that survive; and only a composite has
-        # ``children``, ``initial`` and ``owned`` entries.
+        # owner and from ends that survive, each copied first unless this
+        # tree owns it; and only a composite has ``children``, ``initial``
+        # and ``owned`` entries.
         transitions, owner, owned = self.transitions, self.owner, self.owned
         adjacent, children = self.adjacent, self.children
+        writable = self._writable
         for name in touching:
             t = transitions.pop(name)
             home = owner.pop(name)
             if home not in doomed:
-                del owned[home][name]
+                del writable("owned", owned, home)[name]
             for end in (t.source, t.target):
                 if end not in doomed:
-                    adjacent[end].discard(name)
+                    writable("adjacent", adjacent, end).discard(name)
         for name in doomed:
             del self.states[name], self.parent[name]
             adjacent.pop(name, None)
@@ -444,7 +474,7 @@ class WorkingTree(MachineIndex):
                 del children[name]
                 if name in self.initial:
                     del self.initial[name], owned[name]
-        del children[parent][elem]
+        del writable("children", children, parent)[elem]
         self.reshaped[parent] = None
         for t, owner in zip(additions, owners):
             self._add_transition(t, owner)
@@ -582,12 +612,18 @@ class WorkingTree(MachineIndex):
                 raise RewriteError(f"no state named {name!r}")
             rank.setdefault(name, i)
         credit: dict[str, int | None] = {}
+        parent = self.parent
 
         def first_rank(state: str) -> int | None:
             if state not in credit:
-                hits = [rank[s] for s in (state, *self.ancestors(state))
-                        if s in rank]
-                credit[state] = min(hits) if hits else None
+                best = None
+                cur = state
+                while cur is not None:
+                    i = rank.get(cur)
+                    if i is not None and (best is None or i < best):
+                        best = i
+                    cur = parent.get(cur)
+                credit[state] = best
             return credit[state]
 
         credited: set[int] = set()

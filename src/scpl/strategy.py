@@ -25,9 +25,8 @@ from .features import (build_configuration, kernel, validate_configuration,
 from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
                     History, ImpEntry, ImpMapping, InState, MachineIndex,
                     OrState, RewriteTrace, SimpleState, State, StateChart,
-                    TraceStep, Transition, Violation, comp_parts,
-                    optional_elements, partition, touched_violations,
-                    well_formed_violations)
+                    TraceStep, Transition, Violation, comp_parts, partition,
+                    touched_violations, well_formed_violations)
 from .rewrite import PendingSet, WorkingTree, flagged
 
 
@@ -200,7 +199,9 @@ def _rewrite(tree: WorkingTree, doomed: frozenset[str],
     # transitions can break what validation established.
     leftovers = (touched_violations(tree, tree.reshaped, tree.added)
                  if validated else well_formed_violations(tree))
-    if leftovers or any(optional_elements(tree)):
+    optional_left = (any(st.optional for st in tree.states.values())
+                     or any(t.optional for t in tree.transitions.values()))
+    if leftovers or optional_left:
         raise RewriteError(
             f"instantiation produced an inconsistent machine: {leftovers}")
     return RewriteTrace(tuple(steps))
@@ -221,9 +222,18 @@ def _eligible(tree: WorkingTree, doomed: frozenset[str]) -> set[str]:
     moves no state and a deletion changes no other doomed state's
     ancestors, so the set is fixed from the input on.  A surviving
     composite's initial substate is in it exactly when layer 1 repairs
-    that composite."""
-    return {n for n in doomed if n in tree.states
-            and not any(a in doomed for a in tree.ancestors(n))}
+    that composite.  Each doomed name walks ``parent`` up until it meets
+    a doomed ancestor or passes the root."""
+    parent = tree.parent
+    out = set()
+    for name in doomed:
+        if name in parent:
+            cur = parent[name]
+            while cur is not None and cur not in doomed:
+                cur = parent.get(cur)
+            if cur is None:
+                out.add(name)
+    return out
 
 
 def _record(steps: list[TraceStep], budget: int, step: TraceStep) -> None:

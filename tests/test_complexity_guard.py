@@ -6,10 +6,12 @@ never once per rule application; its output is checked on that tree,
 over the edits alone or, without validation, whole.  A machine object's
 first instantiation rewrites the tree it built, its second builds the
 tree it keeps and rewrites a copy, and later ones only copy the kept
-tree.  These guards run on deep copies of the session's shared lines,
-since an earlier test may have instantiated the shared objects.  A
-confluence check indexes and validates its input once, not once per
-order, keeps that tree for the next instantiation of the machine, runs the four layers once per distinct order of the layer-2
+tree; a copy shares the kept tree's inner dicts and sets and copies one
+only to write it.  These guards run on deep copies of the session's
+shared lines, since an earlier test may have instantiated the shared
+objects.  A confluence check indexes and validates its input once, not
+once per order, keeps that tree for the next instantiation of the
+machine, runs the four layers once per distinct order of the layer-2
 state deletions, and not at all with fewer than two states eligible for
 layer 2, draws no order after the last distinct one has run, and
 compares the trees it edited without rebuilding a machine.  Parsing walks
@@ -127,6 +129,39 @@ def test_instantiate_indexes_and_rebuilds_a_constant_number_of_times(
             assert len(result.trace) > 100
             counts.append((indexes[0], freezes[0], copies[0]))
         assert counts == [(1, 1, 0), (1, 1, 1), (0, 1, 1)], validate
+
+
+def test_a_later_instantiation_copies_only_the_containers_it_writes(
+        monkeypatch):
+    # The third call on a machine rewrites a copy of the tree kept on it.
+    # The copy shares the inner dicts and sets of ``children``, ``owned``
+    # and ``adjacent`` with the kept tree and copies one only to write it:
+    # every container it no longer shares holds other names than the kept
+    # one.  This line's configuration deletes more than half the tree, so
+    # the call writes about a quarter of the containers (309 of 1,282).
+    line = _fresh_s1k()
+    for _ in range(2):
+        instantiate(*line)
+    copy_tree = WorkingTree.copy
+    pairs: list[tuple[WorkingTree, WorkingTree]] = []
+
+    def recording_copy(self):
+        new = copy_tree(self)
+        pairs.append((self, new))
+        return new
+
+    monkeypatch.setattr(WorkingTree, "copy", recording_copy)
+    instantiate(*line)
+    [(kept, edited)] = pairs
+    inner = ("children", "owned", "adjacent")
+    total = sum(len(getattr(kept, m)) for m in inner)
+    copied = {(m, k) for m in inner for k, c in getattr(edited, m).items()
+              if c is not getattr(kept, m).get(k)}
+    written = {(m, k) for m in inner for k, c in getattr(edited, m).items()
+               if c != getattr(kept, m).get(k)}
+    assert total > 1000
+    assert copied == written
+    assert 0 < len(copied) < total / 3, (len(copied), total)
 
 
 def _record_closures(monkeypatch) -> list[tuple[bool, int]]:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import inspect
 import pickle
@@ -390,3 +391,38 @@ def test_values_survive_pickle_deepcopy_and_replace():
             for twin in twins:
                 assert twin == value, (seed, type(value).__name__)
                 assert hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize("value", [v for v in _VALUES
+                                   if type(v).__module__ == "scpl.model"],
+                         ids=lambda v: type(v).__name__)
+def test_values_copy_through_their_constructor(monkeypatch, value):
+    # Pickling and copying rebuild a value from its fields in field order
+    # (``__reduce__``), never through the ``__getstate__`` that dataclasses
+    # generates, which calls ``fields`` once per value.
+    cls = type(value)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert value.__reduce__() == (cls, tuple(getattr(value, n)
+                                             for n in names))
+
+    def no_fields(*args):
+        raise AssertionError("dataclasses.fields called")
+
+    monkeypatch.setattr(dataclasses, "fields", no_fields)
+    twins = [pickle.loads(pickle.dumps(value, protocol))
+             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    twins += [deepcopy(value), copy.copy(value)]
+    for twin in twins:
+        assert type(twin) is cls and twin == value
+        assert hash(twin) == hash(value)
+
+
+def test_a_copied_machine_keeps_nothing():
+    line = generated_line(S1K_SEED, **S1K_GENERATOR)
+    sc = deepcopy(line.sc)
+    for _ in range(2):
+        instantiate(line.fm, line.conf, sc, line.imp)
+    assert sc._kept.tree is not None
+    for twin in (deepcopy(sc), copy.copy(sc), pickle.loads(pickle.dumps(sc))):
+        assert twin == sc
+        assert getattr(twin, "_kept", None) is None

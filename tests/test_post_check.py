@@ -23,7 +23,7 @@ from scpl.errors import RewriteError, ScplError
 from scpl.model import (AndState, Condition, InState, MachineIndex, OrState,
                         SimpleState, StateChart, TraceStep, Transition,
                         touched_violations, well_formed_violations)
-from scpl.rewrite import WorkingTree
+from scpl.rewrite import WorkingTree, flagged
 from scpl.strategy import instantiate
 
 
@@ -127,6 +127,33 @@ def test_both_checks_object_to_a_faulty_rule(monkeypatch, fault):
         monkeypatch.setattr(WorkingTree, name, fn)
     delta, edited, full = _all_checks(fm, conf, sc, imp)
     assert delta and delta == edited == full
+    for validate in (True, False):
+        with pytest.raises(RewriteError, match="inconsistent machine"):
+            instantiate(fm, conf, sc, imp, validate=validate)
+
+
+@pytest.mark.parametrize("kept", ["state", "transition"])
+def test_an_optional_flag_left_over_is_refused(monkeypatch, kept):
+    # C is deleted; the sweep flips the flags of one kind of element
+    # alone, so the optional B or t survives it flagged.
+    sc = StateChart(OrState(
+        "Root", (SimpleState("A"), SimpleState("B", True),
+                 SimpleState("C", True)), "A",
+        (Transition("t", "A", "B", ("e",), optional=True),)))
+    fm, conf, imp = line_for(sc, {"C"})
+    assert instantiate(fm, conf, sc, imp).statechart == StateChart(OrState(
+        "Root", (SimpleState("A"), SimpleState("B")), "A",
+        (Transition("t", "A", "B", ("e",)),)))
+
+    def partial_sweep(self):
+        if kept == "state":
+            self.transitions = {n: flagged(t)
+                                for n, t in self.transitions.items()}
+        else:
+            self.states = {n: flagged(st) for n, st in self.states.items()}
+        return TraceStep("finalize_optionals", self.root)
+
+    monkeypatch.setattr(WorkingTree, "finalize_optionals", partial_sweep)
     for validate in (True, False):
         with pytest.raises(RewriteError, match="inconsistent machine"):
             instantiate(fm, conf, sc, imp, validate=validate)

@@ -211,9 +211,21 @@ def test_working_tree_copy_edits_apart_from_its_original(chain):
     tree.delete_state("E1", PendingSet({"E1", "E2"}))
     twin = tree.copy()
     assert vars(twin) == vars(tree)
+    inner = ("children", "owned", "adjacent")
+    # The copy shares every inner dict and set until it writes one.
+    for m in inner:
+        source = getattr(tree, m)
+        assert all(c is source[k] for k, c in getattr(twin, m).items()), m
     before = deepcopy(vars(tree))
     twin.delete_state("E2", PendingSet({"E2"}))
     assert vars(tree) == before
+    # Only the containers the deletion wrote were copied.
+    copied = {(m, k) for m in inner for k, c in getattr(twin, m).items()
+              if c is not getattr(tree, m).get(k)}
+    written = {(m, k) for m in inner for k, c in getattr(twin, m).items()
+               if c != getattr(tree, m).get(k)}
+    assert copied == written == {("children", "Root"), ("owned", "Root"),
+                                 ("adjacent", "A"), ("adjacent", "B")}
     tree.delete_state("E2", PendingSet({"E2"}))
     assert vars(tree) == vars(twin)
     # Dict equality ignores order, so check where the addition went.
