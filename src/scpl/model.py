@@ -348,7 +348,9 @@ class MachineIndex:
 
     The maps describe the machine they were built from until edited:
     ``rewrite.WorkingTree`` extends the index with the edits that rewriting
-    needs, and ``freeze`` rebuilds the machine the maps then describe.
+    needs, and ``freeze`` rebuilds the machine the maps then describe
+    (``_composite`` rebuilds one composite, which the working tree may
+    take from what it keeps instead).
     """
 
     def __init__(self, sc: StateChart):
@@ -402,6 +404,11 @@ class MachineIndex:
         st = self.states[name]
         if isinstance(st, SimpleState):
             return st
+        return self._composite(name, st)
+
+    def _composite(self, name: str, st: State):
+        """The composite ``name``, whose state object is ``st``, rebuilt
+        from the maps with its subtree."""
         kids = tuple(map(self._frozen, self.children[name]))
         if isinstance(st, AndState):
             return AndState(name, kids, st.optional)

@@ -6,12 +6,17 @@ final optional-flag sweep.
 Each rule is implemented once, as a local edit of a ``WorkingTree``: the
 machine's ``model.MachineIndex``, whose maps (states, parents, children,
 initial markers, transitions and their owners) the rules edit in place,
-plus the transitions adjacent to each state.  Pruning and the final
-sweep make one pass over the transitions (the sweep one over the states
-too) and rebuild only the elements they change, each by its constructor;
-every other edit costs work proportional to the elements it touches,
-not to the machine.  A rule returns its delta -- removed states, removed
-and added transitions -- as a ``TraceStep``.
+plus the transitions adjacent to each state.  What no configuration can
+change is read from the tree's ``InputFacts``, which every copy of the
+tree shares: the subtree of each state, the transitions whose in-state
+atoms name each state, the optional elements and their flag-cleared
+copies, and the flag-cleared frozen subtree of each composite.  So
+pruning reads only the transitions whose atoms name a pruned subtree,
+the sweep only the input's optional elements, and ``freeze`` rebuilds
+only the composites the edits changed; every edit costs work
+proportional to the elements it touches, not to the machine.  A rule
+returns its delta -- removed states, removed and added transitions -- as
+a ``TraceStep``.
 ``strategy.instantiate`` builds one working tree, or copies the one kept
 on the machine, runs every rule on it and freezes it once.  A copy shares
 the inner dicts and sets of its source's maps and copies one only when
@@ -39,9 +44,10 @@ unpruned machine do.  ``reachable_and`` returns the full tuple set of one
 joint search; ``reachable_or`` is the closure of its one region.
 A deletion reads names only, never the order of the machine's
 transitions: its compositions are owned, checked and added in name order.
-It walks its subtree once, to find what it reads (``boundary``), and tears
-the subtree down in one pass over it and the transitions touching it, so
-it costs what it touches, not the machine.
+It walks its subtree at most once per machine object (``boundary``, kept
+in ``InputFacts``), and tears the subtree down in one pass over it and
+the transitions touching it, so it costs what it touches, not the
+machine.
 
 The public rules below keep the pure machine-in, machine-out form: each
 builds a working tree from its input, applies the shared rule and freezes
@@ -66,7 +72,7 @@ from .errors import (EmptyCompositeError, IsInitialError, NoInitialError,
                      NotSubstateError, OptionalComposeError, RewriteError,
                      TooLargeError)
 from .model import (AndState, Condition, InState, MachineIndex, OrState,
-                    SimpleState, StateChart, TraceStep, Transition,
+                    SimpleState, State, StateChart, TraceStep, Transition,
                     partition, reached)
 
 
@@ -224,6 +230,66 @@ _DELETION = {
 }
 
 
+class InputFacts:
+    """Facts about the machine a working tree was built from, which hold
+    under every configuration: shared by every copy of the tree
+    (``WorkingTree.copy``) and by every tree that ``strategy._prepared``
+    builds from one machine object.
+
+    ``optional_states`` and ``optional_transitions`` list the input's
+    optional elements, and ``atom_users`` maps each state that an in-state
+    atom names to the names of the transitions carrying such an atom; the
+    tree's constructor gathers all three in its one pass.  The other four
+    maps are filled lazily, each entry by one assignment and never changed
+    after it, so two threads filling one holder at once can at worst build
+    one entry twice:
+
+    - ``subtrees``: a state's subtree, as a frozenset and as the sorted
+      tuple a trace records (``subtree``).  A state's subtree at its
+      deletion is its input subtree: no rule moves a state, a deletion
+      removes a whole subtree, and no two states that ``instantiate``
+      deletes nest (``strategy._eligible`` keeps the outermost), while a
+      public rule deletes one state of a tree it built.  So this holds for
+      ``boundary`` under every configuration.
+    - ``cleared_states`` and ``cleared_transitions``: the flag-cleared copy
+      of an optional input element, by name, made when the sweep first
+      keeps it (``WorkingTree.finalize_optionals``).
+    - ``frozen``: the frozen subtree of a composite with every flag
+      cleared, filled and read only by a swept tree, for a composite that
+      no edit changed (``WorkingTree._composite``).  Such a composite's
+      subtree is its input subtree with the sweep's flags cleared.
+
+    It holds no reference to a tree or to the machine object, so no
+    reference cycle."""
+
+    __slots__ = ("optional_states", "optional_transitions", "atom_users",
+                 "subtrees", "cleared_states", "cleared_transitions",
+                 "frozen")
+
+    def __init__(self, optional_states: list[State],
+                 optional_transitions: list[Transition],
+                 atom_users: dict[str, dict[str, None]]):
+        self.optional_states = optional_states
+        self.optional_transitions = optional_transitions
+        self.atom_users = atom_users
+        self.subtrees: dict[str, tuple[frozenset[str], tuple[str, ...]]] = {}
+        self.cleared_states: dict[str, State] = {}
+        self.cleared_transitions: dict[str, Transition] = {}
+        self.frozen: dict[str, State] = {}
+
+    def subtree(self, name: str, children: dict[str, dict[str, None]],
+                ) -> tuple[frozenset[str], tuple[str, ...]]:
+        """``name`` and every state nested in it, walked over ``children``
+        (``model.reached``) the first time it is asked for, with the names
+        sorted."""
+        got = self.subtrees.get(name)
+        if got is None:
+            found = reached(name, children)
+            got = self.subtrees[name] = (frozenset(found),
+                                         tuple(sorted(found)))
+        return got
+
+
 class WorkingTree(MachineIndex):
     """A machine index that the rules edit in place.
 
@@ -237,41 +303,67 @@ class WorkingTree(MachineIndex):
     alone.  No edit reads the order of the transitions: a deletion finds
     its transitions by name in ``adjacent`` and ``owned``.
 
-    Building one costs the index walk plus one pass over the transitions,
-    which fills ``adjacent``.  A state deletion then costs its subtree and
-    the transitions touching it (``boundary`` and one pass over each to
-    tear them down) plus the pairing of its entries and exits, never a
-    pass over the machine.
+    ``facts`` is the holder of what every configuration shares
+    (``InputFacts``).  ``dirty`` records each composite whose children,
+    initial marker or owned transitions an edit changed: every write site
+    (``_add_transition``, ``_drop_transition``, a deletion's teardown,
+    ``repair_initial`` and pruning) adds the composite it writes.  Once
+    ``finalize_optionals`` has run (``swept``), ``freeze`` closes ``dirty``
+    upwards through the ancestors, rebuilds those composites and takes
+    every other one from ``facts.frozen``.
+
+    Building one costs the index walk plus one pass over the states and
+    one over the transitions, which fills ``adjacent`` and the holder's
+    lists.  A state deletion then costs its subtree and the transitions
+    touching it (``boundary`` and one pass over each to tear them down)
+    plus the pairing of its entries and exits, never a pass over the
+    machine.
 
     The inner dicts and sets of ``children``, ``owned`` and ``adjacent``
     may be shared with other trees (``copy``).  ``mine`` holds a
-    ``(map name, key)`` pair for each one this tree owns, and every write
-    goes through ``_writable``, which copies a container the tree does
-    not own yet.  ``mine`` is empty on a built tree, so its first write
-    to a container copies it too, and ``copy`` empties it on both trees.
+    ``(map name, key)`` pair for each one this tree owns, or is None while
+    the tree owns them all, as a built tree does; every write goes
+    through ``_writable``, which copies a container the tree does not own
+    yet.  ``copy`` leaves both trees owning none.
     """
 
-    def __init__(self, sc: StateChart):
+    def __init__(self, sc: StateChart, facts: InputFacts | None = None):
+        """The tree of ``sc``, sharing ``facts`` when given: the holder
+        of another tree of the same machine object."""
         super().__init__(sc)
         adjacent: dict[str, set[str]] = {}
+        optional: list[Transition] = []
+        users: dict[str, dict[str, None]] = {}
         for name, t in self.transitions.items():
             for end in (t.source, t.target):
                 if end in adjacent:
                     adjacent[end].add(name)
                 else:
                     adjacent[end] = {name}
+            if t.optional:
+                optional.append(t)
+            if t.cond.atoms:
+                for atom in t.cond.atoms:
+                    if isinstance(atom, InState):
+                        users.setdefault(atom.state, {})[name] = None
         self.adjacent = adjacent
         self.reshaped: dict[str, None] = {}
         self.added: dict[str, None] = {}
-        self.mine: set[tuple[str, str]] = set()
+        self.mine: set[tuple[str, str]] | None = None
+        self.dirty: set[str] = set()
+        self.swept = False
+        self.facts = facts or InputFacts(
+            [st for st in self.states.values() if st.optional], optional,
+            users)
 
     def copy(self) -> "WorkingTree":
-        """A tree with the same maps that edits apart from this one.  Each
-        map is copied flat: the inner dicts and sets of ``children``,
-        ``owned`` and ``adjacent`` stay shared until a write copies one
-        (``_writable``), and the copy leaves neither tree owning any, so
-        an edit of either never reaches the other.  The state and
-        transition objects are immutable and shared."""
+        """A tree with the same maps that edits apart from this one and
+        shares its ``facts``.  Each map is copied flat: the inner dicts
+        and sets of ``children``, ``owned`` and ``adjacent`` stay shared
+        until a write copies one (``_writable``), and the copy leaves
+        neither tree owning any, so an edit of either never reaches the
+        other.  The state and transition objects are immutable and
+        shared."""
         new = WorkingTree.__new__(WorkingTree)
         new.root = self.root
         new.states = self.states.copy()
@@ -288,6 +380,9 @@ class WorkingTree(MachineIndex):
         new.added = self.added.copy()
         new.mine = set()
         self.mine = set()
+        new.dirty = self.dirty.copy()
+        new.swept = self.swept
+        new.facts = self.facts
         return new
 
     # -- edits --
@@ -297,7 +392,7 @@ class WorkingTree(MachineIndex):
         ready for this tree to write: first replaced by a copy that the
         tree owns from then on, unless it owns it already."""
         mine = self.mine
-        if (tag, key) in mine:
+        if mine is None or (tag, key) in mine:
             return mapping[key]
         mine.add((tag, key))
         container = mapping[key] = mapping[key].copy()
@@ -307,6 +402,7 @@ class WorkingTree(MachineIndex):
         self.transitions[t.name] = t
         self.owner[t.name] = owner
         self._writable("owned", self.owned, owner)[t.name] = None
+        self.dirty.add(owner)
         self.added[t.name] = None
         adjacent = self.adjacent
         for end in (t.source, t.target):
@@ -314,14 +410,44 @@ class WorkingTree(MachineIndex):
                 self._writable("adjacent", adjacent, end).add(t.name)
             else:
                 adjacent[end] = {t.name}
-                self.mine.add(("adjacent", end))
+                if self.mine is not None:
+                    self.mine.add(("adjacent", end))
 
     def _drop_transition(self, name: str) -> None:
         t = self.transitions.pop(name)
-        del self._writable("owned", self.owned, self.owner.pop(name))[name]
+        home = self.owner.pop(name)
+        del self._writable("owned", self.owned, home)[name]
+        self.dirty.add(home)
         for end in (t.source, t.target):
             if end in self.adjacent:
                 self._writable("adjacent", self.adjacent, end).discard(name)
+
+    # -- freezing --
+
+    def freeze(self) -> StateChart:
+        """``MachineIndex.freeze``; on a swept tree, ``dirty`` is first
+        closed upwards through the ancestors, so a composite outside it
+        has an unedited subtree and ``_composite`` reuses it."""
+        if self.swept:
+            dirty, parent = self.dirty, self.parent
+            for name in list(dirty):
+                name = parent.get(name)
+                while name is not None and name not in dirty:
+                    dirty.add(name)
+                    name = parent.get(name)
+        return super().freeze()
+
+    def _composite(self, name: str, st: State):
+        """A composite rebuilt from the maps, or, on a swept tree and
+        outside ``dirty``, the flag-cleared frozen subtree kept in
+        ``facts.frozen``, built and kept the first time."""
+        if not self.swept or name in self.dirty:
+            return super()._composite(name, st)
+        frozen = self.facts.frozen
+        got = frozen.get(name)
+        if got is None:
+            got = frozen[name] = super()._composite(name, st)
+        return got
 
     # -- region projection --
 
@@ -396,10 +522,11 @@ class WorkingTree(MachineIndex):
         are unusable; one with both ends in the subtree, self-loops
         included, is neither an entry nor an exit.
 
-        This is the one walk of the subtree a deletion makes: ``doomed``
-        comes from ``reached`` over ``children``, and the pairing resolves
+        ``doomed`` is the input subtree kept in ``facts``
+        (``InputFacts.subtree``), walked over ``children`` the first time
+        any tree of the machine asks for it, and the pairing resolves
         coordinates by walking up from the names it reads."""
-        doomed = reached(elem, self.children)
+        doomed = self.facts.subtree(elem, self.children)[0]
         adjacent = self.adjacent
         touching = set().union(*(adjacent.get(s, ()) for s in doomed))
         for s in doomed & self.owned.keys():
@@ -457,13 +584,14 @@ class WorkingTree(MachineIndex):
         # tree owns it; and only a composite has ``children``, ``initial``
         # and ``owned`` entries.
         transitions, owner, owned = self.transitions, self.owner, self.owned
-        adjacent, children = self.adjacent, self.children
+        adjacent, children, dirty = self.adjacent, self.children, self.dirty
         writable = self._writable
         for name in touching:
             t = transitions.pop(name)
             home = owner.pop(name)
             if home not in doomed:
                 del writable("owned", owned, home)[name]
+                dirty.add(home)
             for end in (t.source, t.target):
                 if end not in doomed:
                     writable("adjacent", adjacent, end).discard(name)
@@ -475,13 +603,14 @@ class WorkingTree(MachineIndex):
                 if name in self.initial:
                     del self.initial[name], owned[name]
         del writable("children", children, parent)[elem]
+        dirty.add(parent)
         self.reshaped[parent] = None
         for t, owner in zip(additions, owners):
             self._add_transition(t, owner)
         pending.difference_update(doomed, touching)
         return TraceStep(
             _DELETION[type(st)][0], elem,
-            removed_states=tuple(sorted(doomed)),
+            removed_states=self.facts.subtree(elem, children)[1],
             removed_transitions=tuple(sorted(touching - added)),
             added_transitions=tuple(sorted(added - before)))
 
@@ -595,17 +724,22 @@ class WorkingTree(MachineIndex):
                 raise NoInitialError("cycle of doomed initial substates")
             visited.add(cur)
         self.initial[parent] = cur
+        self.dirty.add(parent)
         self.reshaped[parent] = None
         return TraceStep("repair_initial", parent,
                          detail=f"initial {old} -> {cur}")
 
     def prune_conditions(self, names: Sequence[str]) -> list[str]:
         """Strips every in-state atom naming one of the states or anything
-        nested inside one, in one pass over the transitions that carry
-        atoms; a transition that loses one is rebuilt once.  Returns the
-        names, in the given order, that pruning them one at a time in that
-        order would have found an atom for: each atom is credited to the
-        first name whose subtree holds its state."""
+        nested inside one; a transition that loses one is rebuilt once.
+        Returns the names, in the given order, that pruning them one at a
+        time in that order would have found an atom for: each atom is
+        credited to the first name whose subtree holds its state.
+
+        Only the states that atoms name (``facts.atom_users``) are walked
+        up, and only the transitions whose atoms name one inside a given
+        subtree are read, so pruning reads the input's conditioned
+        transitions: it comes before any edit, as layer 1 does."""
         rank = {}
         for i, name in enumerate(names):
             if name not in self.states:
@@ -626,8 +760,14 @@ class WorkingTree(MachineIndex):
                 credit[state] = best
             return credit[state]
 
+        pruned: dict[str, None] = {}
+        for state, users in self.facts.atom_users.items():
+            if first_rank(state) is not None:
+                pruned.update(users)
+        transitions, owner, dirty = self.transitions, self.owner, self.dirty
         credited: set[int] = set()
-        for t in [t for t in self.transitions.values() if t.cond.atoms]:
+        for name in pruned:
+            t = transitions[name]
             kept = []
             for atom in t.cond.atoms:
                 if isinstance(atom, InState):
@@ -636,10 +776,10 @@ class WorkingTree(MachineIndex):
                         credited.add(i)
                         continue
                 kept.append(atom)
-            if len(kept) != len(t.cond.atoms):
-                self.transitions[t.name] = Transition(
-                    t.name, t.source, t.target, t.trigger,
-                    Condition(tuple(kept)), t.actions, t.history, t.optional)
+            transitions[name] = Transition(
+                name, t.source, t.target, t.trigger, Condition(tuple(kept)),
+                t.actions, t.history, t.optional)
+            dirty.add(owner[name])
         return [names[i] for i in sorted(credited)]
 
     def delete_transition(self, elem: str, pending: PendingSet) -> TraceStep:
@@ -654,14 +794,33 @@ class WorkingTree(MachineIndex):
                          removed_transitions=removed)
 
     def finalize_optionals(self) -> TraceStep:
-        """Flips every remaining optional flag, in one pass over the
-        transitions and one over the states; each flagged element is
-        rebuilt once, with its flag cleared (``flagged``)."""
-        for t in [t for t in self.transitions.values() if t.optional]:
-            self.transitions[t.name] = flagged(t)
-        for name, st in self.states.items():
-            if st.optional:
-                self.states[name] = flagged(st)
+        """Flips every remaining optional flag, visiting only the input's
+        optional elements (``facts``).  One still in the tree as the
+        input's object takes the flag-cleared copy kept in ``facts``,
+        made the first time it is needed; a transition that pruning
+        rebuilt is another object, so it is rebuilt once more, with its
+        flag cleared (``flagged``).  Afterwards the tree is ``swept``."""
+        facts = self.facts
+        states, made = self.states, facts.cleared_states
+        for st in facts.optional_states:
+            name = st.name
+            if states.get(name) is st:
+                clear = made.get(name)
+                if clear is None:
+                    clear = made[name] = flagged(st)
+                states[name] = clear
+        transitions, made = self.transitions, facts.cleared_transitions
+        for t in facts.optional_transitions:
+            name = t.name
+            now = transitions.get(name)
+            if now is t:
+                clear = made.get(name)
+                if clear is None:
+                    clear = made[name] = flagged(t)
+                transitions[name] = clear
+            elif now is not None and now.optional:
+                transitions[name] = flagged(now)
+        self.swept = True
         return TraceStep("finalize_optionals", self.root)
 
 

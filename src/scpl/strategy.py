@@ -27,7 +27,7 @@ from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
                     OrState, RewriteTrace, SimpleState, State, StateChart,
                     TraceStep, Transition, Violation, comp_parts, partition,
                     touched_violations, well_formed_violations)
-from .rewrite import PendingSet, WorkingTree, flagged
+from .rewrite import InputFacts, PendingSet, WorkingTree, flagged
 
 
 # Largest NSC that ``check_confluence(exhaustive=True)`` runs every order
@@ -77,11 +77,14 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
     built; from the second on, each call rewrites a copy of one unedited
     tree kept on that object (``model.StateChart``'s private slot), and a
     call on the same ``fm``, ``sc`` and ``imp`` objects as an earlier one
-    validates only its configuration.  The edited
-    tree is checked before it is frozen, read from its maps: validated
-    input over the edits alone (``model.touched_violations``), other
-    input whole (``model.well_formed_violations``).  A breach, or an
-    optional flag left over, raises RewriteError.
+    validates only its configuration.  Every tree of the machine shares
+    one holder of what no configuration changes (``rewrite.InputFacts``),
+    so a later call, under any configuration, reuses the subtrees, the
+    cleared elements and the frozen composites earlier ones built.  The
+    edited tree is checked before it is frozen, read from its maps:
+    validated input over the edits alone (``model.touched_violations``),
+    other input whole (``model.well_formed_violations``).  A breach, or
+    an optional flag left over, raises RewriteError.
     """
     tree = _prepared(fm, conf, sc, imp, validate=validate, edit=True)
     trace = _rewrite(tree, compute_nsc(fm, conf, sc, imp), order,
@@ -91,13 +94,15 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
 
 class _Kept(NamedTuple):
     """What ``_prepared`` keeps on one machine object: the unedited
-    working tree, once kept, and the parts of the validation verdict.
+    working tree, once kept, the holder of input facts that every tree
+    of the machine shares, and the parts of the validation verdict.
     ``well_formed`` is the machine's own; ``features`` and ``mapping``
     were drawn for the ``fm`` and ``imp`` objects named here, and
     ``mapping`` is None when an earlier part already objects.  It holds
     no reference to the machine, so no reference cycle."""
 
     tree: WorkingTree | None = None
+    facts: InputFacts | None = None
     well_formed: tuple[Violation, ...] | None = None
     fm: FeatureModel | None = None
     imp: ImpMapping | None = None
@@ -122,16 +127,21 @@ def _prepared(fm: FeatureModel, conf: Configuration, sc: StateChart,
     tree it built when the caller edits, so a one-shot instantiation pays
     no copy.  A later call, or a first one that does not edit, builds the
     tree it keeps unedited; a call that edits gets a copy of the kept
-    tree.  The machine's verdict is kept whatever the other inputs, the
-    feature-model and mapping verdicts are drawn again for another ``fm``
-    or ``imp`` object, and the configuration is checked on every call."""
+    tree.  Every tree of the machine shares the holder of input facts
+    (``rewrite.InputFacts``) of the first one built, which is kept from
+    the first call on, so what one call fills in it serves every later
+    call, whatever its configuration.  The machine's verdict is kept
+    whatever the other inputs, the feature-model and mapping verdicts are
+    drawn again for another ``fm`` or ``imp`` object, and the
+    configuration is checked on every call."""
     seen = getattr(sc, "_kept", None)
-    (kept_tree, well_formed, kept_fm, kept_imp, features,
+    (kept_tree, facts, well_formed, kept_fm, kept_imp, features,
      mapping) = seen or _UNSEEN
     changed = seen is None
     tree = kept_tree
     if tree is None:
-        tree = WorkingTree(sc)
+        tree = WorkingTree(sc, facts)
+        facts = tree.facts
         if not (changed and edit):
             kept_tree, changed = tree, True
     if validate and (features is None or kept_fm is not fm
@@ -143,7 +153,7 @@ def _prepared(fm: FeatureModel, conf: Configuration, sc: StateChart,
         mapping = (None if features or well_formed
                    else tuple(imp_violations(fm, tree, imp)))
     if changed:
-        _store(sc, _Kept(kept_tree, well_formed, kept_fm, kept_imp,
+        _store(sc, _Kept(kept_tree, facts, well_formed, kept_fm, kept_imp,
                          features, mapping))
     if validate:
         violations = ([*features, *well_formed]

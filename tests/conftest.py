@@ -56,6 +56,13 @@ def line_for(sc, doomed_feature_elements):
     return fm, conf, imp
 
 
+def tree_maps(tree) -> dict:
+    """A working tree's attributes but its holder of input facts, which
+    every tree of one machine object shares (``WorkingTree.copy``,
+    ``strategy._prepared``) and which compares by identity."""
+    return {k: v for k, v in vars(tree).items() if k != "facts"}
+
+
 @pytest.fixture
 def chain():
     return simple_chain()

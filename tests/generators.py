@@ -1,7 +1,8 @@
 """Seeded generators for composites used by the reachability suites, the
-generated product lines every sweep shares, and fault injectors: for
-states and for transitions, for the well-formedness suites, and for
-feature models and configurations, for the feature checks."""
+generated product lines every sweep shares and every configuration of
+one, and fault injectors: for states and for transitions, for the
+well-formedness suites, and for feature models and configurations, for
+the feature checks."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import random
 from dataclasses import replace
 from functools import cache
 
+from scpl.features import enumerate_configurations
 from scpl.model import (AndState, Condition, Configuration, FeatureModel,
                         InState, MachineIndex, OrState, SimpleState,
                         StateChart, Transition, map_states, reached)
@@ -29,6 +31,14 @@ def generated_line(seed: int, **generator) -> GeneratedLine:
 @cache
 def _drawn(seed: int, generator: tuple) -> GeneratedLine:
     return generate_random_product_line(seed, **dict(generator))
+
+
+def configurations(line: GeneratedLine) -> list[Configuration]:
+    """Every valid configuration of the line's feature model
+    (``features.enumerate_configurations``), in sorted selection order:
+    by the sorted names of the selected features."""
+    return sorted(enumerate_configurations(line.fm),
+                  key=lambda conf: sorted(conf.selected))
 
 
 def random_or_composite(seed: int, max_substates: int = 6):

@@ -4,25 +4,29 @@ One instantiation walks its input at most once, into the working tree
 that validation reads and the rules edit, and rebuilds the machine once,
 never once per rule application; its output is checked on that tree,
 over the edits alone or, without validation, whole.  A machine object's
-first instantiation rewrites the tree it built, its second builds the
-tree it keeps and rewrites a copy, and later ones only copy the kept
-tree; a copy shares the kept tree's inner dicts and sets and copies one
-only to write it.  These guards run on deep copies of the session's
-shared lines, since an earlier test may have instantiated the shared
-objects.  A confluence check indexes and validates its input once, not
-once per order, keeps that tree for the next instantiation of the
-machine, runs the four layers once per distinct order of the layer-2
-state deletions, and not at all with fewer than two states eligible for
+first instantiation rewrites the tree it built, which owns its inner
+dicts and sets and copies none, its second builds the tree it keeps and
+rewrites a copy, and later ones only copy the kept tree; a copy shares
+the kept tree's inner dicts and sets and copies one only to write it.
+A kept call freezes only the composites it changed and their ancestors,
+and its pruning reads only transitions whose in-state atoms name a
+state.  These guards run on deep copies of the session's shared lines,
+since an earlier test may have instantiated the shared objects.  A
+confluence check indexes and validates its input once, not once per
+order, keeps that tree for the next instantiation of the machine, runs
+the four layers once per distinct order of the layer-2 state
+deletions, and not at all with fewer than two states eligible for
 layer 2, draws no order after the last distinct one has run, and
 compares the trees it edited without rebuilding a machine.  Parsing walks
 the machine once and rebuilds it only to resolve a dotted path, and the
 command line builds its argument parser once per process.  None of these,
 nor the product-line generator that ``scpl fuzz`` runs per seed, nor a
 command that writes a JSON document, leaves a reference cycle behind.
-A layer-2 state deletion walks its subtree once, to find what it reads,
-and resolves a coordinate of a region by walking up from the name asked
-about, never down the subtree.  Deleting an And-state closes each region
-that no in-state atom couples to another as a plain graph, and searches
+A layer-2 state deletion walks its subtree at most once per machine
+object, to find what it reads, and resolves a coordinate of a region by
+walking up from the name asked about, never down the subtree.  Deleting
+an And-state closes each region that no in-state atom couples to another
+as a plain graph, and searches
 tuples only for a component of coupled regions, never the product of all
 regions; within an instantiation no region is coupled at all, since
 layer 1 prunes every in-state atom that names a state inside a doomed
@@ -164,18 +168,132 @@ def test_a_later_instantiation_copies_only_the_containers_it_writes(
     assert 0 < len(copied) < total / 3, (len(copied), total)
 
 
-def _record_closures(monkeypatch) -> list[tuple[bool, int]]:
+_INNER = ("children", "owned", "adjacent")
+
+
+def test_a_first_instantiation_copies_no_container(monkeypatch):
+    # A built tree owns its inner dicts and sets from birth, so the first
+    # call on a machine, which rewrites the tree it built, writes them in
+    # place: every container still keyed after the call is the one the
+    # constructor made, though the call wrote hundreds of them.
+    line = _fresh_s1k()
+    born: list[tuple[WorkingTree, dict]] = []
+    init = WorkingTree.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        born.append((self, {(m, k): (c, c.copy()) for m in _INNER
+                            for k, c in getattr(self, m).items()}))
+
+    monkeypatch.setattr(WorkingTree, "__init__", recording_init)
+    instantiate(*line)
+    [(tree, containers)] = born
+    now = {(m, k): c for m in _INNER for k, c in getattr(tree, m).items()}
+    copied = {key for key, (c, _) in containers.items()
+              if key in now and now[key] is not c}
+    written = {key for key, (_, before) in containers.items()
+               if key in now and now[key] != before}
+    assert copied == set()
+    assert len(written) > 100, len(written)
+
+
+def _closed_upwards(tree: WorkingTree, names) -> set[str]:
+    """``names`` with every ancestor of each in ``tree``."""
+    out = set()
+    for name in names:
+        while name is not None and name not in out:
+            out.add(name)
+            name = tree.parent.get(name)
+    return out
+
+
+def test_a_kept_call_freezes_only_the_composites_it_changed(monkeypatch):
+    # The third call rewrites a copy of the kept tree.  A composite whose
+    # children, initial marker or owned transitions (by name and
+    # condition) differ from the kept tree's is changed; ``freeze``
+    # rebuilds at most those and their ancestors, each once, and takes
+    # every other composite from the holder of input facts.
+    line = _fresh_s1k()
+    for _ in range(2):
+        instantiate(*line)
+    pairs: list[tuple[WorkingTree, WorkingTree]] = []
+    copy_tree = WorkingTree.copy
+
+    def recording_copy(self):
+        new = copy_tree(self)
+        pairs.append((self, new))
+        return new
+
+    built: list[str] = []
+    composite = MachineIndex._composite
+
+    def recording(self, name, st):
+        built.append(name)
+        return composite(self, name, st)
+
+    monkeypatch.setattr(WorkingTree, "copy", recording_copy)
+    monkeypatch.setattr(MachineIndex, "_composite", recording)
+    result = instantiate(*line)
+    [(kept, edited)] = pairs
+
+    def owned(tree, name):
+        return [(n, tree.transitions[n].cond)
+                for n in tree.owned.get(name, ())]
+
+    changed = {name for name in edited.children
+               if list(edited.children[name]) != list(kept.children[name])
+               or edited.initial.get(name) != kept.initial.get(name)
+               or owned(edited, name) != owned(kept, name)}
+    surviving = len(MachineIndex(result.statechart).children)
+    assert len(built) == len(set(built))
+    assert set(built) <= _closed_upwards(edited, changed)
+    # This configuration deletes more than half the tree, under most of
+    # its composites: 105 of the 110 that survive are rebuilt.
+    assert 0 < len(built) < surviving, (len(built), surviving)
+
+
+def test_pruning_reads_only_transitions_with_an_in_state_atom(monkeypatch):
+    # On the tree the first call built and on the copies later calls
+    # edit, pruning reads the condition of no transition but those whose
+    # in-state atoms name a state, and of some of those.
+    line = _fresh_s1k()
+    cond = Transition.__dict__["cond"]
+    read: list[Transition] = []
+    prune = WorkingTree.prune_conditions
+
+    def recording_prune(self, names):
+        monkeypatch.setattr(Transition, "cond", property(
+            lambda t: read.append(t) or cond.__get__(t)))
+        try:
+            return prune(self, names)
+        finally:
+            monkeypatch.setattr(Transition, "cond", cond)
+
+    monkeypatch.setattr(WorkingTree, "prune_conditions", recording_prune)
+    conditioned = sum(any(isinstance(a, InState) for a in t.cond.atoms)
+                      for t in MachineIndex(line.sc).transitions.values())
+    for _ in range(3):
+        read.clear()
+        result = instantiate(*line)
+        assert any(step.rule == "prune_conditions" for step in result.trace)
+        assert read and all(any(isinstance(a, InState)
+                                for a in cond.__get__(t).atoms)
+                            for t in read)
+        assert len({t.name for t in read}) < conditioned
+
+
+def _record_closures(monkeypatch) -> list[tuple[str | None, int]]:
     """Wraps the rewrite rules' ``reached`` by a recorder of one pair per
-    call: whether it walked the ``children`` of a working tree built or
-    copied meanwhile (compared by identity) and how many names it
-    reached.  Validation walks the feature model with the same function,
-    bound in other modules, and a deletion closes each lone region's
-    moves with it."""
+    call: the name it started from when it walked the ``children`` of a
+    working tree built or copied meanwhile (compared by identity), else
+    None, and how many names it reached.  Validation walks the feature
+    model with the same function, bound in other modules, and a deletion
+    closes each lone region's moves with it."""
     trees: list[WorkingTree] = []
     init, copy_tree = WorkingTree.__init__, WorkingTree.copy
 
-    def recording_init(self, sc):
-        init(self, sc)
+    def recording_init(self, *args):
+        init(self, *args)
         trees.append(self)
 
     def recording_copy(self):
@@ -184,12 +302,12 @@ def _record_closures(monkeypatch) -> list[tuple[bool, int]]:
         return new
 
     orig = scpl.rewrite.reached
-    calls: list[tuple[bool, int]] = []
+    calls: list[tuple[str | None, int]] = []
 
     def recording(start, successors):
         found = orig(start, successors)
-        calls.append((any(successors is tree.children for tree in trees),
-                      len(found)))
+        walked = any(successors is tree.children for tree in trees)
+        calls.append((start if walked else None, len(found)))
         return found
 
     monkeypatch.setattr(WorkingTree, "__init__", recording_init)
@@ -213,17 +331,23 @@ def _record_tuple_searches(monkeypatch) -> list[list[int]]:
 
 
 def test_a_state_deletion_walks_its_subtree_once(monkeypatch):
-    # On the tree the first call built and on the copies later calls edit.
+    # Once per machine object: the tree the first call built, the tree
+    # the second call keeps and the copies later calls edit share one
+    # holder of input facts, so the first call walks the subtree of each
+    # state it deletes, once, and later calls walk none.
     line = _fresh_s1k()
     calls = _record_closures(monkeypatch)
+    walked = []
     for _ in range(3):
         calls.clear()
         result = instantiate(*line)
-        deletions = sum(step.rule in ("delete_simple_state",
-                                      "delete_or_state", "delete_and_state")
-                        for step in result.trace)
-        assert deletions > 50
-        assert sum(walk for walk, _ in calls) == deletions
+        deleted = sorted(step.subject for step in result.trace
+                         if step.rule in ("delete_simple_state",
+                                          "delete_or_state",
+                                          "delete_and_state"))
+        assert len(deleted) > 50
+        walked.append(sorted(start for start, _ in calls if start))
+    assert walked == [deleted, [], []]
 
 
 def test_check_confluence_compares_trees_without_rebuilding(monkeypatch):

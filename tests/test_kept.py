@@ -1,6 +1,8 @@
 """What ``instantiate`` and ``check_confluence`` keep on a machine object
-is invisible: every call gives what it gives on a fresh machine, the
-kept tree is never edited, the verdict is drawn again for other feature
+is invisible: every call gives what it gives on a fresh machine, also
+when threads run different configurations on it at once, the kept tree
+is never edited, every entry of the kept holder of input facts is what
+the machine gives afresh, the verdict is drawn again for other feature
 model or mapping objects, and nothing outlives the machine."""
 
 import contextlib
@@ -11,17 +13,19 @@ import random
 import sys
 import threading
 import weakref
+from dataclasses import replace
 
 import pytest
 
-from conftest import S1K_GENERATOR, S1K_SEED, line_for
-from generators import generated_line, inject_transition_faults
+from conftest import S1K_GENERATOR, S1K_SEED, line_for, tree_maps
+from generators import (configurations, generated_line,
+                        inject_transition_faults)
 from scpl.binding import nsc
 from scpl.errors import ScplError
 from scpl.features import build_configuration
-from scpl.model import (FeatureModel, ImpEntry, ImpMapping, OrState,
-                        SimpleState, StateChart, Transition)
-from scpl.rewrite import WorkingTree
+from scpl.model import (FeatureModel, ImpEntry, ImpMapping, MachineIndex,
+                        OrState, SimpleState, StateChart, Transition, reached)
+from scpl.rewrite import InputFacts, WorkingTree
 from scpl.strategy import (GeneratedLine, check_confluence,
                            generate_random_product_line, instantiate,
                            validate_inputs)
@@ -38,12 +42,39 @@ def _outcome(run):
     return result.statechart, repr(result.trace)
 
 
+def _assert_facts_hold(facts: InputFacts, sc: StateChart) -> None:
+    """Every entry of a holder of input facts is what it should be for
+    ``sc``, drawn afresh: the lists and the atom map as a built tree's,
+    each subtree walked over the children of the input, each cleared
+    copy the input element with its flag cleared, and each frozen
+    composite the one that the input with every flag cleared holds,
+    rebuilt from a tree whose flags are cleared by hand."""
+    fresh = WorkingTree(sc)
+    assert facts.optional_states == fresh.facts.optional_states
+    assert facts.optional_transitions == fresh.facts.optional_transitions
+    assert facts.atom_users == fresh.facts.atom_users
+    for name, (doomed, ordered) in facts.subtrees.items():
+        assert doomed == reached(name, fresh.children)
+        assert ordered == tuple(sorted(doomed))
+    for made, elements in ((facts.cleared_states, fresh.states),
+                           (facts.cleared_transitions, fresh.transitions)):
+        for name, clear in made.items():
+            assert clear == replace(elements[name], optional=False)
+    for elements in (fresh.states, fresh.transitions):
+        for name, x in elements.items():
+            elements[name] = replace(x, optional=False)
+    cleared = MachineIndex(fresh.freeze()).states
+    for name, frozen in facts.frozen.items():
+        assert frozen == cleared[name]
+
+
 def _assert_invisible(line: GeneratedLine, *, validate: bool = True) -> None:
     """Three calls on ``line``, which no call has met yet, give what one
-    call on a deep copy of its machine gives; the tree then kept is a fresh tree of the
-    machine, and the machine pickles as before.  On a twin machine, an
-    instantiation under the reversed order after a check gives what it
-    gives on a fresh one."""
+    call on a deep copy of its machine gives; the tree then kept has the
+    maps of a fresh tree of the machine, the holder of input facts kept
+    with it holds for the machine, and the machine pickles as before.  On
+    a twin machine, an instantiation under the reversed order after a
+    check gives what it gives on a fresh one."""
     untouched = pickle.dumps(line.sc)
 
     def twin():
@@ -54,7 +85,14 @@ def _assert_invisible(line: GeneratedLine, *, validate: bool = True) -> None:
     for _ in range(3):
         assert _outcome(lambda: instantiate(*line, validate=validate)) \
             == expected
-    assert vars(line.sc._kept.tree) == vars(WorkingTree(line.sc))
+    kept, fresh = line.sc._kept, WorkingTree(line.sc)
+    assert tree_maps(kept.tree) | {"mine": None} == tree_maps(fresh)
+    # A built tree owns all of its containers (None); the kept tree owns
+    # none once a call has copied it (an empty set).  Every tree of the
+    # machine shares the kept holder.
+    assert fresh.mine is None and not kept.tree.mine
+    assert kept.tree.facts is kept.facts
+    _assert_facts_hold(kept.facts, line.sc)
     assert pickle.dumps(line.sc) == untouched
 
     order = sorted(nsc(line.fm, line.conf, line.sc, line.imp), reverse=True)
@@ -139,8 +177,8 @@ def test_nothing_is_kept_once_the_machine_is_dropped(monkeypatch):
     trees = weakref.WeakSet()
     init, copy_tree = WorkingTree.__init__, WorkingTree.copy
 
-    def recording_init(self, sc):
-        init(self, sc)
+    def recording_init(self, *args):
+        init(self, *args)
         trees.add(self)
 
     def recording_copy(self):
@@ -191,3 +229,43 @@ def test_threads_on_one_machine_share_no_tree():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == [[want] * 16 for want in expected]
+
+
+def test_threads_interleaving_configurations_on_one_machine():
+    # Each thread runs every configuration of two lines (142 and 4), from
+    # its own starting point, on the lines' machine objects, which none
+    # has met:
+    # the threads fill each machine's one holder of input facts at once,
+    # and every result must be what the configuration gives alone.
+    lines = [generate_random_product_line(seed, **S1K_GENERATOR)
+             for seed in (0, S1K_SEED)]
+    confs = [configurations(line) for line in lines]
+    expected = [[_outcome(lambda: instantiate(
+        line.fm, conf, copy.deepcopy(line.sc), line.imp))
+        for conf in line_confs] for line, line_confs in zip(lines, confs)]
+    got: list[list] = [[] for _ in range(4)]
+
+    def work(k):
+        for i, (line, line_confs) in enumerate(zip(lines, confs)):
+            n = len(line_confs)
+            for j in range(n):
+                j = (j + k * n // 4) % n
+                got[k].append((i, j, _outcome(lambda: instantiate(
+                    line.fm, line_confs[j], line.sc, line.imp))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [len(runs) for runs in got] == [142 + 4] * 4
+    for runs in got:
+        for i, j, outcome in runs:
+            assert outcome == expected[i][j], (i, j)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import simple_chain
+from conftest import simple_chain, tree_maps
 from generators import (generated_line, inject_transition_faults,
                         random_and_composite, random_or_composite)
 from oracles import and_closure, closure
@@ -210,15 +210,16 @@ def test_working_tree_copy_edits_apart_from_its_original(chain):
     tree = WorkingTree(chain)
     tree.delete_state("E1", PendingSet({"E1", "E2"}))
     twin = tree.copy()
-    assert vars(twin) == vars(tree)
+    assert tree_maps(twin) == tree_maps(tree)
+    assert twin.facts is tree.facts
     inner = ("children", "owned", "adjacent")
     # The copy shares every inner dict and set until it writes one.
     for m in inner:
         source = getattr(tree, m)
         assert all(c is source[k] for k, c in getattr(twin, m).items()), m
-    before = deepcopy(vars(tree))
+    before = deepcopy(tree_maps(tree))
     twin.delete_state("E2", PendingSet({"E2"}))
-    assert vars(tree) == before
+    assert tree_maps(tree) == before
     # Only the containers the deletion wrote were copied.
     copied = {(m, k) for m in inner for k, c in getattr(twin, m).items()
               if c is not getattr(tree, m).get(k)}
@@ -227,7 +228,8 @@ def test_working_tree_copy_edits_apart_from_its_original(chain):
     assert copied == written == {("children", "Root"), ("owned", "Root"),
                                  ("adjacent", "A"), ("adjacent", "B")}
     tree.delete_state("E2", PendingSet({"E2"}))
-    assert vars(tree) == vars(twin)
+    assert tree_maps(tree) == tree_maps(twin)
+    assert twin.facts is tree.facts
     # Dict equality ignores order, so check where the addition went.
     assert list(tree.owned["Root"])[-1] == "comp(t1,t2,t3)"
     assert list(twin.owned["Root"])[-1] == "comp(t1,t2,t3)"
