@@ -31,13 +31,19 @@ Or-state has a coordinate, the region's direct substate holding it, which
 a deletion finds by walking up from that state, for the names it reads
 alone; a state inside any other region is reached with that region, so it
 has no coordinate.  An exit asks only which coordinates its own region
-reaches, so the deletion searches the regions one coupled component
-(``model.partition``) at a time -- regions are coupled only through
-in-state atoms naming each other's states, never through shared triggers.
-A region alone in its component is a plain graph, and costs one closure
-(``model.reached``) over its moves; only a component of two or more
-regions is searched over its region tuples, up to ``TUPLE_BUDGET`` of
-them.  ``strategy.instantiate`` meets no coupled component, as layer 1 has
+reaches, and one without a coordinate pairs with every entry, so the
+deletion resolves its exits' coordinates first and searches only the
+coupled components (``model.partition``) holding a region that some exit
+leaves from -- regions are coupled only through in-state atoms naming
+each other's states, never through shared triggers.  When no exit leaves
+from inside an Or-region, it builds no move at all.  A region alone in
+its component is a plain graph, and costs one closure (``model.reached``)
+over its moves; only a component of two or more regions is searched over
+its region tuples, up to ``TUPLE_BUDGET`` of them.  The moves and
+closures of a state some exit leaves from inside are kept in a
+``RegionTable`` of the tree's ``InputFacts``, which a later deletion of
+the state reuses while its regions own the transition names recorded.
+``strategy.instantiate`` meets no coupled component, as layer 1 has
 pruned every in-state atom naming a state inside a doomed one, so it
 searches no tuples; only ``delete_and_state`` and ``reachable_and`` on an
 unpruned machine do.  ``reachable_and`` returns the full tuple set of one
@@ -65,7 +71,7 @@ pending set, or ``()`` under ``include_pending``.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Collection, Sequence
+from typing import Collection, Sequence
 
 from .errors import (EmptyCompositeError, IsInitialError, NoInitialError,
                      NotAndError, NotOptionalError, NotSimpleError,
@@ -201,22 +207,163 @@ def _successors(region_moves: list[Move]) -> dict[str, list[str]]:
     return out
 
 
-def _projections(components: list[list[int]], moves: list[list[Move]],
-                 start: tuple[str, ...]) -> list[set[str]]:
-    """Per region, the coordinates that tuples reachable from ``start``
-    take there, one component at a time: a region alone in its component
-    by the closure of its moves (``_successors``), two or more coupled
-    regions by the search of their tuples (``_tuple_search``)."""
-    reach: list[set[str]] = [set() for _ in start]
-    for regions in components:
-        if len(regions) == 1:
-            j = regions[0]
-            reach[j] = reached(start[j], _successors(moves[j]))
-            continue
-        found = _tuple_search(regions, tuple(start[j] for j in regions), moves)
-        for p, j in enumerate(regions):
-            reach[j] = {tup[p] for tup in found}
-    return reach
+# --- region tables --------------------------------------------------------
+
+# A name a table's coordinate memo has not been asked about yet.
+_UNASKED = object()
+
+
+class RegionTable:
+    """What pairing the entries and exits of one state reads of its
+    regions (``WorkingTree._compositions``).
+
+    ``regions`` lists the state's regions -- an And-state's children, an
+    Or-state itself, none for a simple state -- and ``index`` maps each to
+    its position, or to None for a region that is not an Or-state, which
+    is its own only coordinate.  ``coordinates`` memoizes ``coordinate``.
+    Once ``fill`` has run, ``moves`` holds, per region, every transition
+    the region owns, by name, as a move between its coordinates or as
+    None; ``required`` tells whether any move carries a requirement; and
+    ``closures`` holds, per region, the coordinates reached over its
+    moves from each start coordinate asked for (``closure``).  A set
+    stored there is shared and never changed.
+
+    ``InputFacts.regions`` keeps a filled table for the trees of one
+    machine, and a deletion reuses it while each region it reads owns
+    exactly the transition names recorded (``WorkingTree._filled``): a
+    name's source, target and trigger never change, no rule moves a
+    state, and a state's subtree outlives every deletion before its own,
+    so the coordinates and moves of those names are the same in every
+    tree of the machine."""
+
+    __slots__ = ("elem", "regions", "index", "coordinates", "moves",
+                 "required", "closures")
+
+    def __init__(self, tree: "WorkingTree", elem: str):
+        states = tree.states
+        st = states[elem]
+        self.elem = elem
+        self.regions = (list(tree.children[elem]) if isinstance(st, AndState)
+                        else [elem] if isinstance(st, OrState) else [])
+        self.index = {region: j if isinstance(states[region], OrState)
+                      else None for j, region in enumerate(self.regions)}
+        self.coordinates: dict[str, tuple[int, str] | None] = {}
+        self.moves: list[dict[str, Move | None]] | None = None
+        self.required = False
+        self.closures: list[dict[str, set[str]]] = []
+
+    def coordinate(self, name: str, parent: dict[str, str | None],
+                   ) -> tuple[int, str] | None:
+        """The index of the region holding ``name`` strictly inside it,
+        and the region's direct substate holding it, when that region is
+        an Or-state; None for any other name.  The answer is walked up
+        over ``parent`` the first time the name is asked for, never down
+        the subtree: a deletion asks only about move endpoints, entry
+        targets, exit sources and in-state atoms."""
+        got = self.coordinates.get(name, _UNASKED)
+        if got is _UNASKED:
+            got = self.coordinates[name] = self._walk(name, parent)
+        return got
+
+    def _walk(self, name: str, parent: dict[str, str | None],
+              ) -> tuple[int, str] | None:
+        elem, index = self.elem, self.index
+        prev, cur = name, None if name == elem else parent.get(name)
+        while cur is not None:
+            if cur in index:
+                j = index[cur]
+                return None if j is None else (j, prev)
+            if cur == elem:
+                return None
+            prev, cur = cur, parent.get(cur)
+        return None
+
+    def fill(self, tree: "WorkingTree") -> None:
+        """Records each region's transitions as ``tree`` has them.  A
+        transition with an end outside its owner (possible on an
+        unvalidated machine) is no move.  Inside an And-state an in-state
+        atom naming a state with a coordinate requires that coordinate;
+        any other atom always holds there or is about a foreign state.  An
+        Or-state's moves carry no requirements: its reachability ignores
+        conditions."""
+        transitions, parent = tree.transitions, tree.parent
+        coordinate, owned = self.coordinate, tree.owned
+        conditioned = isinstance(tree.states[self.elem], AndState)
+        moves: list[dict[str, Move | None]] = []
+        for j, region in enumerate(self.regions):
+            rt: dict[str, Move | None] = {}
+            for name in owned.get(region, ()):
+                t = transitions[name]
+                u, v = coordinate(t.source, parent), coordinate(t.target, parent)
+                move = None
+                if u and v and u[0] == v[0] == j:
+                    needs = ()
+                    if conditioned and t.cond.atoms:
+                        needs = tuple(filter(None, (
+                            coordinate(a.state, parent) for a in t.cond.atoms
+                            if isinstance(a, InState))))
+                        self.required = self.required or bool(needs)
+                    move = (u[1], t.trigger, needs, v[1])
+                rt[name] = move
+            moves.append(rt)
+        self.closures = [{} for _ in moves]
+        self.moves = moves
+
+    def fits(self, tree: "WorkingTree", wanted: Collection[int]) -> bool:
+        """Whether each region in ``wanted`` owns in ``tree`` exactly the
+        transition names recorded for it."""
+        moves, owned, regions = self.moves, tree.owned, self.regions
+        return moves is not None and all(
+            moves[j].keys() == owned[regions[j]].keys() for j in wanted)
+
+    def keepable(self) -> bool:
+        """Whether another tree of the machine may reuse the table: no
+        move carries a requirement, which only an unpruned machine gives,
+        and no region owns a composed name, which may name a user
+        transition in one tree and a composition with other ends in
+        another."""
+        return not self.required and not any(
+            name.startswith("comp(") for rt in self.moves for name in rt)
+
+    def listed(self, j: int, blocked: Collection[str]) -> list[Move]:
+        """Region ``j``'s moves but those named in ``blocked``."""
+        rt = self.moves[j]
+        if blocked and not rt.keys().isdisjoint(blocked):
+            return [m for name, m in rt.items() if m and name not in blocked]
+        return [m for m in rt.values() if m]
+
+    def closure(self, j: int, node: str, blocked: Collection[str],
+                ) -> set[str]:
+        """The coordinates of region ``j`` reached from ``node`` over its
+        moves, closed as a graph (``_successors``), as a region alone in
+        its component is.  Kept in ``closures`` unless ``blocked`` names
+        one of the region's moves: then the moves are filtered and the
+        closure neither read nor stored."""
+        rt = self.moves[j]
+        if blocked and not rt.keys().isdisjoint(blocked):
+            return reached(node, _successors(self.listed(j, blocked)))
+        memo = self.closures[j]
+        got = memo.get(node)
+        if got is None:
+            got = memo[node] = reached(
+                node, _successors([m for m in rt.values() if m]))
+        return got
+
+
+def _searched(table: RegionTable, wanted: set[int],
+              blocked: Collection[str],
+              ) -> list[tuple[list[int], list[list[Move]]]]:
+    """The components of ``table``'s regions that hold a region in
+    ``wanted``, each with the moves its tuple search reads.  With no
+    requirement every region is alone in its component, so only the
+    wanted regions are listed and no move is listed for them; else the
+    regions are partitioned over their moves less those in ``blocked``
+    (``_components``)."""
+    if not table.required:
+        return [([j], []) for j in sorted(wanted)]
+    moves = [table.listed(j, blocked) for j in range(len(table.regions))]
+    return [(members, moves) for members in _components(moves)
+            if not wanted.isdisjoint(members)]
 
 
 # --- the working tree -----------------------------------------------------
@@ -239,8 +386,9 @@ class InputFacts:
     ``optional_states`` and ``optional_transitions`` list the input's
     optional elements, and ``atom_users`` maps each state that an in-state
     atom names to the names of the transitions carrying such an atom; the
-    tree's constructor gathers all three in its one pass.  The other four
-    maps are filled lazily, each entry by one assignment and never changed
+    constructor of a tree given no holder gathers all three in its one
+    pass, and one given a holder gathers none.  The other five maps are
+    filled lazily, each entry by one assignment and never changed
     after it, so two threads filling one holder at once can at worst build
     one entry twice:
 
@@ -258,13 +406,25 @@ class InputFacts:
       cleared, filled and read only by a swept tree, for a composite that
       no edit changed (``WorkingTree._composite``).  Such a composite's
       subtree is its input subtree with the sweep's flags cleared.
+    - ``regions``: the ``RegionTable`` of a state that some exit of its
+      deletion leaves from inside a region, filled by that deletion: the
+      regions, the coordinates asked, each region's moves by transition
+      name and its closure per start coordinate.  A deletion reuses it
+      while each region it reads owns exactly the names recorded
+      (``WorkingTree._filled``), and replaces it otherwise.  A table
+      whose moves carry requirements, which only a machine whose atoms
+      were not pruned gives, is never kept, so the trees that
+      ``strategy._rewrite`` prunes first are the ones that read it.  A
+      table is filled before it is kept, and its memos are filled one
+      entry by one assignment, so threads share it as they share the
+      other maps.
 
     It holds no reference to a tree or to the machine object, so no
     reference cycle."""
 
     __slots__ = ("optional_states", "optional_transitions", "atom_users",
                  "subtrees", "cleared_states", "cleared_transitions",
-                 "frozen")
+                 "frozen", "regions")
 
     def __init__(self, optional_states: list[State],
                  optional_transitions: list[Transition],
@@ -276,6 +436,7 @@ class InputFacts:
         self.cleared_states: dict[str, State] = {}
         self.cleared_transitions: dict[str, Transition] = {}
         self.frozen: dict[str, State] = {}
+        self.regions: dict[str, RegionTable] = {}
 
     def subtree(self, name: str, children: dict[str, dict[str, None]],
                 ) -> tuple[frozenset[str], tuple[str, ...]]:
@@ -312,8 +473,9 @@ class WorkingTree(MachineIndex):
     upwards through the ancestors, rebuilds those composites and takes
     every other one from ``facts.frozen``.
 
-    Building one costs the index walk plus one pass over the states and
-    one over the transitions, which fills ``adjacent`` and the holder's
+    Building one costs the index walk plus one pass over the
+    transitions, which fills ``adjacent``, and, for a tree given no
+    holder, one more over the states: together they fill the holder's
     lists.  A state deletion then costs its subtree and the transitions
     touching it (``boundary`` and one pass over each to tear them down)
     plus the pairing of its entries and exits, never a pass over the
@@ -332,6 +494,7 @@ class WorkingTree(MachineIndex):
         of another tree of the same machine object."""
         super().__init__(sc)
         adjacent: dict[str, set[str]] = {}
+        gather = facts is None
         optional: list[Transition] = []
         users: dict[str, dict[str, None]] = {}
         for name, t in self.transitions.items():
@@ -340,21 +503,24 @@ class WorkingTree(MachineIndex):
                     adjacent[end].add(name)
                 else:
                     adjacent[end] = {name}
-            if t.optional:
-                optional.append(t)
-            if t.cond.atoms:
-                for atom in t.cond.atoms:
-                    if isinstance(atom, InState):
-                        users.setdefault(atom.state, {})[name] = None
+            if gather:
+                if t.optional:
+                    optional.append(t)
+                if t.cond.atoms:
+                    for atom in t.cond.atoms:
+                        if isinstance(atom, InState):
+                            users.setdefault(atom.state, {})[name] = None
+        if gather:
+            facts = InputFacts(
+                [st for st in self.states.values() if st.optional], optional,
+                users)
         self.adjacent = adjacent
         self.reshaped: dict[str, None] = {}
         self.added: dict[str, None] = {}
         self.mine: set[tuple[str, str]] | None = None
         self.dirty: set[str] = set()
         self.swept = False
-        self.facts = facts or InputFacts(
-            [st for st in self.states.values() if st.optional], optional,
-            users)
+        self.facts = facts
 
     def copy(self) -> "WorkingTree":
         """A tree with the same maps that edits apart from this one and
@@ -452,60 +618,16 @@ class WorkingTree(MachineIndex):
     # -- region projection --
 
     def _region_moves(self, elem: str, blocked: Collection[str],
-                      ) -> tuple[list[str], Callable, list[list[Move]]]:
-        """A state's regions -- an And-state's children, an Or-state
-        itself, none for a simple state -- with ``coordinate``, which maps
-        a state strictly inside a region that is an Or-state to its
-        region's index and coordinate (the region's direct substate holding
-        it) and any other name to None, and, per region, its usable
-        internal transitions as moves between coordinates.  A region that
-        is not an Or-state is its own only coordinate and has no moves, so
-        whatever lies inside it is reached with the region and has no
-        coordinate.  A transition named in ``blocked`` is no move, nor is one
-        with an end outside its owner (possible on an unvalidated machine).
-        Inside an And-state an in-state atom naming a state with a
-        coordinate requires that coordinate; any other atom always holds
-        there or is about a foreign state.  An Or-state's moves carry no
-        requirements: its reachability ignores conditions.
-
-        ``coordinate`` walks ``parent`` up from the name it is asked about
-        to the region, never down the subtree: a deletion asks only about
-        move endpoints, entry targets, exit sources and in-state atoms."""
-        st = self.states[elem]
-        regions = (list(self.children[elem]) if isinstance(st, AndState)
-                   else [elem] if isinstance(st, OrState) else [])
-        index = {region: j for j, region in enumerate(regions)}
-        parent, initial = self.parent, self.initial
-
-        def coordinate(name: str) -> tuple[int, str] | None:
-            prev, cur = name, parent.get(name)
-            while cur is not None:
-                j = index.get(cur)
-                if j is not None:
-                    return (j, prev) if cur in initial else None
-                if cur == elem:
-                    return None
-                prev, cur = cur, parent.get(cur)
-            return None
-
-        coupled = isinstance(st, AndState)
-        moves: list[list[Move]] = []
-        for j, region in enumerate(regions):
-            rt: list[Move] = []
-            for t in map(self.transitions.__getitem__,
-                         self.owned.get(region, ())):
-                if t.name in blocked:
-                    continue
-                u, v = coordinate(t.source), coordinate(t.target)
-                if u and v and u[0] == v[0] == j:
-                    needs = ()
-                    if coupled and t.cond.atoms:
-                        needs = tuple(filter(None, (
-                            coordinate(a.state) for a in t.cond.atoms
-                            if isinstance(a, InState))))
-                    rt.append((u[1], t.trigger, needs, v[1]))
-            moves.append(rt)
-        return regions, coordinate, moves
+                      ) -> tuple[list[str], list[list[Move]]]:
+        """A state's regions (``RegionTable``) and, per region, its usable
+        internal transitions as moves between coordinates: a transition
+        named in ``blocked`` is no move.  Built afresh for the public
+        reachability rules; a deletion reads the regions it needs from a
+        table it may share (``_compositions``)."""
+        table = RegionTable(self, elem)
+        table.fill(self)
+        return table.regions, [table.listed(j, blocked)
+                               for j in range(len(table.regions))]
 
     # -- state deletion --
 
@@ -643,34 +765,86 @@ class WorkingTree(MachineIndex):
                       exits: list[Transition],
                       blocked: Collection[str]) -> list[Transition]:
         """Composes each entry with every exit reachable from where the
-        entry lands, over the state's regions (``_region_moves``): the
-        search starts from the tuple of region initials with the entry
-        target's coordinate (``coordinate``) substituted in its region.  An
-        exit pairs when its source has no coordinate -- it is the state, a
-        region, or inside a region that is not an Or-state -- or when its
-        coordinate is in its region's projection of the reachable tuples
-        (``_projections``).  A simple state has no regions, so all its
-        entries and exits pair.  Each pair composes by ``_composed``: the
-        entry and exit are usable and meet at the state by construction,
-        so ``comp``'s checks could not fail."""
+        entry lands, over the state's regions (``RegionTable``).  The exits'
+        coordinates are resolved first.  An exit pairs with every entry
+        when its source has no coordinate -- it is the state, a region, or
+        inside a region that is not an Or-state; otherwise when its
+        coordinate is reached in its region from the tuple of region
+        initials with the entry target's coordinate substituted in its
+        region.  Only the components (``_components``) holding a region
+        that some exit leaves from are searched (``_reach``): a region
+        alone in its component by the closure of its moves, two or more
+        coupled regions by the search of their tuples.  So when no exit
+        has a coordinate, as for a simple state, every entry pairs with
+        every exit and no move, component or closure is built.
+
+        For a state some exit leaves from inside a region, the table
+        comes from ``InputFacts.regions`` while it fits (``_filled``), so
+        a later deletion of the state, under any configuration, builds
+        none of it again.  Each pair composes by ``_composed``: the entry
+        and exit are usable and meet at the state by construction, so
+        ``comp``'s checks could not fail."""
         if not (entries and exits):
             return []
-        regions, coordinate, moves = self._region_moves(elem, blocked)
-        components = _components(moves)
-        default = [self.initial.get(r, r) for r in regions]
-        leaving = [(coordinate(ts.source), ts) for ts in exits]
+        parent = self.parent
+        table = self.facts.regions.get(elem) or RegionTable(self, elem)
+        leaving = [(table.coordinate(ts.source, parent), ts) for ts in exits]
+        wanted = {at[0] for at, _ in leaving if at}
+        searched: list[tuple[list[int], list[list[Move]]]] = []
+        if wanted:
+            table = self._filled(table, wanted)
+            searched = _searched(table, wanted, blocked)
         out: list[Transition] = []
         for te in entries:
-            start = list(default)
-            lands = coordinate(te.target)
-            if lands is not None:
-                j, node = lands
-                start[j] = node
-            reach = _projections(components, moves, tuple(start))
+            reach = self._reach(table, searched, te.target, blocked)
             for at, ts in leaving:
                 if at is None or at[1] in reach[at[0]]:
                     out.append(_composed(te, ts))
         return out
+
+    def _filled(self, table: RegionTable, wanted: set[int],
+                ) -> RegionTable:
+        """``table`` when it is filled and each region in ``wanted`` owns
+        exactly the transition names it records; else a table filled from
+        this tree, which ``facts.regions`` then keeps for the state unless
+        another tree of the machine could read its names otherwise
+        (``keepable``)."""
+        if table.fits(self, wanted):
+            return table
+        if table.moves is not None:
+            stale, table = table, RegionTable(self, table.elem)
+            table.coordinates = stale.coordinates
+        table.fill(self)
+        if table.keepable():
+            self.facts.regions[table.elem] = table
+        return table
+
+    def _reach(self, table: RegionTable,
+               searched: list[tuple[list[int], list[list[Move]]]],
+               target: str, blocked: Collection[str]) -> dict[int, set[str]]:
+        """Per region of the ``searched`` components, the coordinates that
+        tuples reachable from an entry landing on ``target`` take there:
+        from the region initials, with the target's coordinate in its
+        region.  A component of one region is that region's closure
+        (``RegionTable.closure``), one of two or more the projections of
+        its tuple search (``_tuple_search``)."""
+        reach: dict[int, set[str]] = {}
+        if not searched:
+            return reach
+        lands = table.coordinate(target, self.parent)
+        initial, regions = self.initial, table.regions
+        for members, moves in searched:
+            start = tuple(lands[1] if lands and lands[0] == j
+                          else initial.get(regions[j], regions[j])
+                          for j in members)
+            if len(members) == 1:
+                reach[members[0]] = table.closure(members[0], start[0],
+                                                  blocked)
+                continue
+            found = _tuple_search(members, start, moves)
+            for p, j in enumerate(members):
+                reach[j] = {tup[p] for tup in found}
+        return reach
 
     def _lca_or_owner(self, source: str, target: str) -> str:
         """Owning Or-state for a transition between the two states: their
@@ -698,18 +872,18 @@ class WorkingTree(MachineIndex):
         hop takes the least-named transition leaving the marked substate
         for a survivor, else for a doomed substate.  One pass over the
         parent's transitions in name order maps each substate to the
-        substates they lead to from it (``_region_moves`` finds a
+        substates they lead to from it (``RegionTable.coordinate`` finds a
         coordinate by walking up), so a hop looks at its own substate's."""
         if not isinstance(self.states.get(parent), OrState):
             raise RewriteError(f"{parent!r} is not an Or-state")
         old = self.initial[parent]
         if old not in pending:
             raise RewriteError(f"initial {old!r} of {parent!r} is not pending")
-        _, coordinate, _ = self._region_moves(parent, ())
+        coordinate, up = RegionTable(self, parent).coordinate, self.parent
         leads: dict[str, list] = {}
         for name in sorted(self.owned[parent]):
             t = self.transitions[name]
-            src, tgt = coordinate(t.source), coordinate(t.target)
+            src, tgt = coordinate(t.source, up), coordinate(t.target, up)
             if src and (tgt is None or tgt[1] != src[1]):
                 leads.setdefault(src[1], []).append(tgt and tgt[1])
         cur, visited = old, {old}
@@ -893,11 +1067,15 @@ def delete_and_state(elem: str, sc: StateChart, pending: PendingSet, *,
     initials with the entry's target substituted in its region, and an
     exit is reachable when some reachable tuple holds its source substate
     at that region's coordinate.  Only that per-region projection is
-    computed: regions are partitioned into components joined by in-state
-    atoms naming a state of another region; a region alone in its
-    component is closed over its moves as a graph, and the tuples of a
-    component of two or more are searched from the start tuple's
-    projection onto it, raising TooLargeError past TUPLE_BUDGET."""
+    computed, and only for the regions some exit leaves from inside: an
+    exit leaving the And-state, a region, or a state inside a region that
+    is not an Or-state pairs with every entry.  Regions are partitioned
+    into components joined by in-state atoms naming a state of another
+    region; a region alone in its component is closed over its moves as
+    a graph, and the tuples of a component of two or more are searched
+    from the start tuple's projection onto it, raising TooLargeError past
+    TUPLE_BUDGET.  A component that no exit leaves from is not searched,
+    so it raises nothing, however large its tuple set."""
     return _delete(AndState, elem, sc, pending, include_pending)
 
 
@@ -914,7 +1092,7 @@ def reachable_or(elem: str, start: str, sc: StateChart, pending: PendingSet,
     if start not in tree.children[elem]:
         raise NotSubstateError(
             f"{start!r} is not a direct substate of {elem!r}")
-    _, _, moves = tree._region_moves(
+    _, moves = tree._region_moves(
         elem, () if include_pending else pending)
     return reached(start, _successors(moves[0]))
 
@@ -936,7 +1114,7 @@ def reachable_and(elem: str, start: tuple[str, ...], sc: StateChart,
     tree = WorkingTree(sc)
     if not isinstance(tree.states.get(elem), AndState):
         raise NotAndError(f"{elem!r} is not an And-state")
-    regions, _, moves = tree._region_moves(
+    regions, moves = tree._region_moves(
         elem, () if include_pending else pending)
     if len(start) != len(regions):
         raise NotSubstateError(

@@ -1,6 +1,7 @@
 """Seeded generators for composites used by the reachability suites, the
 generated product lines every sweep shares and every configuration of
-one, and fault injectors: for states and for transitions, for the
+one, product lines whose deleted composites are left from inside their
+regions, and fault injectors: for states and for transitions, for the
 well-formedness suites, and for feature models and configurations, for
 the feature checks."""
 
@@ -9,11 +10,13 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from functools import cache
+from itertools import count
 
-from scpl.features import enumerate_configurations
+from scpl.features import build_configuration, enumerate_configurations
 from scpl.model import (AndState, Condition, Configuration, FeatureModel,
-                        InState, MachineIndex, OrState, SimpleState,
-                        StateChart, Transition, map_states, reached)
+                        ImpEntry, ImpMapping, InState, MachineIndex, OrState,
+                        SimpleState, StateChart, Transition, map_states,
+                        reached)
 from scpl.strategy import GeneratedLine, generate_random_product_line
 
 EVENTS = ("e1", "e2")
@@ -39,6 +42,99 @@ def configurations(line: GeneratedLine) -> list[Configuration]:
     by the sorted names of the selected features."""
     return sorted(enumerate_configurations(line.fm),
                   key=lambda conf: sorted(conf.selected))
+
+
+def region_exit_line(seed: int) -> GeneratedLine:
+    """A product line whose optional composites are left from inside their
+    regions, which ``generate_random_product_line`` never draws.
+
+    Root holds In (initial), Out0, Out1, the optional simple state D and
+    the optional composites X1 and X2, each an Or-state or an And-state of
+    two or three regions.  A region is an Or-state of two to four
+    substates, one of which may be an Or-state of its own, with transitions
+    between them, about a third of them optional.  Root's transitions
+    enter each composite, at the composite or at a state inside it, and
+    leave it from states inside its regions, nested ones included, and
+    from the composite itself.  D is entered from In and from a state of
+    one region R of X1 and leaves for Out0 and for another state of R, so
+    deleting D before X1 adds a composition that R owns.  Features F1 to F5
+    are optional children of F0: F1 maps to X1, F2 to X2, F3 to D, and
+    each optional transition to one of the five at random."""
+    rng = random.Random(seed)
+    numbers = count()
+    optional: list[str] = []
+
+    def transition(source: str, target: str, may_be_optional: bool = False):
+        flag = may_be_optional and rng.random() < 0.35
+        t = Transition(f"t{next(numbers):02d}", source, target,
+                       (rng.choice(EVENTS),), optional=flag)
+        if flag:
+            optional.append(t.name)
+        return t
+
+    def region(name: str, nested: bool) -> OrState:
+        subs = []
+        for i in range(rng.randint(2, 4)):
+            sub = f"{name}s{i}"
+            subs.append(region(sub, False) if nested and i and
+                        rng.random() < 0.4 else SimpleState(sub))
+        names = [sub.name for sub in subs]
+        inner = []
+        for _ in range(rng.randint(len(subs) - 1, len(subs) + 2)):
+            a, b = rng.sample(subs, 2)
+            target = (rng.choice(b.substates).name
+                      if isinstance(b, OrState) and rng.random() < 0.4
+                      else b.name)
+            inner.append(transition(a.name, target, True))
+        return OrState(name, tuple(subs), names[0], tuple(inner))
+
+    def inside(state) -> list[str]:
+        """The states strictly inside ``state``'s regions."""
+        regions = state.regions if isinstance(state, AndState) else (state,)
+        out: list[str] = []
+        for r in regions:
+            for sub in r.substates:
+                out.append(sub.name)
+                if isinstance(sub, OrState):
+                    out.extend(s.name for s in sub.substates)
+        return out
+
+    composites = []
+    for name in ("X1", "X2"):
+        if rng.random() < 0.5:
+            composites.append(replace(region(name, True), optional=True))
+        else:
+            composites.append(AndState(name, tuple(
+                region(f"{name}r{j}", True)
+                for j in range(rng.randint(2, 3))), True))
+    outer = []
+    for x in composites:
+        states = inside(x)
+        outer.append(transition("In", x.name))
+        for target in rng.sample(states, 2):
+            outer.append(transition("In", target))
+        for source in rng.sample(states, min(3, len(states))):
+            outer.append(transition(source, rng.choice(("Out0", "Out1"))))
+        outer.append(transition(x.name, "Out1"))
+    x1 = composites[0]
+    r = rng.choice(x1.regions) if isinstance(x1, AndState) else x1
+    a, b = rng.sample([sub.name for sub in r.substates], 2)
+    outer += [transition("In", "D"), transition(a, "D"),
+              transition("D", b), transition("D", "Out0")]
+    sc = StateChart(OrState(
+        "Root", (SimpleState("In"), SimpleState("D", True), *composites,
+                 SimpleState("Out0"), SimpleState("Out1")),
+        "In", tuple(outer)))
+    features = [f"F{i}" for i in range(1, 6)]
+    fm = FeatureModel(frozenset(["F0", *features]), "F0", opt=frozenset(
+        ("F0", frozenset({f})) for f in features))
+    elements: dict[str, set[str]] = {"F1": {"X1"}, "F2": {"X2"}, "F3": {"D"}}
+    for name in optional:
+        elements.setdefault(rng.choice(features), set()).add(name)
+    imp = ImpMapping.from_dict({f: ImpEntry(frozenset(els))
+                                for f, els in elements.items()})
+    return GeneratedLine(fm, build_configuration(fm, frozenset({"F0"})),
+                         sc, imp)
 
 
 def random_or_composite(seed: int, max_substates: int = 6):

@@ -282,6 +282,39 @@ def test_pruning_reads_only_transitions_with_an_in_state_atom(monkeypatch):
         assert len({t.name for t in read}) < conditioned
 
 
+def test_a_tree_built_with_a_holder_reads_no_condition(monkeypatch):
+    # The second call on a machine builds the tree it keeps, with the
+    # holder the first call made, so it gathers neither the optional
+    # elements nor the in-state atoms again: it reads no transition's
+    # condition or optional flag, and no state's flag.
+    line = _fresh_s1k()
+    instantiate(*line)
+    slots = {(owner, field): owner.__dict__[field]
+             for owner, field in ((Transition, "cond"),
+                                  (Transition, "optional"),
+                                  (SimpleState, "optional"),
+                                  (OrState, "optional"),
+                                  (AndState, "optional"))}
+    read: list[str] = []
+    init = WorkingTree.__init__
+
+    def recording_init(self, sc, facts=None):
+        for (owner, field), slot in slots.items():
+            monkeypatch.setattr(owner, field, property(
+                lambda x, slot=slot, field=field:
+                    read.append(field) or slot.__get__(x)))
+        try:
+            init(self, sc, facts)
+        finally:
+            for (owner, field), slot in slots.items():
+                monkeypatch.setattr(owner, field, slot)
+
+    monkeypatch.setattr(WorkingTree, "__init__", recording_init)
+    instantiate(*line)
+    assert line.sc._kept.tree is not None
+    assert read == []
+
+
 def _record_closures(monkeypatch) -> list[tuple[str | None, int]]:
     """Wraps the rewrite rules' ``reached`` by a recorder of one pair per
     call: the name it started from when it walked the ``children`` of a
@@ -451,12 +484,14 @@ def test_the_machine_is_written_without_the_generic_writer(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def test_initial_repair_costs_each_hop_its_own_transitions():
+def test_initial_repair_costs_each_hop_its_own_transitions(monkeypatch):
     # Scanning all of the parent's transitions per hop is quadratic: about
     # 1.2 s at 2,000 states, and well over a minute on this chain of 20,000
-    # doomed states, which the marker crosses hop by hop.  The names sort
-    # in chain order, so each deletion finds its predecessor gone and
-    # composes nothing.
+    # doomed states, which the marker crosses hop by hop, reading both
+    # ends of 20,000 transitions per hop.  The repair reads each
+    # transition's ends once in all, so a hop costs a few reads.  The
+    # names sort in chain order, so each deletion finds its predecessor
+    # gone and composes nothing.
     names = [f"S{i:05d}" for i in range(20_000)]
     sc = StateChart(OrState(
         "Root", tuple(SimpleState(n, optional=True) for n in names)
@@ -466,9 +501,25 @@ def test_initial_repair_costs_each_hop_its_own_transitions():
     fm = FeatureModel(frozenset({"R", "X"}), "R",
                       opt=frozenset({("R", frozenset({"X"}))}))
     imp = ImpMapping.from_dict({"X": ImpEntry(frozenset(names))})
-    start = time.perf_counter()
+    reads = [0]
+    ends = {field: Transition.__dict__[field] for field in ("source", "target")}
+    repair = WorkingTree.repair_initial
+
+    def counting_repair(self, parent, pending):
+        for field, slot in ends.items():
+            monkeypatch.setattr(Transition, field, property(
+                lambda t, slot=slot: reads.__setitem__(0, reads[0] + 1)
+                or slot.__get__(t)))
+        try:
+            return repair(self, parent, pending)
+        finally:
+            for field, slot in ends.items():
+                monkeypatch.setattr(Transition, field, slot)
+
+    monkeypatch.setattr(WorkingTree, "repair_initial", counting_repair)
     result = instantiate(fm, Configuration(frozenset({"R"})), sc, imp)
-    assert time.perf_counter() - start < 1.0
+    hops = len(names)
+    assert reads[0] <= 4 * hops
     assert result.statechart.root.initial == "E"
     assert result.trace.steps[0].detail == f"initial {names[0]} -> E"
 
@@ -611,12 +662,12 @@ def test_check_confluence_checks_well_formedness_once(monkeypatch):
     assert calls[0] == 1
 
 
-def _rings(count: int) -> StateChart:
+def _rings(count: int, inner_exit: bool = True) -> StateChart:
     """An optional And-state A of ``count`` rings of 6 substates over three
     shared triggers, with no in-state atoms, entered from In and left from
-    R0S3 and from A itself.  The triggers are drawn at random: a periodic
-    pattern would keep the regions in lockstep, and even the product of
-    all regions small."""
+    R0S3, unless ``inner_exit`` is false, and from A itself.  The triggers
+    are drawn at random: a periodic pattern would keep the regions in
+    lockstep, and even the product of all regions small."""
     rng = random.Random(3)
     regions = []
     for i in range(count):
@@ -631,24 +682,96 @@ def _rings(count: int) -> StateChart:
          SimpleState("OutX"), SimpleState("OutY")),
         "In",
         (Transition("enter", "In", "A", ("go",)),
-         Transition("exitX", "R0S3", "OutX", ("x",)),
+         *[Transition("exitX", "R0S3", "OutX", ("x",))][:inner_exit],
          Transition("exitY", "A", "OutY", ("y",)))))
 
 
 def test_and_state_deletion_searches_uncoupled_regions_apart(monkeypatch):
-    # 12 rings: 6**12 (about 2.2e9) tuples, but 12 lone regions, each
-    # closed over its own moves with no tuple search at all.
+    # 12 rings: 6**12 (about 2.2e9) tuples, but 12 lone regions.  Only R0
+    # holds an exit's source, so the first call closes R0 alone, over its
+    # own moves with no tuple search at all; the second call reads that
+    # closure from the table kept on the machine and closes nothing.
     sc = _rings(12)
     searched = _record_tuple_searches(monkeypatch)
     calls = _record_closures(monkeypatch)
     fm, conf, imp = line_for(sc, {"A"})
+    closed = []
+    for _ in range(2):
+        calls.clear()
+        result = instantiate(fm, conf, sc, imp)
+        assert searched == []
+        closed.append([size for walk, size in calls if not walk])
+        assert set(MachineIndex(result.statechart).transitions) == {
+            "comp(enter,exitX)", "comp(enter,exitY)"}
+    assert len(closed[0]) == 1 and 0 < closed[0][0] <= 6
+    assert closed[1] == []
+
+
+class _ReadLog(dict):
+    """A flat copy of a map that logs each key read by ``[]`` or ``get``."""
+
+    def __init__(self, data, log: list):
+        super().__init__(data)
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.log.append(key)
+        return super().get(key, default)
+
+
+def _record_pairing_reads(monkeypatch, attr: str) -> tuple[list, list]:
+    """Wraps ``WorkingTree._compositions``, which pairs a deletion's
+    entries and exits, so that it reads the tree's map ``attr`` through a
+    ``_ReadLog``.  Returns the keys read, and one flag per pairing that
+    had both entries and exits."""
+    reads: list = []
+    paired: list[bool] = []
+    compositions = WorkingTree._compositions
+
+    def recording(self, elem, entries, exits, blocked):
+        paired.append(bool(entries and exits))
+        kept = getattr(self, attr)
+        setattr(self, attr, _ReadLog(kept, reads))
+        try:
+            return compositions(self, elem, entries, exits, blocked)
+        finally:
+            setattr(self, attr, kept)
+
+    monkeypatch.setattr(WorkingTree, "_compositions", recording)
+    return reads, paired
+
+
+def test_a_deletion_left_from_the_state_itself_builds_no_region_move(
+        monkeypatch):
+    # Every exit leaves A itself, so every entry pairs with it whatever
+    # the regions reach: the pairing reads no region's transitions.
+    sc = _rings(12, inner_exit=False)
+    reads, paired = _record_pairing_reads(monkeypatch, "owned")
+    fm, conf, imp = line_for(sc, {"A"})
     result = instantiate(fm, conf, sc, imp)
-    assert searched == []
-    closures = [size for walk, size in calls if not walk]
-    assert len(closures) == 12
-    assert all(0 < size <= 6 for size in closures)
+    assert paired == [True]
+    assert reads == []
     assert set(MachineIndex(result.statechart).transitions) == {
-        "comp(enter,exitX)", "comp(enter,exitY)"}
+        "comp(enter,exitY)"}
+
+
+def test_a_second_deletion_of_a_state_walks_no_coordinate(monkeypatch):
+    # The first call walks up from the names it reads; the second reads
+    # their coordinates from the table kept on the machine.
+    sc = _rings(12)
+    reads, paired = _record_pairing_reads(monkeypatch, "parent")
+    fm, conf, imp = line_for(sc, {"A"})
+    walked = []
+    for _ in range(2):
+        reads.clear()
+        instantiate(fm, conf, sc, imp)
+        walked.append(len(reads))
+    assert paired == [True, True]
+    assert walked[0] > 0 and walked[1] == 0
 
 
 def _coupled_pair() -> StateChart:
@@ -693,21 +816,22 @@ def test_instantiate_searches_no_tuples(monkeypatch, include_pending):
         + [generated_line(seed, **large)
            for seed in range(1_500_000, 1_500_050)])
     searched = _record_tuple_searches(monkeypatch)
-    calls = _record_closures(monkeypatch)
+    reads, paired = _record_pairing_reads(monkeypatch, "owned")
     for line in lines:
         with contextlib.suppress(ScplError):
             instantiate(*line, include_pending=include_pending)
     assert searched == []
-    # Each lone region was closed over its moves, so a sweep that
-    # searched them as tuples again would have recorded searches here.
-    assert sum(not walk for walk, _ in calls) > 0
+    # No exit of these lines leaves a state from inside a region, so every
+    # pairing, of which there are many, reads no region's transitions.
+    assert sum(paired) > 50
+    assert reads == []
 
 
-def _coupled_rings(count: int) -> StateChart:
+def _coupled_rings(count: int, exit_from: str = "R0S3") -> StateChart:
     """An optional And-state A of ``count`` rings of 4 substates, each on
     its own trigger, plus one chord per ring waiting for the next ring's
     first substate, which couples all of them into one component of
-    4**count tuples; entered from In and left from R0S3."""
+    4**count tuples; entered from In and left from ``exit_from``."""
     regions = []
     for i in range(count):
         names = [f"R{i}S{j}" for j in range(4)]
@@ -723,7 +847,7 @@ def _coupled_rings(count: int) -> StateChart:
          SimpleState("Out")),
         "In",
         (Transition("enter", "In", "A", ("go",)),
-         Transition("exit", "R0S3", "Out", ("x",)))))
+         Transition("exit", exit_from, "Out", ("x",)))))
 
 
 def _starts(count: int) -> tuple[str, ...]:
@@ -743,6 +867,18 @@ def test_a_coupled_search_stops_at_the_tuple_budget(run):
     with pytest.raises(TooLargeError, match="10 regions"):
         run(sc)
     assert time.perf_counter() - began < 2
+
+
+def test_a_coupled_component_no_exit_leaves_from_is_not_searched(
+        monkeypatch):
+    # The same 4**10 tuples, but the exit leaves A itself, so it pairs
+    # with the entry whatever the regions reach: the deletion searches no
+    # component and stays within the budget.
+    sc = _coupled_rings(10, exit_from="A")
+    searched = _record_tuple_searches(monkeypatch)
+    out = delete_and_state("A", sc, PendingSet({"A"}))
+    assert searched == []
+    assert set(MachineIndex(out).transitions) == {"comp(enter,exit)"}
 
 
 def test_reachable_and_stops_at_the_tuple_budget_on_uncoupled_regions():
