@@ -36,18 +36,19 @@ deletion resolves its exits' coordinates first and searches only the
 coupled components (``model.partition``) holding a region that some exit
 leaves from -- regions are coupled only through in-state atoms naming
 each other's states, never through shared triggers.  When no exit leaves
-from inside an Or-region, it builds no move at all.  A region alone in
-its component is a plain graph, and costs one closure (``model.reached``)
-over its moves; only a component of two or more regions is searched over
-its region tuples, up to ``TUPLE_BUDGET`` of them.  The moves and
-closures of a state some exit leaves from inside are kept in a
-``RegionTable`` of the tree's ``InputFacts``, which a later deletion of
-the state reuses while its regions own the transition names recorded.
-``strategy.instantiate`` meets no coupled component, as layer 1 has
-pruned every in-state atom naming a state inside a doomed one, so it
-searches no tuples; only ``delete_and_state`` and ``reachable_and`` on an
-unpruned machine do.  ``reachable_and`` returns the full tuple set of one
-joint search; ``reachable_or`` is the closure of its one region.
+from inside an Or-region, it builds no move at all.  Otherwise, when no
+transition of the regions carries an in-state atom, every region is
+alone in its component and only the regions some exit leaves from get
+their moves built; else every region's are, since the components depend
+on them.  Nothing of this is kept between deletions.  A region alone in its component is a plain graph, and costs
+one closure (``model.reached``) over its moves; only a component of two
+or more regions is searched over its region tuples, up to
+``TUPLE_BUDGET`` of them.  ``strategy.instantiate`` meets no coupled
+component, as layer 1 has pruned every in-state atom naming a state
+inside a doomed one, so it searches no tuples; only ``delete_and_state``
+and ``reachable_and`` on an unpruned machine do.  ``reachable_and``
+returns the full tuple set of one joint search; ``reachable_or`` is the
+closure of its one region.
 A deletion reads names only, never the order of the machine's
 transitions: its compositions are owned, checked and added in name order.
 It walks its subtree at most once per machine object (``boundary``, kept
@@ -71,7 +72,7 @@ pending set, or ``()`` under ``include_pending``.
 from __future__ import annotations
 
 from itertools import product
-from typing import Collection, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import (EmptyCompositeError, IsInitialError, NoInitialError,
                      NotAndError, NotOptionalError, NotSimpleError,
@@ -207,163 +208,23 @@ def _successors(region_moves: list[Move]) -> dict[str, list[str]]:
     return out
 
 
-# --- region tables --------------------------------------------------------
-
-# A name a table's coordinate memo has not been asked about yet.
-_UNASKED = object()
-
-
-class RegionTable:
-    """What pairing the entries and exits of one state reads of its
-    regions (``WorkingTree._compositions``).
-
-    ``regions`` lists the state's regions -- an And-state's children, an
-    Or-state itself, none for a simple state -- and ``index`` maps each to
-    its position, or to None for a region that is not an Or-state, which
-    is its own only coordinate.  ``coordinates`` memoizes ``coordinate``.
-    Once ``fill`` has run, ``moves`` holds, per region, every transition
-    the region owns, by name, as a move between its coordinates or as
-    None; ``required`` tells whether any move carries a requirement; and
-    ``closures`` holds, per region, the coordinates reached over its
-    moves from each start coordinate asked for (``closure``).  A set
-    stored there is shared and never changed.
-
-    ``InputFacts.regions`` keeps a filled table for the trees of one
-    machine, and a deletion reuses it while each region it reads owns
-    exactly the transition names recorded (``WorkingTree._filled``): a
-    name's source, target and trigger never change, no rule moves a
-    state, and a state's subtree outlives every deletion before its own,
-    so the coordinates and moves of those names are the same in every
-    tree of the machine."""
-
-    __slots__ = ("elem", "regions", "index", "coordinates", "moves",
-                 "required", "closures")
-
-    def __init__(self, tree: "WorkingTree", elem: str):
-        states = tree.states
-        st = states[elem]
-        self.elem = elem
-        self.regions = (list(tree.children[elem]) if isinstance(st, AndState)
-                        else [elem] if isinstance(st, OrState) else [])
-        self.index = {region: j if isinstance(states[region], OrState)
-                      else None for j, region in enumerate(self.regions)}
-        self.coordinates: dict[str, tuple[int, str] | None] = {}
-        self.moves: list[dict[str, Move | None]] | None = None
-        self.required = False
-        self.closures: list[dict[str, set[str]]] = []
-
-    def coordinate(self, name: str, parent: dict[str, str | None],
-                   ) -> tuple[int, str] | None:
-        """The index of the region holding ``name`` strictly inside it,
-        and the region's direct substate holding it, when that region is
-        an Or-state; None for any other name.  The answer is walked up
-        over ``parent`` the first time the name is asked for, never down
-        the subtree: a deletion asks only about move endpoints, entry
-        targets, exit sources and in-state atoms."""
-        got = self.coordinates.get(name, _UNASKED)
-        if got is _UNASKED:
-            got = self.coordinates[name] = self._walk(name, parent)
-        return got
-
-    def _walk(self, name: str, parent: dict[str, str | None],
-              ) -> tuple[int, str] | None:
-        elem, index = self.elem, self.index
-        prev, cur = name, None if name == elem else parent.get(name)
-        while cur is not None:
-            if cur in index:
-                j = index[cur]
-                return None if j is None else (j, prev)
-            if cur == elem:
-                return None
-            prev, cur = cur, parent.get(cur)
-        return None
-
-    def fill(self, tree: "WorkingTree") -> None:
-        """Records each region's transitions as ``tree`` has them.  A
-        transition with an end outside its owner (possible on an
-        unvalidated machine) is no move.  Inside an And-state an in-state
-        atom naming a state with a coordinate requires that coordinate;
-        any other atom always holds there or is about a foreign state.  An
-        Or-state's moves carry no requirements: its reachability ignores
-        conditions."""
-        transitions, parent = tree.transitions, tree.parent
-        coordinate, owned = self.coordinate, tree.owned
-        conditioned = isinstance(tree.states[self.elem], AndState)
-        moves: list[dict[str, Move | None]] = []
-        for j, region in enumerate(self.regions):
-            rt: dict[str, Move | None] = {}
-            for name in owned.get(region, ()):
-                t = transitions[name]
-                u, v = coordinate(t.source, parent), coordinate(t.target, parent)
-                move = None
-                if u and v and u[0] == v[0] == j:
-                    needs = ()
-                    if conditioned and t.cond.atoms:
-                        needs = tuple(filter(None, (
-                            coordinate(a.state, parent) for a in t.cond.atoms
-                            if isinstance(a, InState))))
-                        self.required = self.required or bool(needs)
-                    move = (u[1], t.trigger, needs, v[1])
-                rt[name] = move
-            moves.append(rt)
-        self.closures = [{} for _ in moves]
-        self.moves = moves
-
-    def fits(self, tree: "WorkingTree", wanted: Collection[int]) -> bool:
-        """Whether each region in ``wanted`` owns in ``tree`` exactly the
-        transition names recorded for it."""
-        moves, owned, regions = self.moves, tree.owned, self.regions
-        return moves is not None and all(
-            moves[j].keys() == owned[regions[j]].keys() for j in wanted)
-
-    def keepable(self) -> bool:
-        """Whether another tree of the machine may reuse the table: no
-        move carries a requirement, which only an unpruned machine gives,
-        and no region owns a composed name, which may name a user
-        transition in one tree and a composition with other ends in
-        another."""
-        return not self.required and not any(
-            name.startswith("comp(") for rt in self.moves for name in rt)
-
-    def listed(self, j: int, blocked: Collection[str]) -> list[Move]:
-        """Region ``j``'s moves but those named in ``blocked``."""
-        rt = self.moves[j]
-        if blocked and not rt.keys().isdisjoint(blocked):
-            return [m for name, m in rt.items() if m and name not in blocked]
-        return [m for m in rt.values() if m]
-
-    def closure(self, j: int, node: str, blocked: Collection[str],
-                ) -> set[str]:
-        """The coordinates of region ``j`` reached from ``node`` over its
-        moves, closed as a graph (``_successors``), as a region alone in
-        its component is.  Kept in ``closures`` unless ``blocked`` names
-        one of the region's moves: then the moves are filtered and the
-        closure neither read nor stored."""
-        rt = self.moves[j]
-        if blocked and not rt.keys().isdisjoint(blocked):
-            return reached(node, _successors(self.listed(j, blocked)))
-        memo = self.closures[j]
-        got = memo.get(node)
-        if got is None:
-            got = memo[node] = reached(
-                node, _successors([m for m in rt.values() if m]))
-        return got
-
-
-def _searched(table: RegionTable, wanted: set[int],
-              blocked: Collection[str],
-              ) -> list[tuple[list[int], list[list[Move]]]]:
-    """The components of ``table``'s regions that hold a region in
-    ``wanted``, each with the moves its tuple search reads.  With no
-    requirement every region is alone in its component, so only the
-    wanted regions are listed and no move is listed for them; else the
-    regions are partitioned over their moves less those in ``blocked``
-    (``_components``)."""
-    if not table.required:
-        return [([j], []) for j in sorted(wanted)]
-    moves = [table.listed(j, blocked) for j in range(len(table.regions))]
-    return [(members, moves) for members in _components(moves)
-            if not wanted.isdisjoint(members)]
+def _projections(components: list[list[int]], moves: list[list[Move]],
+                 start: tuple[str, ...]) -> list[set[str]]:
+    """Per region, the coordinates that tuples reachable from ``start``
+    take there, for the regions of the given components, one component at
+    a time: a region alone in its component by the closure of its moves
+    (``_successors``), two or more coupled regions by the search of their
+    tuples (``_tuple_search``).  Every other region's set is empty."""
+    reach: list[set[str]] = [set() for _ in start]
+    for regions in components:
+        if len(regions) == 1:
+            j = regions[0]
+            reach[j] = reached(start[j], _successors(moves[j]))
+            continue
+        found = _tuple_search(regions, tuple(start[j] for j in regions), moves)
+        for p, j in enumerate(regions):
+            reach[j] = {tup[p] for tup in found}
+    return reach
 
 
 # --- the working tree -----------------------------------------------------
@@ -387,7 +248,7 @@ class InputFacts:
     optional elements, and ``atom_users`` maps each state that an in-state
     atom names to the names of the transitions carrying such an atom; the
     constructor of a tree given no holder gathers all three in its one
-    pass, and one given a holder gathers none.  The other five maps are
+    pass, and one given a holder gathers none.  The other four maps are
     filled lazily, each entry by one assignment and never changed
     after it, so two threads filling one holder at once can at worst build
     one entry twice:
@@ -406,25 +267,13 @@ class InputFacts:
       cleared, filled and read only by a swept tree, for a composite that
       no edit changed (``WorkingTree._composite``).  Such a composite's
       subtree is its input subtree with the sweep's flags cleared.
-    - ``regions``: the ``RegionTable`` of a state that some exit of its
-      deletion leaves from inside a region, filled by that deletion: the
-      regions, the coordinates asked, each region's moves by transition
-      name and its closure per start coordinate.  A deletion reuses it
-      while each region it reads owns exactly the names recorded
-      (``WorkingTree._filled``), and replaces it otherwise.  A table
-      whose moves carry requirements, which only a machine whose atoms
-      were not pruned gives, is never kept, so the trees that
-      ``strategy._rewrite`` prunes first are the ones that read it.  A
-      table is filled before it is kept, and its memos are filled one
-      entry by one assignment, so threads share it as they share the
-      other maps.
 
     It holds no reference to a tree or to the machine object, so no
     reference cycle."""
 
     __slots__ = ("optional_states", "optional_transitions", "atom_users",
                  "subtrees", "cleared_states", "cleared_transitions",
-                 "frozen", "regions")
+                 "frozen")
 
     def __init__(self, optional_states: list[State],
                  optional_transitions: list[Transition],
@@ -436,7 +285,6 @@ class InputFacts:
         self.cleared_states: dict[str, State] = {}
         self.cleared_transitions: dict[str, Transition] = {}
         self.frozen: dict[str, State] = {}
-        self.regions: dict[str, RegionTable] = {}
 
     def subtree(self, name: str, children: dict[str, dict[str, None]],
                 ) -> tuple[frozenset[str], tuple[str, ...]]:
@@ -617,17 +465,87 @@ class WorkingTree(MachineIndex):
 
     # -- region projection --
 
+    def _regions(self, elem: str) -> tuple[list[str], Callable]:
+        """A state's regions -- an And-state's children, an Or-state
+        itself, none for a simple state -- with ``coordinate``, which maps
+        a state strictly inside a region that is an Or-state to its
+        region's index and coordinate (the region's direct substate holding
+        it) and any other name to None.  A region that is not an Or-state
+        is its own only coordinate, so whatever lies inside it is reached
+        with the region and has no coordinate.  ``coordinate`` walks
+        ``parent`` up from the name it is asked about to the region, never
+        down the subtree: a deletion asks only about exit sources, entry
+        targets, move endpoints and in-state atoms."""
+        st = self.states[elem]
+        regions = (list(self.children[elem]) if isinstance(st, AndState)
+                   else [elem] if isinstance(st, OrState) else [])
+        index = {region: j for j, region in enumerate(regions)}
+        parent, initial = self.parent, self.initial
+
+        def coordinate(name: str) -> tuple[int, str] | None:
+            prev, cur = name, None if name == elem else parent.get(name)
+            while cur is not None:
+                j = index.get(cur)
+                if j is not None:
+                    return (j, prev) if cur in initial else None
+                if cur == elem:
+                    return None
+                prev, cur = cur, parent.get(cur)
+            return None
+
+        return regions, coordinate
+
+    def _moves(self, elem: str, regions: list[str], coordinate: Callable,
+               blocked: Collection[str], chosen: Iterable[int],
+               ) -> list[list[Move]]:
+        """Per region of ``elem`` (``_regions``), its usable internal
+        transitions as moves between coordinates, for the regions whose
+        indices are ``chosen``; every other region is listed with no
+        moves, as is a region that is not an Or-state.  A transition named in ``blocked`` is no
+        move, nor is one with an end outside its owner (possible on an
+        unvalidated machine).  Inside an And-state an in-state atom naming
+        a state with a coordinate requires that coordinate; any other atom
+        always holds there or is about a foreign state.  An Or-state's
+        moves carry no requirements: its reachability ignores conditions."""
+        coupled = isinstance(self.states[elem], AndState)
+        moves: list[list[Move]] = [[] for _ in regions]
+        for j in chosen:
+            rt = moves[j]
+            for t in map(self.transitions.__getitem__,
+                         self.owned.get(regions[j], ())):
+                if t.name in blocked:
+                    continue
+                u, v = coordinate(t.source), coordinate(t.target)
+                if u and v and u[0] == v[0] == j:
+                    needs = ()
+                    if coupled and t.cond.atoms:
+                        needs = tuple(filter(None, (
+                            coordinate(a.state) for a in t.cond.atoms
+                            if isinstance(a, InState))))
+                    rt.append((u[1], t.trigger, needs, v[1]))
+        return moves
+
+    def _coupled(self, elem: str, regions: list[str]) -> bool:
+        """Whether a transition of an And-state's regions carries an
+        in-state atom, which alone can couple two regions (``_moves``).
+        Without one every region is alone in its component, so a deletion
+        builds the moves of the regions its exits leave from, and no
+        others."""
+        if not isinstance(self.states[elem], AndState):
+            return False
+        transitions, owned = self.transitions, self.owned
+        return any(isinstance(atom, InState)
+                   for region in regions for name in owned.get(region, ())
+                   for atom in transitions[name].cond.atoms)
+
     def _region_moves(self, elem: str, blocked: Collection[str],
-                      ) -> tuple[list[str], list[list[Move]]]:
-        """A state's regions (``RegionTable``) and, per region, its usable
-        internal transitions as moves between coordinates: a transition
-        named in ``blocked`` is no move.  Built afresh for the public
-        reachability rules; a deletion reads the regions it needs from a
-        table it may share (``_compositions``)."""
-        table = RegionTable(self, elem)
-        table.fill(self)
-        return table.regions, [table.listed(j, blocked)
-                               for j in range(len(table.regions))]
+                      ) -> tuple[list[str], Callable, list[list[Move]]]:
+        """A state's regions and ``coordinate`` (``_regions``) with every
+        region's moves (``_moves``), as the public reachability rules read
+        them."""
+        regions, coordinate = self._regions(elem)
+        return regions, coordinate, self._moves(
+            elem, regions, coordinate, blocked, range(len(regions)))
 
     # -- state deletion --
 
@@ -765,86 +683,50 @@ class WorkingTree(MachineIndex):
                       exits: list[Transition],
                       blocked: Collection[str]) -> list[Transition]:
         """Composes each entry with every exit reachable from where the
-        entry lands, over the state's regions (``RegionTable``).  The exits'
+        entry lands, over the state's regions (``_regions``).  The exits'
         coordinates are resolved first.  An exit pairs with every entry
         when its source has no coordinate -- it is the state, a region, or
         inside a region that is not an Or-state; otherwise when its
-        coordinate is reached in its region from the tuple of region
-        initials with the entry target's coordinate substituted in its
-        region.  Only the components (``_components``) holding a region
-        that some exit leaves from are searched (``_reach``): a region
-        alone in its component by the closure of its moves, two or more
-        coupled regions by the search of their tuples.  So when no exit
-        has a coordinate, as for a simple state, every entry pairs with
-        every exit and no move, component or closure is built.
-
-        For a state some exit leaves from inside a region, the table
-        comes from ``InputFacts.regions`` while it fits (``_filled``), so
-        a later deletion of the state, under any configuration, builds
-        none of it again.  Each pair composes by ``_composed``: the entry
-        and exit are usable and meet at the state by construction, so
-        ``comp``'s checks could not fail."""
+        coordinate is in its region's projection of the tuples reachable
+        from the tuple of region initials with the entry target's
+        coordinate substituted in its region (``_projections``).  Only the
+        components (``_components``) holding a region that some exit
+        leaves from are searched.  So when no exit has a coordinate, as for
+        a simple state, every entry pairs with every exit and no move,
+        component or closure is built; and when no transition of the
+        regions carries an in-state atom (``_coupled``), only the moves of
+        the regions some exit leaves from are built.  Each pair composes by
+        ``_composed``: the entry and exit are usable and meet at the state
+        by construction, so ``comp``'s checks could not fail."""
         if not (entries and exits):
             return []
-        parent = self.parent
-        table = self.facts.regions.get(elem) or RegionTable(self, elem)
-        leaving = [(table.coordinate(ts.source, parent), ts) for ts in exits]
+        regions, coordinate = self._regions(elem)
+        leaving = [(coordinate(ts.source), ts) for ts in exits]
         wanted = {at[0] for at, _ in leaving if at}
-        searched: list[tuple[list[int], list[list[Move]]]] = []
+        moves: list[list[Move]] = []
+        searched: list[list[int]] = []
+        default: list[str] = []
         if wanted:
-            table = self._filled(table, wanted)
-            searched = _searched(table, wanted, blocked)
+            every = self._coupled(elem, regions)
+            moves = self._moves(elem, regions, coordinate, blocked,
+                                range(len(regions)) if every else wanted)
+            searched = [members for members in _components(moves)
+                        if not wanted.isdisjoint(members)]
+            default = [self.initial.get(r, r) for r in regions]
+        reach: list[set[str]] = []
         out: list[Transition] = []
         for te in entries:
-            reach = self._reach(table, searched, te.target, blocked)
+            if searched:
+                start = list(default)
+                lands = coordinate(te.target)
+                if lands is not None:
+                    j, node = lands
+                    start[j] = node
+                reach = _projections(searched, moves, tuple(start))
             for at, ts in leaving:
                 if at is None or at[1] in reach[at[0]]:
                     out.append(_composed(te, ts))
         return out
-
-    def _filled(self, table: RegionTable, wanted: set[int],
-                ) -> RegionTable:
-        """``table`` when it is filled and each region in ``wanted`` owns
-        exactly the transition names it records; else a table filled from
-        this tree, which ``facts.regions`` then keeps for the state unless
-        another tree of the machine could read its names otherwise
-        (``keepable``)."""
-        if table.fits(self, wanted):
-            return table
-        if table.moves is not None:
-            stale, table = table, RegionTable(self, table.elem)
-            table.coordinates = stale.coordinates
-        table.fill(self)
-        if table.keepable():
-            self.facts.regions[table.elem] = table
-        return table
-
-    def _reach(self, table: RegionTable,
-               searched: list[tuple[list[int], list[list[Move]]]],
-               target: str, blocked: Collection[str]) -> dict[int, set[str]]:
-        """Per region of the ``searched`` components, the coordinates that
-        tuples reachable from an entry landing on ``target`` take there:
-        from the region initials, with the target's coordinate in its
-        region.  A component of one region is that region's closure
-        (``RegionTable.closure``), one of two or more the projections of
-        its tuple search (``_tuple_search``)."""
-        reach: dict[int, set[str]] = {}
-        if not searched:
-            return reach
-        lands = table.coordinate(target, self.parent)
-        initial, regions = self.initial, table.regions
-        for members, moves in searched:
-            start = tuple(lands[1] if lands and lands[0] == j
-                          else initial.get(regions[j], regions[j])
-                          for j in members)
-            if len(members) == 1:
-                reach[members[0]] = table.closure(members[0], start[0],
-                                                  blocked)
-                continue
-            found = _tuple_search(members, start, moves)
-            for p, j in enumerate(members):
-                reach[j] = {tup[p] for tup in found}
-        return reach
 
     def _lca_or_owner(self, source: str, target: str) -> str:
         """Owning Or-state for a transition between the two states: their
@@ -872,18 +754,18 @@ class WorkingTree(MachineIndex):
         hop takes the least-named transition leaving the marked substate
         for a survivor, else for a doomed substate.  One pass over the
         parent's transitions in name order maps each substate to the
-        substates they lead to from it (``RegionTable.coordinate`` finds a
-        coordinate by walking up), so a hop looks at its own substate's."""
+        substates they lead to from it (``_regions`` finds a coordinate by
+        walking up), so a hop looks at its own substate's."""
         if not isinstance(self.states.get(parent), OrState):
             raise RewriteError(f"{parent!r} is not an Or-state")
         old = self.initial[parent]
         if old not in pending:
             raise RewriteError(f"initial {old!r} of {parent!r} is not pending")
-        coordinate, up = RegionTable(self, parent).coordinate, self.parent
+        _, coordinate = self._regions(parent)
         leads: dict[str, list] = {}
         for name in sorted(self.owned[parent]):
             t = self.transitions[name]
-            src, tgt = coordinate(t.source, up), coordinate(t.target, up)
+            src, tgt = coordinate(t.source), coordinate(t.target)
             if src and (tgt is None or tgt[1] != src[1]):
                 leads.setdefault(src[1], []).append(tgt and tgt[1])
         cur, visited = old, {old}
@@ -1092,7 +974,7 @@ def reachable_or(elem: str, start: str, sc: StateChart, pending: PendingSet,
     if start not in tree.children[elem]:
         raise NotSubstateError(
             f"{start!r} is not a direct substate of {elem!r}")
-    _, moves = tree._region_moves(
+    _, _, moves = tree._region_moves(
         elem, () if include_pending else pending)
     return reached(start, _successors(moves[0]))
 
@@ -1114,7 +996,7 @@ def reachable_and(elem: str, start: tuple[str, ...], sc: StateChart,
     tree = WorkingTree(sc)
     if not isinstance(tree.states.get(elem), AndState):
         raise NotAndError(f"{elem!r} is not an And-state")
-    regions, moves = tree._region_moves(
+    regions, _, moves = tree._region_moves(
         elem, () if include_pending else pending)
     if len(start) != len(regions):
         raise NotSubstateError(

@@ -688,23 +688,27 @@ def _rings(count: int, inner_exit: bool = True) -> StateChart:
 
 def test_and_state_deletion_searches_uncoupled_regions_apart(monkeypatch):
     # 12 rings: 6**12 (about 2.2e9) tuples, but 12 lone regions.  Only R0
-    # holds an exit's source, so the first call closes R0 alone, over its
-    # own moves with no tuple search at all; the second call reads that
-    # closure from the table kept on the machine and closes nothing.
+    # holds an exit's source, so the deletion builds R0's moves alone and
+    # closes R0 alone over them, with no tuple search at all.
     sc = _rings(12)
     searched = _record_tuple_searches(monkeypatch)
     calls = _record_closures(monkeypatch)
+    built: list[list[int]] = []
+    moves = WorkingTree._moves
+
+    def recording_moves(self, elem, regions, coordinate, blocked, chosen):
+        built.append(sorted(chosen))
+        return moves(self, elem, regions, coordinate, blocked, chosen)
+
+    monkeypatch.setattr(WorkingTree, "_moves", recording_moves)
     fm, conf, imp = line_for(sc, {"A"})
-    closed = []
-    for _ in range(2):
-        calls.clear()
-        result = instantiate(fm, conf, sc, imp)
-        assert searched == []
-        closed.append([size for walk, size in calls if not walk])
-        assert set(MachineIndex(result.statechart).transitions) == {
-            "comp(enter,exitX)", "comp(enter,exitY)"}
-    assert len(closed[0]) == 1 and 0 < closed[0][0] <= 6
-    assert closed[1] == []
+    result = instantiate(fm, conf, sc, imp)
+    assert searched == []
+    assert built == [[0]]
+    closures = [size for walk, size in calls if not walk]
+    assert len(closures) == 1 and 0 < closures[0] <= 6
+    assert set(MachineIndex(result.statechart).transitions) == {
+        "comp(enter,exitX)", "comp(enter,exitY)"}
 
 
 class _ReadLog(dict):
@@ -723,23 +727,24 @@ class _ReadLog(dict):
         return super().get(key, default)
 
 
-def _record_pairing_reads(monkeypatch, attr: str) -> tuple[list, list]:
+def _record_pairing_reads(monkeypatch) -> tuple[list, list]:
     """Wraps ``WorkingTree._compositions``, which pairs a deletion's
-    entries and exits, so that it reads the tree's map ``attr`` through a
-    ``_ReadLog``.  Returns the keys read, and one flag per pairing that
-    had both entries and exits."""
+    entries and exits, so that it reads the tree's ``owned`` map, the
+    transitions of each composite, through a ``_ReadLog``.  Returns the
+    keys read, and one flag per pairing that had both entries and
+    exits."""
     reads: list = []
     paired: list[bool] = []
     compositions = WorkingTree._compositions
 
     def recording(self, elem, entries, exits, blocked):
         paired.append(bool(entries and exits))
-        kept = getattr(self, attr)
-        setattr(self, attr, _ReadLog(kept, reads))
+        kept = self.owned
+        self.owned = _ReadLog(kept, reads)
         try:
             return compositions(self, elem, entries, exits, blocked)
         finally:
-            setattr(self, attr, kept)
+            self.owned = kept
 
     monkeypatch.setattr(WorkingTree, "_compositions", recording)
     return reads, paired
@@ -750,28 +755,13 @@ def test_a_deletion_left_from_the_state_itself_builds_no_region_move(
     # Every exit leaves A itself, so every entry pairs with it whatever
     # the regions reach: the pairing reads no region's transitions.
     sc = _rings(12, inner_exit=False)
-    reads, paired = _record_pairing_reads(monkeypatch, "owned")
+    reads, paired = _record_pairing_reads(monkeypatch)
     fm, conf, imp = line_for(sc, {"A"})
     result = instantiate(fm, conf, sc, imp)
     assert paired == [True]
     assert reads == []
     assert set(MachineIndex(result.statechart).transitions) == {
         "comp(enter,exitY)"}
-
-
-def test_a_second_deletion_of_a_state_walks_no_coordinate(monkeypatch):
-    # The first call walks up from the names it reads; the second reads
-    # their coordinates from the table kept on the machine.
-    sc = _rings(12)
-    reads, paired = _record_pairing_reads(monkeypatch, "parent")
-    fm, conf, imp = line_for(sc, {"A"})
-    walked = []
-    for _ in range(2):
-        reads.clear()
-        instantiate(fm, conf, sc, imp)
-        walked.append(len(reads))
-    assert paired == [True, True]
-    assert walked[0] > 0 and walked[1] == 0
 
 
 def _coupled_pair() -> StateChart:
@@ -816,7 +806,7 @@ def test_instantiate_searches_no_tuples(monkeypatch, include_pending):
         + [generated_line(seed, **large)
            for seed in range(1_500_000, 1_500_050)])
     searched = _record_tuple_searches(monkeypatch)
-    reads, paired = _record_pairing_reads(monkeypatch, "owned")
+    reads, paired = _record_pairing_reads(monkeypatch)
     for line in lines:
         with contextlib.suppress(ScplError):
             instantiate(*line, include_pending=include_pending)

@@ -2,9 +2,8 @@
 is invisible: every call gives what it gives on a fresh machine, also
 when threads run different configurations on it at once, the kept tree
 is never edited, every entry of the kept holder of input facts is what
-the machine gives afresh, the region tables kept for deletions left from
-inside a region among them, whether a deletion reuses, filters or
-rebuilds one, the verdict is drawn again for other feature model or
+the machine gives afresh, also on lines whose deletions are left from
+inside a region, the verdict is drawn again for other feature model or
 mapping objects, and nothing outlives the machine."""
 
 import contextlib
@@ -27,7 +26,7 @@ from scpl.errors import ScplError
 from scpl.features import build_configuration
 from scpl.model import (FeatureModel, ImpEntry, ImpMapping, MachineIndex,
                         OrState, SimpleState, StateChart, Transition, reached)
-from scpl.rewrite import InputFacts, RegionTable, WorkingTree
+from scpl.rewrite import InputFacts, WorkingTree
 from scpl.strategy import (GeneratedLine, check_confluence,
                            generate_random_product_line, instantiate,
                            validate_inputs)
@@ -273,80 +272,62 @@ def test_threads_interleaving_configurations_on_one_machine():
             assert outcome == expected[i][j], (i, j)
 
 
-def _count_region_tables(monkeypatch) -> dict[str, int]:
-    """Counts the deletions that pair over a region table: those that
-    filled a table afresh (``built``), reused the one kept on the machine
-    (``reused``) or found that one stale and filled another
-    (``rebuilt``), and those that asked a closure of a region whose moves
-    ``blocked`` names (``filtered``)."""
-    counts = dict.fromkeys(("built", "reused", "rebuilt", "filtered"), 0)
-    filled, closure = WorkingTree._filled, RegionTable.closure
-    compositions = WorkingTree._compositions
-    met: list[bool] = []
+def _count_inner_exits(monkeypatch) -> dict[str, int]:
+    """Counts the deletions whose pairing has an exit leaving from inside
+    a region (``inner``), those among them whose ``blocked`` names a
+    transition of one of the state's regions (``blocked``), and the
+    pairings that built region moves (``searched``)."""
+    counts = dict.fromkeys(("inner", "blocked", "searched"), 0)
+    compositions, moves = WorkingTree._compositions, WorkingTree._moves
 
-    def counting_compositions(self, *args):
-        met.clear()
-        try:
-            return compositions(self, *args)
-        finally:
-            counts["filtered"] += any(met)
+    def counting_compositions(self, elem, entries, exits, blocked):
+        regions, coordinate = self._regions(elem)
+        if entries and any(coordinate(ts.source) for ts in exits):
+            counts["inner"] += 1
+            counts["blocked"] += any(
+                not self.owned[region].keys().isdisjoint(blocked)
+                for region in regions)
+        return compositions(self, elem, entries, exits, blocked)
 
-    def counting_filled(self, table, wanted):
-        kept = table.moves is not None
-        got = filled(self, table, wanted)
-        counts["reused" if got is table and kept
-               else "rebuilt" if kept else "built"] += 1
-        return got
-
-    def counting_closure(self, j, node, blocked):
-        met.append(bool(blocked) and not self.moves[j].keys().isdisjoint(
-            blocked))
-        return closure(self, j, node, blocked)
+    def counting_moves(self, *args):
+        counts["searched"] += 1
+        return moves(self, *args)
 
     monkeypatch.setattr(WorkingTree, "_compositions", counting_compositions)
-    monkeypatch.setattr(WorkingTree, "_filled", counting_filled)
-    monkeypatch.setattr(RegionTable, "closure", counting_closure)
+    monkeypatch.setattr(WorkingTree, "_moves", counting_moves)
     return counts
 
 
-def _assert_tables_hold(sc: StateChart) -> None:
-    """Each region table kept on ``sc`` is what a fresh tree of the
-    machine fills: its coordinates, its moves, and each closure over
-    them.  On these lines a table is kept only while its regions own
-    their input transitions."""
-    tables = sc._kept.facts.regions
-    assert tables
-    for elem, table in tables.items():
-        tree = WorkingTree(sc)
-        fresh = RegionTable(tree, elem)
-        fresh.fill(tree)
-        assert table.regions == fresh.regions
-        assert table.moves == fresh.moves
-        for name, at in table.coordinates.items():
-            assert at == fresh.coordinate(name, tree.parent)
-        for j, memo in enumerate(table.closures):
-            for node, reach in memo.items():
-                assert reach == fresh.closure(j, node, ())
-
-
-def test_region_tables_kept_on_a_machine_are_invisible(monkeypatch):
-    # Every configuration of each line, under both include_pending values,
-    # in a seeded interleaving on one machine object, against a fresh deep
-    # copy of the machine.  Deleting D before X1 adds a composition that a
-    # region of X1 owns, so X1's kept table goes stale; optional
-    # transitions inside the regions are pending under some
-    # configurations, so ``blocked`` meets a table.
-    lines = [region_exit_line(seed) for seed in range(40)]
-    runs = [[(conf, include_pending) for conf in configurations(line)
+def _region_exit_runs(lines: list[GeneratedLine]) -> list[list]:
+    """Every configuration of each line under both ``include_pending``
+    values."""
+    return [[(conf, include_pending) for conf in configurations(line)
              for include_pending in (False, True)] for line in lines]
-    for seed, line_runs in enumerate(runs):
-        random.Random(seed).shuffle(line_runs)
-    expected = [[_outcome(lambda: instantiate(
+
+
+def _fresh_outcomes(lines: list[GeneratedLine], runs: list[list]) -> list:
+    """Each run's outcome on a fresh deep copy of its line's machine."""
+    return [[_outcome(lambda: instantiate(
         line.fm, conf, copy.deepcopy(line.sc), line.imp,
         include_pending=include_pending))
         for conf, include_pending in line_runs]
         for line, line_runs in zip(lines, runs)]
-    counts = _count_region_tables(monkeypatch)
+
+
+def test_deletions_left_from_inside_regions_are_invisible(monkeypatch):
+    # Every configuration of each line, under both include_pending values,
+    # in a seeded interleaving on one machine object, against a fresh deep
+    # copy of the machine.  The composites are left from states inside
+    # their regions, so the pairing searches regions; optional transitions
+    # inside the regions are pending under some configurations, so
+    # ``blocked`` meets their moves; and deleting D before X1 adds a
+    # composition that a region of X1 owns.
+    lines = [region_exit_line(seed) for seed in range(40)]
+    runs = _region_exit_runs(lines)
+    for seed, line_runs in enumerate(runs):
+        random.Random(seed).shuffle(line_runs)
+    expected = _fresh_outcomes(lines, runs)
+    counts = _count_inner_exits(monkeypatch)
     for line, line_runs, want in zip(lines, runs, expected):
         got = [_outcome(lambda: instantiate(
             line.fm, conf, line.sc, line.imp,
@@ -354,28 +335,25 @@ def test_region_tables_kept_on_a_machine_are_invisible(monkeypatch):
             for conf, include_pending in line_runs]
         assert got == want
         assert all(isinstance(outcome[0], StateChart) for outcome in got)
-        _assert_tables_hold(line.sc)
         _assert_facts_hold(line.sc._kept.facts, line.sc)
-    # 40 lines of 64 runs each: 120 tables built, 1,840 reused and 600
-    # rebuilt, and 884 deletions filtered a region's moves.  A narrower set
-    # of lines, or one that no longer reaches a table, fails here.
-    assert counts == {"built": 120, "reused": 1840, "rebuilt": 600,
-                      "filtered": 884}
+    # 40 lines of 64 runs each: 2,560 deletions have an exit leaving from
+    # inside a region, and in 926 of them ``blocked`` names a transition
+    # of a region.  A narrower set of lines, or one that no longer reaches
+    # a region search, fails here.  A pairing builds region moves only
+    # when some exit leaves from inside a region (2,560 did).
+    assert counts["inner"] >= 2_500 and counts["blocked"] >= 900
+    assert counts["searched"] <= counts["inner"]
 
 
-def test_threads_sharing_region_tables_on_one_machine():
+def test_threads_running_lines_left_from_inside_regions():
     # Four threads run every configuration of two lines, each from its own
     # starting point and under both include_pending values, on machine
-    # objects none has met, so they fill and replace the kept region
-    # tables at once; every result must be what the run gives alone.
+    # objects none has met, so they share the kept tree and holder while
+    # their deletions search regions; every result must be what the run
+    # gives alone.
     lines = [region_exit_line(seed) for seed in (1, 2)]
-    runs = [[(conf, include_pending) for conf in configurations(line)
-             for include_pending in (False, True)] for line in lines]
-    expected = [[_outcome(lambda: instantiate(
-        line.fm, conf, copy.deepcopy(line.sc), line.imp,
-        include_pending=include_pending))
-        for conf, include_pending in line_runs]
-        for line, line_runs in zip(lines, runs)]
+    runs = _region_exit_runs(lines)
+    expected = _fresh_outcomes(lines, runs)
     got: list[list] = [[] for _ in range(4)]
 
     def work(k):
@@ -405,4 +383,4 @@ def test_threads_sharing_region_tables_on_one_machine():
         for i, j, outcome in thread_runs:
             assert outcome == expected[i][j], (i, j)
     for line in lines:
-        _assert_tables_hold(line.sc)
+        _assert_facts_hold(line.sc._kept.facts, line.sc)

@@ -25,7 +25,7 @@ from scpl.rewrite import (PendingSet, WorkingTree, comp, comp_name,
                           delete_simple_state, delete_transition,
                           entry_exit_pairs, finalize_optionals,
                           prune_conditions, reachable_and, reachable_or,
-                          repair_initial, RegionTable, _tuple_search)
+                          repair_initial, _projections, _tuple_search)
 from scpl.strategy import instantiate
 
 
@@ -642,8 +642,8 @@ def test_a_lone_region_closure_is_its_tuple_search(seed, and_state, data):
     # over the region's coordinates.
     sc, _ = (random_and_composite if and_state else random_or_composite)(seed)
     tree = WorkingTree(sc)
-    regions, moves = tree._region_moves("E", ())
-    table = RegionTable(tree, "E")
+    regions, _, moves = tree._region_moves("E", ())
+    default = [tree.initial[r] for r in regions]
     for j, region in enumerate(regions):
         coords = list(tree.children[region])
         own = [(u, trigger,
@@ -653,12 +653,11 @@ def test_a_lone_region_closure_is_its_tuple_search(seed, and_state, data):
                 v)
                for u, trigger, needs, v in moves[j]]
         alone = [own if i == j else [] for i in range(len(regions))]
-        table.moves = [{f"m{k}": move for k, move in enumerate(rt)}
-                       for rt in alone]
-        table.closures = [{} for _ in regions]
         for node in coords:
+            start = tuple(node if i == j else default[i]
+                          for i in range(len(regions)))
             want = {tup[0] for tup in _tuple_search([j], (node,), alone)}
-            assert table.closure(j, node, ()) == want
+            assert _projections([[j]], alone, start)[j] == want
 
 
 @settings(max_examples=80, deadline=None)
