@@ -17,10 +17,11 @@ only the composites the edits changed; every edit costs work
 proportional to the elements it touches, not to the machine.  A rule
 returns its delta -- removed states, removed and added transitions -- as
 a ``TraceStep``.
-``strategy.instantiate`` builds one working tree, or copies the one kept
-on the machine, runs every rule on it and freezes it once.  A copy shares
-the inner dicts and sets of its source's maps and copies one only when
-it first writes it, so copying and rewriting cost what the rules touch.
+``strategy.instantiate`` copies the one working tree kept on the machine,
+built by its first call, runs every rule on the copy and freezes it
+once.  A copy shares the inner dicts and sets of its source's maps and
+copies one only when it first writes it, so copying and rewriting cost
+what the rules touch.
 
 Deleting a state of any kind pairs its entries and exits by one rule.
 The state is read as a product of regions -- an And-state's regions, an
@@ -40,15 +41,15 @@ from inside an Or-region, it builds no move at all.  Otherwise, when no
 transition of the regions carries an in-state atom, every region is
 alone in its component and only the regions some exit leaves from get
 their moves built; else every region's are, since the components depend
-on them.  Nothing of this is kept between deletions.  A region alone in its component is a plain graph, and costs
-one closure (``model.reached``) over its moves; only a component of two
-or more regions is searched over its region tuples, up to
-``TUPLE_BUDGET`` of them.  ``strategy.instantiate`` meets no coupled
-component, as layer 1 has pruned every in-state atom naming a state
-inside a doomed one, so it searches no tuples; only ``delete_and_state``
-and ``reachable_and`` on an unpruned machine do.  ``reachable_and``
-returns the full tuple set of one joint search; ``reachable_or`` is the
-closure of its one region.
+on them.  Nothing of this is kept between deletions.  A region alone
+in its component is a plain graph, and costs one closure
+(``model.reached``) over its moves; only a component of two or more
+regions is searched over its region tuples, up to ``TUPLE_BUDGET`` of
+them.  ``strategy.instantiate`` meets no coupled component, as layer 1
+has pruned every in-state atom naming a state inside a doomed one, so it
+searches no tuples; only ``delete_and_state`` and ``reachable_and`` on an
+unpruned machine do.  ``reachable_and`` returns the full tuple set of
+one joint search; ``reachable_or`` is the closure of its one region.
 A deletion reads names only, never the order of the machine's
 transitions: its compositions are owned, checked and added in name order.
 It walks its subtree at most once per machine object (``boundary``, kept
@@ -241,14 +242,14 @@ _DELETION = {
 class InputFacts:
     """Facts about the machine a working tree was built from, which hold
     under every configuration: shared by every copy of the tree
-    (``WorkingTree.copy``) and by every tree that ``strategy._prepared``
-    builds from one machine object.
+    (``WorkingTree.copy``), so by every call that ``strategy._prepared``
+    serves from the one tree it keeps on a machine object.
 
     ``optional_states`` and ``optional_transitions`` list the input's
     optional elements, and ``atom_users`` maps each state that an in-state
     atom names to the names of the transitions carrying such an atom; the
-    constructor of a tree given no holder gathers all three in its one
-    pass, and one given a holder gathers none.  The other four maps are
+    tree's constructor gathers all three in its one pass over the
+    transitions and one over the states.  The other four maps are
     filled lazily, each entry by one assignment and never changed
     after it, so two threads filling one holder at once can at worst build
     one entry twice:
@@ -305,44 +306,39 @@ class WorkingTree(MachineIndex):
     ``states`` keeps each name's state object from the input for its kind
     and optional flag only: the shape of the machine lives in the index
     maps (``children``, ``initial``, ``owned``).  ``adjacent`` names the
-    transitions with each state as an endpoint.  ``reshaped`` records the
-    composites that lost a child or had their initial marker moved, and
-    ``added`` the transitions the edits added, in edit order:
-    ``model.touched_violations`` checks the edited machine over these
-    alone.  No edit reads the order of the transitions: a deletion finds
-    its transitions by name in ``adjacent`` and ``owned``.
+    transitions with each state as an endpoint.  No edit reads the order
+    of the transitions: a deletion finds its transitions by name in
+    ``adjacent`` and ``owned``.
 
     ``facts`` is the holder of what every configuration shares
     (``InputFacts``).  ``dirty`` records each composite whose children,
     initial marker or owned transitions an edit changed: every write site
     (``_add_transition``, ``_drop_transition``, a deletion's teardown,
-    ``repair_initial`` and pruning) adds the composite it writes.  Once
-    ``finalize_optionals`` has run (``swept``), ``freeze`` closes ``dirty``
-    upwards through the ancestors, rebuilds those composites and takes
-    every other one from ``facts.frozen``.
+    ``repair_initial`` and pruning) adds the composite it writes.
+    ``added`` records the transitions the edits added, in edit order:
+    ``model.touched_violations`` checks the edited machine over these and
+    ``dirty`` alone.  Once ``finalize_optionals`` has run (``swept``),
+    ``freeze`` closes ``dirty`` upwards through the ancestors, rebuilds
+    those composites and takes every other one from ``facts.frozen``.
 
     Building one costs the index walk plus one pass over the
-    transitions, which fills ``adjacent``, and, for a tree given no
-    holder, one more over the states: together they fill the holder's
-    lists.  A state deletion then costs its subtree and the transitions
-    touching it (``boundary`` and one pass over each to tear them down)
-    plus the pairing of its entries and exits, never a pass over the
-    machine.
+    transitions, which fills ``adjacent``, and one more over the states:
+    together they fill the holder's lists.  A state deletion then costs
+    its subtree and the transitions touching it (``boundary`` and one
+    pass over each to tear them down) plus the pairing of its entries and
+    exits, never a pass over the machine.
 
     The inner dicts and sets of ``children``, ``owned`` and ``adjacent``
     may be shared with other trees (``copy``).  ``mine`` holds a
-    ``(map name, key)`` pair for each one this tree owns, or is None while
-    the tree owns them all, as a built tree does; every write goes
-    through ``_writable``, which copies a container the tree does not own
-    yet.  ``copy`` leaves both trees owning none.
+    ``(map name, key)`` pair for each one this tree owns, and starts
+    empty: every write goes through ``_writable``, which copies a
+    container the tree does not own yet.  ``copy`` leaves both trees
+    owning none.
     """
 
-    def __init__(self, sc: StateChart, facts: InputFacts | None = None):
-        """The tree of ``sc``, sharing ``facts`` when given: the holder
-        of another tree of the same machine object."""
+    def __init__(self, sc: StateChart):
         super().__init__(sc)
         adjacent: dict[str, set[str]] = {}
-        gather = facts is None
         optional: list[Transition] = []
         users: dict[str, dict[str, None]] = {}
         for name, t in self.transitions.items():
@@ -351,24 +347,20 @@ class WorkingTree(MachineIndex):
                     adjacent[end].add(name)
                 else:
                     adjacent[end] = {name}
-            if gather:
-                if t.optional:
-                    optional.append(t)
-                if t.cond.atoms:
-                    for atom in t.cond.atoms:
-                        if isinstance(atom, InState):
-                            users.setdefault(atom.state, {})[name] = None
-        if gather:
-            facts = InputFacts(
-                [st for st in self.states.values() if st.optional], optional,
-                users)
+            if t.optional:
+                optional.append(t)
+            if t.cond.atoms:
+                for atom in t.cond.atoms:
+                    if isinstance(atom, InState):
+                        users.setdefault(atom.state, {})[name] = None
         self.adjacent = adjacent
-        self.reshaped: dict[str, None] = {}
         self.added: dict[str, None] = {}
-        self.mine: set[tuple[str, str]] | None = None
+        self.mine: set[tuple[str, str]] = set()
         self.dirty: set[str] = set()
         self.swept = False
-        self.facts = facts
+        self.facts = InputFacts(
+            [st for st in self.states.values() if st.optional], optional,
+            users)
 
     def copy(self) -> "WorkingTree":
         """A tree with the same maps that edits apart from this one and
@@ -390,7 +382,6 @@ class WorkingTree(MachineIndex):
         new.duplicate_states = self.duplicate_states.copy()
         new.duplicate_transitions = self.duplicate_transitions.copy()
         new.adjacent = self.adjacent.copy()
-        new.reshaped = self.reshaped.copy()
         new.added = self.added.copy()
         new.mine = set()
         self.mine = set()
@@ -406,7 +397,7 @@ class WorkingTree(MachineIndex):
         ready for this tree to write: first replaced by a copy that the
         tree owns from then on, unless it owns it already."""
         mine = self.mine
-        if mine is None or (tag, key) in mine:
+        if (tag, key) in mine:
             return mapping[key]
         mine.add((tag, key))
         container = mapping[key] = mapping[key].copy()
@@ -424,8 +415,7 @@ class WorkingTree(MachineIndex):
                 self._writable("adjacent", adjacent, end).add(t.name)
             else:
                 adjacent[end] = {t.name}
-                if self.mine is not None:
-                    self.mine.add(("adjacent", end))
+                self.mine.add(("adjacent", end))
 
     def _drop_transition(self, name: str) -> None:
         t = self.transitions.pop(name)
@@ -501,12 +491,13 @@ class WorkingTree(MachineIndex):
         """Per region of ``elem`` (``_regions``), its usable internal
         transitions as moves between coordinates, for the regions whose
         indices are ``chosen``; every other region is listed with no
-        moves, as is a region that is not an Or-state.  A transition named in ``blocked`` is no
-        move, nor is one with an end outside its owner (possible on an
-        unvalidated machine).  Inside an And-state an in-state atom naming
-        a state with a coordinate requires that coordinate; any other atom
-        always holds there or is about a foreign state.  An Or-state's
-        moves carry no requirements: its reachability ignores conditions."""
+        moves, as is a region that is not an Or-state.  A transition named
+        in ``blocked`` is no move, nor is one with an end outside its owner
+        (possible on an unvalidated machine).  Inside an And-state an
+        in-state atom naming a state with a coordinate requires that
+        coordinate; any other atom always holds there or is about a foreign
+        state.  An Or-state's moves carry no requirements: its reachability
+        ignores conditions."""
         coupled = isinstance(self.states[elem], AndState)
         moves: list[list[Move]] = [[] for _ in regions]
         for j in chosen:
@@ -537,15 +528,6 @@ class WorkingTree(MachineIndex):
         return any(isinstance(atom, InState)
                    for region in regions for name in owned.get(region, ())
                    for atom in transitions[name].cond.atoms)
-
-    def _region_moves(self, elem: str, blocked: Collection[str],
-                      ) -> tuple[list[str], Callable, list[list[Move]]]:
-        """A state's regions and ``coordinate`` (``_regions``) with every
-        region's moves (``_moves``), as the public reachability rules read
-        them."""
-        regions, coordinate = self._regions(elem)
-        return regions, coordinate, self._moves(
-            elem, regions, coordinate, blocked, range(len(regions)))
 
     # -- state deletion --
 
@@ -644,7 +626,6 @@ class WorkingTree(MachineIndex):
                     del self.initial[name], owned[name]
         del writable("children", children, parent)[elem]
         dirty.add(parent)
-        self.reshaped[parent] = None
         for t, owner in zip(additions, owners):
             self._add_transition(t, owner)
         pending.difference_update(doomed, touching)
@@ -781,7 +762,6 @@ class WorkingTree(MachineIndex):
             visited.add(cur)
         self.initial[parent] = cur
         self.dirty.add(parent)
-        self.reshaped[parent] = None
         return TraceStep("repair_initial", parent,
                          detail=f"initial {old} -> {cur}")
 
@@ -974,9 +954,10 @@ def reachable_or(elem: str, start: str, sc: StateChart, pending: PendingSet,
     if start not in tree.children[elem]:
         raise NotSubstateError(
             f"{start!r} is not a direct substate of {elem!r}")
-    _, _, moves = tree._region_moves(
-        elem, () if include_pending else pending)
-    return reached(start, _successors(moves[0]))
+    regions, coordinate = tree._regions(elem)
+    [moves] = tree._moves(elem, regions, coordinate,
+                          () if include_pending else pending, (0,))
+    return reached(start, _successors(moves))
 
 
 def reachable_and(elem: str, start: tuple[str, ...], sc: StateChart,
@@ -996,8 +977,10 @@ def reachable_and(elem: str, start: tuple[str, ...], sc: StateChart,
     tree = WorkingTree(sc)
     if not isinstance(tree.states.get(elem), AndState):
         raise NotAndError(f"{elem!r} is not an And-state")
-    regions, _, moves = tree._region_moves(
-        elem, () if include_pending else pending)
+    regions, coordinate = tree._regions(elem)
+    moves = tree._moves(elem, regions, coordinate,
+                        () if include_pending else pending,
+                        range(len(regions)))
     if len(start) != len(regions):
         raise NotSubstateError(
             f"start tuple has {len(start)} coordinates for "

@@ -27,7 +27,7 @@ from .model import (AndState, Condition, Configuration, FeatureModel, Guard,
                     OrState, RewriteTrace, SimpleState, State, StateChart,
                     TraceStep, Transition, Violation, comp_parts, partition,
                     touched_violations, well_formed_violations)
-from .rewrite import InputFacts, PendingSet, WorkingTree, flagged
+from .rewrite import PendingSet, WorkingTree, flagged
 
 
 # Largest NSC that ``check_confluence(exhaustive=True)`` runs every order
@@ -72,21 +72,21 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
     repaired.
 
     Every rule edits one working tree in place and returns its own trace
-    step; the tree comes validated from ``_prepared`` and is frozen once
-    at the end.  The first call on a machine object rewrites the tree it
-    built; from the second on, each call rewrites a copy of one unedited
-    tree kept on that object (``model.StateChart``'s private slot), and a
-    call on the same ``fm``, ``sc`` and ``imp`` objects as an earlier one
-    validates only its configuration.  Every tree of the machine shares
-    one holder of what no configuration changes (``rewrite.InputFacts``),
-    so a later call, under any configuration, reuses the subtrees, the
-    cleared elements and the frozen composites earlier ones built.  The
-    edited tree is checked before it is frozen, read from its maps:
-    validated input over the edits alone (``model.touched_violations``),
-    other input whole (``model.well_formed_violations``).  A breach, or
-    an optional flag left over, raises RewriteError.
+    step; each call rewrites a copy of the validated tree that
+    ``_prepared`` keeps on the machine object (``model.StateChart``'s
+    private slot), built by the first call, and frozen once at the end.
+    A call on the same ``fm``, ``sc`` and ``imp`` objects as an earlier
+    one validates only its configuration.  Every copy shares the kept
+    tree's holder of what no configuration changes
+    (``rewrite.InputFacts``), so a later call, under any configuration,
+    reuses the subtrees, the cleared elements and the frozen composites
+    earlier ones built.  The edited copy is checked before it is frozen,
+    read from its maps: validated input over the edits alone
+    (``model.touched_violations``), other input whole
+    (``model.well_formed_violations``).  A breach, or an optional flag
+    left over, raises RewriteError.
     """
-    tree = _prepared(fm, conf, sc, imp, validate=validate, edit=True)
+    tree = _prepared(fm, conf, sc, imp, validate=validate).copy()
     trace = _rewrite(tree, compute_nsc(fm, conf, sc, imp), order,
                      include_pending, validated=validate)
     return InstantiationResult(tree.freeze(), trace)
@@ -94,15 +94,14 @@ def instantiate(fm: FeatureModel, conf: Configuration, sc: StateChart,
 
 class _Kept(NamedTuple):
     """What ``_prepared`` keeps on one machine object: the unedited
-    working tree, once kept, the holder of input facts that every tree
-    of the machine shares, and the parts of the validation verdict.
-    ``well_formed`` is the machine's own; ``features`` and ``mapping``
-    were drawn for the ``fm`` and ``imp`` objects named here, and
-    ``mapping`` is None when an earlier part already objects.  It holds
-    no reference to the machine, so no reference cycle."""
+    working tree, whose holder of input facts every copy shares, and the
+    parts of the validation verdict.  ``well_formed`` is the machine's
+    own; ``features`` and ``mapping`` were drawn for the ``fm`` and
+    ``imp`` objects named here, and ``mapping`` is None when an earlier
+    part already objects.  It holds no reference to the machine, so no
+    reference cycle."""
 
-    tree: WorkingTree | None = None
-    facts: InputFacts | None = None
+    tree: WorkingTree
     well_formed: tuple[Violation, ...] | None = None
     fm: FeatureModel | None = None
     imp: ImpMapping | None = None
@@ -110,40 +109,30 @@ class _Kept(NamedTuple):
     mapping: tuple[Violation, ...] | None = None
 
 
-_UNSEEN = _Kept()
 _store = StateChart._kept.__set__
 
 
 def _prepared(fm: FeatureModel, conf: Configuration, sc: StateChart,
-              imp: ImpMapping, *, validate: bool, edit: bool) -> WorkingTree:
-    """The working tree of ``sc``, validated with the other inputs unless
-    ``validate`` is false (raising InvalidInputError with exactly the list
-    ``input_violations`` gives), which the caller may edit when ``edit``
-    is set and must not edit otherwise.
+              imp: ImpMapping, *, validate: bool) -> WorkingTree:
+    """The working tree kept on ``sc``, validated with the other inputs
+    unless ``validate`` is false (raising InvalidInputError with exactly
+    the list ``input_violations`` gives).  The caller must not edit it:
+    ``instantiate`` rewrites a copy.
 
     What it derives is kept in ``sc``'s private slot as a new ``_Kept``,
     stored by one slot assignment, and matched by the identity of the
-    objects, never by equality.  The first call on a machine returns the
-    tree it built when the caller edits, so a one-shot instantiation pays
-    no copy.  A later call, or a first one that does not edit, builds the
-    tree it keeps unedited; a call that edits gets a copy of the kept
-    tree.  Every tree of the machine shares the holder of input facts
-    (``rewrite.InputFacts``) of the first one built, which is kept from
-    the first call on, so what one call fills in it serves every later
-    call, whatever its configuration.  The machine's verdict is kept
-    whatever the other inputs, the feature-model and mapping verdicts are
-    drawn again for another ``fm`` or ``imp`` object, and the
-    configuration is checked on every call."""
-    seen = getattr(sc, "_kept", None)
-    (kept_tree, facts, well_formed, kept_fm, kept_imp, features,
-     mapping) = seen or _UNSEEN
-    changed = seen is None
-    tree = kept_tree
-    if tree is None:
-        tree = WorkingTree(sc, facts)
-        facts = tree.facts
-        if not (changed and edit):
-            kept_tree, changed = tree, True
+    objects, never by equality.  The first call on a machine builds the
+    tree and keeps it, so the machine is walked once, and what one call
+    fills in the tree's holder of input facts (``rewrite.InputFacts``)
+    serves every later call, whatever its configuration.  The machine's
+    verdict is kept whatever the other inputs, the feature-model and
+    mapping verdicts are drawn again for another ``fm`` or ``imp``
+    object, and the configuration is checked on every call."""
+    kept = getattr(sc, "_kept", None)
+    changed = kept is None
+    if changed:
+        kept = _Kept(WorkingTree(sc))
+    tree, well_formed, kept_fm, kept_imp, features, mapping = kept
     if validate and (features is None or kept_fm is not fm
                      or kept_imp is not imp):
         if well_formed is None:
@@ -153,14 +142,14 @@ def _prepared(fm: FeatureModel, conf: Configuration, sc: StateChart,
         mapping = (None if features or well_formed
                    else tuple(imp_violations(fm, tree, imp)))
     if changed:
-        _store(sc, _Kept(kept_tree, facts, well_formed, kept_fm, kept_imp,
-                         features, mapping))
+        _store(sc, _Kept(tree, well_formed, kept_fm, kept_imp, features,
+                         mapping))
     if validate:
         violations = ([*features, *well_formed]
                       or [*validate_configuration(fm, conf), *mapping])
         if violations:
             raise InvalidInputError(violations)
-    return tree.copy() if edit and tree is kept_tree else tree
+    return tree
 
 
 def _rewrite(tree: WorkingTree, doomed: frozenset[str],
@@ -205,9 +194,11 @@ def _rewrite(tree: WorkingTree, doomed: frozenset[str],
     _record(steps, budget, tree.finalize_optionals())
 
     # On validated input every deleted state sat in a subtree whose atoms
-    # layer 1 pruned, so only the reshaped composites and the added
-    # transitions can break what validation established.
-    leftovers = (touched_violations(tree, tree.reshaped, tree.added)
+    # layer 1 pruned, so only the composites the edits wrote and the added
+    # transitions can break what validation established.  ``dirty`` is a
+    # set, whose order follows the hash seed, so the error text reads it
+    # sorted.
+    leftovers = (touched_violations(tree, sorted(tree.dirty), tree.added)
                  if validated else well_formed_violations(tree))
     optional_left = (any(st.optional for st in tree.states.values())
                      or any(t.optional for t in tree.transitions.values()))
@@ -274,13 +265,13 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
     raises TooLargeError when NSC holds more than EXHAUSTIVE_CAP elements;
     otherwise ``trials`` below 1 is refused with InvalidInputError.
 
-    The inputs are indexed and validated once, into one working tree,
-    which ``_prepared`` keeps on ``sc`` at once, as the check never edits
-    it: a later ``instantiate`` or check on the same machine object
-    indexes nothing.  Each order runs all four layers (``_rewrite``) on
-    its own copy of that tree, which it checks over its edits alone and
-    compares by its maps (``_shape``), never frozen; a failure in any
-    layer is compared like any other outcome.
+    The inputs are indexed and validated once, into the working tree
+    that ``_prepared`` keeps on ``sc``, which the check never edits: a
+    later ``instantiate`` or check on the same machine object indexes
+    nothing.  Each order runs all four layers (``_rewrite``) on its own
+    copy of that tree, which it checks over its edits alone and compares
+    by its maps (``_shape``), never frozen; a failure in any layer is
+    compared like any other outcome.
 
     An order's outcome depends only on its layer-2 projection, the order
     restricted to the states eligible for layer 2 (``_eligible``, read off
@@ -322,7 +313,7 @@ def check_confluence(fm: FeatureModel, conf: Configuration, sc: StateChart,
     if not exhaustive and trials < 1:
         raise InvalidInputError(
             [Violation("trials", f"must be at least 1, got {trials}")])
-    tree = _prepared(fm, conf, sc, imp, validate=True, edit=False)
+    tree = _prepared(fm, conf, sc, imp, validate=True)
     doomed = compute_nsc(fm, conf, sc, imp)
     base = tuple(sorted(doomed))
 

@@ -58,8 +58,9 @@ def line_for(sc, doomed_feature_elements):
 
 def tree_maps(tree) -> dict:
     """A working tree's attributes but its holder of input facts, which
-    every tree of one machine object shares (``WorkingTree.copy``,
-    ``strategy._prepared``) and which compares by identity."""
+    every copy of the tree kept on a machine object shares
+    (``WorkingTree.copy``, ``strategy._prepared``) and which compares by
+    identity."""
     return {k: v for k, v in vars(tree).items() if k != "facts"}
 
 

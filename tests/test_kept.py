@@ -72,8 +72,8 @@ def _assert_facts_hold(facts: InputFacts, sc: StateChart) -> None:
 def _assert_invisible(line: GeneratedLine, *, validate: bool = True) -> None:
     """Three calls on ``line``, which no call has met yet, give what one
     call on a deep copy of its machine gives; the tree then kept has the
-    maps of a fresh tree of the machine, the holder of input facts kept
-    with it holds for the machine, and the machine pickles as before.  On
+    maps of a fresh tree of the machine, its holder of input facts holds
+    for the machine, and the machine pickles as before.  On
     a twin machine, an instantiation under the reversed order after a
     check gives what it gives on a fresh one."""
     untouched = pickle.dumps(line.sc)
@@ -87,13 +87,11 @@ def _assert_invisible(line: GeneratedLine, *, validate: bool = True) -> None:
         assert _outcome(lambda: instantiate(*line, validate=validate)) \
             == expected
     kept, fresh = line.sc._kept, WorkingTree(line.sc)
-    assert tree_maps(kept.tree) | {"mine": None} == tree_maps(fresh)
-    # A built tree owns all of its containers (None); the kept tree owns
-    # none once a call has copied it (an empty set).  Every tree of the
-    # machine shares the kept holder.
-    assert fresh.mine is None and not kept.tree.mine
-    assert kept.tree.facts is kept.facts
-    _assert_facts_hold(kept.facts, line.sc)
+    assert tree_maps(kept.tree) == tree_maps(fresh)
+    # Every tree starts owning none of its containers, and the kept tree,
+    # never edited, owns none after the calls copied it.
+    assert fresh.mine == set() and kept.tree.mine == set()
+    _assert_facts_hold(kept.tree.facts, line.sc)
     assert pickle.dumps(line.sc) == untouched
 
     order = sorted(nsc(line.fm, line.conf, line.sc, line.imp), reverse=True)
@@ -205,8 +203,9 @@ def test_nothing_is_kept_once_the_machine_is_dropped(monkeypatch):
 
 def test_threads_on_one_machine_share_no_tree():
     # More threads than cores, switching often, on machines none has met:
-    # the first calls race to build and keep trees, and a tree that two
-    # calls edited would give a different machine or raise.
+    # the first calls race to build and keep trees and copy them from
+    # their first call on, and a tree that two calls edited would give a
+    # different machine or raise.
     lines = [generate_random_product_line(seed, **S1K_GENERATOR)
              for seed in (19, 0)]
     expected = [_outcome(lambda: instantiate(
@@ -335,7 +334,7 @@ def test_deletions_left_from_inside_regions_are_invisible(monkeypatch):
             for conf, include_pending in line_runs]
         assert got == want
         assert all(isinstance(outcome[0], StateChart) for outcome in got)
-        _assert_facts_hold(line.sc._kept.facts, line.sc)
+        _assert_facts_hold(line.sc._kept.tree.facts, line.sc)
     # 40 lines of 64 runs each: 2,560 deletions have an exit leaving from
     # inside a region, and in 926 of them ``blocked`` names a transition
     # of a region.  A narrower set of lines, or one that no longer reaches
@@ -383,4 +382,4 @@ def test_threads_running_lines_left_from_inside_regions():
         for i, j, outcome in thread_runs:
             assert outcome == expected[i][j], (i, j)
     for line in lines:
-        _assert_facts_hold(line.sc._kept.facts, line.sc)
+        _assert_facts_hold(line.sc._kept.tree.facts, line.sc)

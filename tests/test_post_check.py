@@ -11,7 +11,11 @@ that was not validated must end in a machine or a typed error, never in a
 raw exception.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +43,7 @@ def _all_checks(fm, conf, sc, imp) -> tuple[list[str], ...]:
                           validated=True)
     except RewriteError:
         pass
-    delta = touched_violations(tree, tree.reshaped, tree.added)
+    delta = touched_violations(tree, tree.dirty, tree.added)
     edited = well_formed_violations(tree)
     full = well_formed_violations(MachineIndex(tree.freeze()))
     return tuple(sorted(map(str, found)) for found in (delta, edited, full))
@@ -85,6 +89,18 @@ def _and_machine():
         (Transition("t1", "A", "Par", ("e",)),)))
 
 
+def _two_inner_machine():
+    """Root holds A, Inner1 and Inner2; each Inner<i> holds an optional
+    initial C<i> and a Y<i>, with t<i>: C<i> -> Y<i>."""
+    inners = tuple(OrState(
+        f"Inner{i}", (SimpleState(f"C{i}", True), SimpleState(f"Y{i}")),
+        f"C{i}", (Transition(f"t{i}", f"C{i}", f"Y{i}", ("b",)),))
+        for i in (1, 2))
+    return StateChart(OrState(
+        "Root", (SimpleState("A"), *inners), "A",
+        (Transition("t0", "A", "Inner1", ("e",)),)))
+
+
 def _no_guards(self, elem, pending):
     return self.states[elem], self.parent[elem]
 
@@ -115,7 +131,29 @@ FAULTS = {
     # tx's atom naming C survives into comp(tx,ty) after C is deleted.
     "atom-names-deleted": (_inner_machine(atom=True), {"C"},
                            {"prune_conditions": _no_pruning}),
+    # Inner1 and Inner2 lose their initials C1 and C2 without a repair.
+    "two-initials-removed": (_two_inner_machine(), {"C1", "C2"},
+                             {"repair_initial": _no_repair,
+                              "_deletion_preamble": _no_guards}),
 }
+
+
+def refusal(fault: str) -> str:
+    """The text of the RewriteError that ``instantiate`` raises on the
+    line of ``FAULTS[fault]`` under its faulty rules."""
+    sc, doomed, patches = FAULTS[fault]
+    fm, conf, imp = line_for(sc, doomed)
+    saved = {name: getattr(WorkingTree, name) for name in patches}
+    for name, fn in patches.items():
+        setattr(WorkingTree, name, fn)
+    try:
+        instantiate(fm, conf, sc, imp)
+    except RewriteError as exc:
+        return str(exc)
+    finally:
+        for name, fn in saved.items():
+            setattr(WorkingTree, name, fn)
+    raise AssertionError(f"{fault} was not refused")
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -130,6 +168,30 @@ def test_both_checks_object_to_a_faulty_rule(monkeypatch, fault):
     for validate in (True, False):
         with pytest.raises(RewriteError, match="inconsistent machine"):
             instantiate(fm, conf, sc, imp, validate=validate)
+
+
+_REFUSAL = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import test_post_check
+print(test_post_check.refusal("two-initials-removed"))
+"""
+
+
+def test_the_refusal_does_not_follow_the_hash_seed():
+    # The post-check lists the breaches of the composites the edits wrote
+    # in name order: a set of them iterated as it stands would order the
+    # two broken Or-states by the hash seed.
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here)]
+    texts = []
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        texts.append(subprocess.run(
+            [sys.executable, "-c", _REFUSAL, *paths], env=env, check=True,
+            capture_output=True, text=True, timeout=60).stdout)
+    assert texts == [texts[0]] * 4
+    assert texts[0].index("'Inner1'") < texts[0].index("'Inner2'")
 
 
 @pytest.mark.parametrize("kept", ["state", "transition"])

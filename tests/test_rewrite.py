@@ -642,7 +642,8 @@ def test_a_lone_region_closure_is_its_tuple_search(seed, and_state, data):
     # over the region's coordinates.
     sc, _ = (random_and_composite if and_state else random_or_composite)(seed)
     tree = WorkingTree(sc)
-    regions, _, moves = tree._region_moves("E", ())
+    regions, coordinate = tree._regions("E")
+    moves = tree._moves("E", regions, coordinate, (), range(len(regions)))
     default = [tree.initial[r] for r in regions]
     for j, region in enumerate(regions):
         coords = list(tree.children[region])
