@@ -33,20 +33,20 @@ a deletion finds by walking up from that state, for the names it reads
 alone; a state inside any other region is reached with that region, so it
 has no coordinate.  An exit asks only which coordinates its own region
 reaches, and one without a coordinate pairs with every entry, so the
-deletion resolves its exits' coordinates first and searches only the
-coupled components (``model.partition``) holding a region that some exit
-leaves from -- regions are coupled only through in-state atoms naming
-each other's states, never through shared triggers.  When no exit leaves
-from inside an Or-region, it builds no move at all.  Otherwise, when no
-transition of the regions carries an in-state atom, every region is
-alone in its component and only the regions some exit leaves from get
-their moves built; else every region's are, since the components depend
-on them.  Nothing of this is kept between deletions.  A region alone
-in its component is a plain graph, and costs one closure
-(``model.reached``) over its moves; only a component of two or more
+deletion resolves its exits' coordinates first and searches, for each
+region some exit leaves from, that region with the regions it waits on,
+transitively.  A region waits on another when an in-state atom of one of
+its moves names a state of the other; a shared trigger makes no region
+wait, since a trigger fires every region that has an enabled move for
+it, whatever the others do.  So the tuples such a closed group reaches
+are the projections of the whole And-state's, and the deletion builds
+the moves of those regions alone (``WorkingTree._moves``), none when no
+exit leaves from inside an Or-region.  Nothing of this is kept between
+deletions.  A region that waits on none is a plain graph, and costs one
+closure (``model.reached``) over its moves; only a group of two or more
 regions is searched over its region tuples, up to ``TUPLE_BUDGET`` of
-them.  ``strategy.instantiate`` meets no coupled component, as layer 1
-has pruned every in-state atom naming a state inside a doomed one, so it
+them.  ``strategy.instantiate`` meets no waiting region, as layer 1 has
+pruned every in-state atom naming a state inside a doomed one, so it
 searches no tuples; only ``delete_and_state`` and ``reachable_and`` on an
 unpruned machine do.  ``reachable_and`` returns the full tuple set of
 one joint search; ``reachable_or`` is the closure of its one region.
@@ -81,7 +81,7 @@ from .errors import (EmptyCompositeError, IsInitialError, NoInitialError,
                      TooLargeError)
 from .model import (AndState, Condition, InState, MachineIndex, OrState,
                     SimpleState, State, StateChart, TraceStep, Transition,
-                    partition, reached)
+                    reached)
 
 
 class PendingSet(set):
@@ -141,67 +141,53 @@ Move = tuple[str, tuple[str, ...], tuple[tuple[int, str], ...], str]
 TUPLE_BUDGET = 50_000
 
 
-def _tuple_search(region_indices: Sequence[int], start: tuple[str, ...],
-                  moves: list[list[Move]]) -> set[tuple[str, ...]]:
-    """Tuples over the given regions reachable from ``start`` by maximal
-    synchronous steps: per trigger, every region with an enabled move
-    fires, the others stay put, and at least one region fires.  Every
-    requirement of a move of the given regions must name one of them.
-    This is the search of ``reachable_and`` and of a component of two or
-    more coupled regions; a lone region is closed as a graph instead
+def _tuple_search(region_indices: Iterable[int], start: tuple[str, ...],
+                  moves: dict[int, list[Move]]) -> set[tuple[str, ...]]:
+    """Tuples reachable from ``start``, a coordinate per region of the
+    state, by maximal synchronous steps of the given regions: per
+    trigger, every given region with an enabled move fires, the others
+    stay put, and at least one region fires; the other regions keep their
+    ``start`` coordinates.  Every requirement of a move of the given
+    regions must name one of them: they are closed under waiting.  This is
+    the search of ``reachable_and`` and of a region that waits on another;
+    a region that waits on none is closed as a graph instead
     (``_successors``).  Raises TooLargeError on reaching more than
     TUPLE_BUDGET tuples."""
-    position = {j: p for p, j in enumerate(region_indices)}
-    out_of: list[dict[str, list]] = []
+    out_of: dict[int, dict[str, list]] = {}
     for j in region_indices:
-        table: dict[str, list] = {}
+        table = out_of[j] = {}
         for u, trigger, needs, v in moves[j]:
-            table.setdefault(u, []).append(
-                (trigger, tuple((position[i], node) for i, node in needs), v))
-        out_of.append(table)
+            table.setdefault(u, []).append((trigger, needs, v))
     seen = {start}
     frontier = [start]
     while frontier:
         cur = frontier.pop()
         enabled: dict[tuple[str, ...], dict[int, set[str]]] = {}
-        for p, node in enumerate(cur):
-            for trigger, needs, v in out_of[p].get(node, ()):
-                if all(cur[q] == need for q, need in needs):
-                    enabled.setdefault(trigger, {}).setdefault(p, set()).add(v)
+        for j, table in out_of.items():
+            for trigger, needs, v in table.get(cur[j], ()):
+                if all(cur[i] == need for i, need in needs):
+                    enabled.setdefault(trigger, {}).setdefault(j, set()).add(v)
         for fired in enabled.values():
-            for nxt in product(*(fired.get(p) or (node,)
-                                 for p, node in enumerate(cur))):
+            for nxt in product(*(fired.get(j) or (node,)
+                                 for j, node in enumerate(cur))):
                 if nxt not in seen:
                     if len(seen) == TUPLE_BUDGET:
                         raise TooLargeError(
-                            f"{len(position)} regions searched jointly reach "
+                            f"{len(out_of)} regions searched jointly reach "
                             f"more than the tuple budget of {TUPLE_BUDGET}")
                     seen.add(nxt)
                     frontier.append(nxt)
     return seen
 
 
-def _components(moves: list[list[Move]]) -> list[list[int]]:
-    """Regions partitioned (``model.partition``): a region joins every
-    region its moves require a coordinate of.  Whether a move is enabled
-    depends on its own region's coordinate and its requirements alone, and
-    a trigger fires every region that has an enabled move for it, whatever
-    the other regions do; so shared triggers couple nothing, and each
-    component's reachable tuples are the projections of the whole
-    And-state's."""
-    return partition(range(len(moves)),
-                     ((i, j) for i, rt in enumerate(moves)
-                      for _, _, needs, _ in rt for j, _ in needs))
-
-
 def _successors(region_moves: list[Move]) -> dict[str, list[str]]:
-    """A region alone in its component as a plain graph: each coordinate
+    """A region that waits on no other as a plain graph: each coordinate
     maps to the targets of the moves leaving it whose requirements all
-    name it.  Alone, a region's moves can require only its own
-    coordinate, which holds exactly when it is the move's source, and a
-    trigger fires that region alone, so each enabled move is one step:
-    ``model.reached`` over this map is the region's one-region tuple
-    search, projected."""
+    name it.  Such a region's moves can require only its own coordinate,
+    which holds exactly when it is the move's source, and a trigger fires
+    each region that has an enabled move whatever the others do, so each
+    enabled move is one step: ``model.reached`` over this map is the
+    region's one-region tuple search, projected."""
     out: dict[str, list[str]] = {}
     for u, _, needs, v in region_moves:
         if not needs or all(node == u for _, node in needs):
@@ -209,22 +195,23 @@ def _successors(region_moves: list[Move]) -> dict[str, list[str]]:
     return out
 
 
-def _projections(components: list[list[int]], moves: list[list[Move]],
+def _projections(groups: Iterable[Sequence[int]],
+                 moves: dict[int, list[Move]],
                  start: tuple[str, ...]) -> list[set[str]]:
     """Per region, the coordinates that tuples reachable from ``start``
-    take there, for the regions of the given components, one component at
-    a time: a region alone in its component by the closure of its moves
-    (``_successors``), two or more coupled regions by the search of their
+    take there, for the regions of the given groups, each closed under
+    waiting, one group at a time: a lone region by the closure of its
+    moves (``_successors``), two or more regions by the search of their
     tuples (``_tuple_search``).  Every other region's set is empty."""
     reach: list[set[str]] = [set() for _ in start]
-    for regions in components:
-        if len(regions) == 1:
-            j = regions[0]
+    for group in groups:
+        if len(group) == 1:
+            j = group[0]
             reach[j] = reached(start[j], _successors(moves[j]))
             continue
-        found = _tuple_search(regions, tuple(start[j] for j in regions), moves)
-        for p, j in enumerate(regions):
-            reach[j] = {tup[p] for tup in found}
+        found = _tuple_search(group, start, moves)
+        for j in group:
+            reach[j] = {tup[j] for tup in found}
     return reach
 
 
@@ -487,21 +474,26 @@ class WorkingTree(MachineIndex):
 
     def _moves(self, elem: str, regions: list[str], coordinate: Callable,
                blocked: Collection[str], chosen: Iterable[int],
-               ) -> list[list[Move]]:
+               ) -> dict[int, list[Move]]:
         """Per region of ``elem`` (``_regions``), its usable internal
         transitions as moves between coordinates, for the regions whose
-        indices are ``chosen``; every other region is listed with no
-        moves, as is a region that is not an Or-state.  A transition named
-        in ``blocked`` is no move, nor is one with an end outside its owner
+        indices are ``chosen`` and every region their moves wait on,
+        transitively: one worklist builds each region once.  A region
+        that is not an Or-state has no moves.  A transition named in
+        ``blocked`` is no move, nor is one with an end outside its owner
         (possible on an unvalidated machine).  Inside an And-state an
         in-state atom naming a state with a coordinate requires that
-        coordinate; any other atom always holds there or is about a foreign
-        state.  An Or-state's moves carry no requirements: its reachability
-        ignores conditions."""
+        coordinate, so its region waits on that one; any other atom always
+        holds there or is about a foreign state.  An Or-state's moves carry
+        no requirements: its reachability ignores conditions."""
         coupled = isinstance(self.states[elem], AndState)
-        moves: list[list[Move]] = [[] for _ in regions]
-        for j in chosen:
-            rt = moves[j]
+        moves: dict[int, list[Move]] = {}
+        todo = list(chosen)
+        while todo:
+            j = todo.pop()
+            if j in moves:
+                continue
+            rt = moves[j] = []
             for t in map(self.transitions.__getitem__,
                          self.owned.get(regions[j], ())):
                 if t.name in blocked:
@@ -513,21 +505,9 @@ class WorkingTree(MachineIndex):
                         needs = tuple(filter(None, (
                             coordinate(a.state) for a in t.cond.atoms
                             if isinstance(a, InState))))
+                        todo.extend(i for i, _ in needs)
                     rt.append((u[1], t.trigger, needs, v[1]))
         return moves
-
-    def _coupled(self, elem: str, regions: list[str]) -> bool:
-        """Whether a transition of an And-state's regions carries an
-        in-state atom, which alone can couple two regions (``_moves``).
-        Without one every region is alone in its component, so a deletion
-        builds the moves of the regions its exits leave from, and no
-        others."""
-        if not isinstance(self.states[elem], AndState):
-            return False
-        transitions, owned = self.transitions, self.owned
-        return any(isinstance(atom, InState)
-                   for region in regions for name in owned.get(region, ())
-                   for atom in transitions[name].cond.atoms)
 
     # -- state deletion --
 
@@ -670,40 +650,36 @@ class WorkingTree(MachineIndex):
         inside a region that is not an Or-state; otherwise when its
         coordinate is in its region's projection of the tuples reachable
         from the tuple of region initials with the entry target's
-        coordinate substituted in its region (``_projections``).  Only the
-        components (``_components``) holding a region that some exit
-        leaves from are searched.  So when no exit has a coordinate, as for
-        a simple state, every entry pairs with every exit and no move,
-        component or closure is built; and when no transition of the
-        regions carries an in-state atom (``_coupled``), only the moves of
-        the regions some exit leaves from are built.  Each pair composes by
-        ``_composed``: the entry and exit are usable and meet at the state
-        by construction, so ``comp``'s checks could not fail."""
+        coordinate substituted in its region (``_projections``).  Each
+        region some exit leaves from is searched with the regions it waits
+        on, transitively, which ``waits`` reads off the moves ``_moves``
+        built for them; each distinct group is searched once.  So when no
+        exit has a coordinate, as for a simple state, every entry pairs
+        with every exit and no move or closure is built.  Each pair
+        composes by ``_composed``: the entry and exit are usable and meet
+        at the state by construction, so ``comp``'s checks could not
+        fail."""
         if not (entries and exits):
             return []
         regions, coordinate = self._regions(elem)
         leaving = [(coordinate(ts.source), ts) for ts in exits]
         wanted = {at[0] for at, _ in leaving if at}
-        moves: list[list[Move]] = []
-        searched: list[list[int]] = []
-        default: list[str] = []
-        if wanted:
-            every = self._coupled(elem, regions)
-            moves = self._moves(elem, regions, coordinate, blocked,
-                                range(len(regions)) if every else wanted)
-            searched = [members for members in _components(moves)
-                        if not wanted.isdisjoint(members)]
-            default = [self.initial.get(r, r) for r in regions]
-        reach: list[set[str]] = []
+        if not wanted:
+            return [_composed(te, ts) for te in entries for ts in exits]
+        moves = self._moves(elem, regions, coordinate, blocked, wanted)
+        waits = {j: [i for _, _, needs, _ in rt for i, _ in needs]
+                 for j, rt in moves.items()}
+        groups = list(dict.fromkeys(
+            tuple(sorted(reached(j, waits))) for j in sorted(wanted)))
+        default = [self.initial.get(r, r) for r in regions]
         out: list[Transition] = []
         for te in entries:
-            if searched:
-                start = list(default)
-                lands = coordinate(te.target)
-                if lands is not None:
-                    j, node = lands
-                    start[j] = node
-                reach = _projections(searched, moves, tuple(start))
+            start = list(default)
+            lands = coordinate(te.target)
+            if lands is not None:
+                j, node = lands
+                start[j] = node
+            reach = _projections(groups, moves, tuple(start))
             for at, ts in leaving:
                 if at is None or at[1] in reach[at[0]]:
                     out.append(_composed(te, ts))
@@ -735,20 +711,22 @@ class WorkingTree(MachineIndex):
         hop takes the least-named transition leaving the marked substate
         for a survivor, else for a doomed substate.  One pass over the
         parent's transitions in name order maps each substate to the
-        substates they lead to from it (``_regions`` finds a coordinate by
-        walking up), so a hop looks at its own substate's."""
+        substates they lead to from it (``direct_child_within`` walks up
+        from each end), so a hop looks at its own substate's."""
         if not isinstance(self.states.get(parent), OrState):
             raise RewriteError(f"{parent!r} is not an Or-state")
         old = self.initial[parent]
         if old not in pending:
             raise RewriteError(f"initial {old!r} of {parent!r} is not pending")
-        _, coordinate = self._regions(parent)
+        within = self.direct_child_within
         leads: dict[str, list] = {}
         for name in sorted(self.owned[parent]):
             t = self.transitions[name]
-            src, tgt = coordinate(t.source), coordinate(t.target)
-            if src and (tgt is None or tgt[1] != src[1]):
-                leads.setdefault(src[1], []).append(tgt and tgt[1])
+            src = within(parent, t.source)
+            if src is not None:
+                tgt = within(parent, t.target)
+                if tgt != src:
+                    leads.setdefault(src, []).append(tgt)
         cur, visited = old, {old}
         while cur in pending:
             if cur not in leads:
@@ -931,13 +909,13 @@ def delete_and_state(elem: str, sc: StateChart, pending: PendingSet, *,
     at that region's coordinate.  Only that per-region projection is
     computed, and only for the regions some exit leaves from inside: an
     exit leaving the And-state, a region, or a state inside a region that
-    is not an Or-state pairs with every entry.  Regions are partitioned
-    into components joined by in-state atoms naming a state of another
-    region; a region alone in its component is closed over its moves as
-    a graph, and the tuples of a component of two or more are searched
-    from the start tuple's projection onto it, raising TooLargeError past
-    TUPLE_BUDGET.  A component that no exit leaves from is not searched,
-    so it raises nothing, however large its tuple set."""
+    is not an Or-state pairs with every entry.  Each such region is
+    searched with the regions it waits on, transitively -- those that an
+    in-state atom of its moves names a state of.  A region that waits on
+    none is closed over its moves as a graph; a group of two or more is
+    searched over its tuples from the start tuple, raising TooLargeError
+    past TUPLE_BUDGET.  Regions that no exit's region waits on are never
+    searched, so they raise nothing, however large their tuple set."""
     return _delete(AndState, elem, sc, pending, include_pending)
 
 
@@ -945,9 +923,9 @@ def reachable_or(elem: str, start: str, sc: StateChart, pending: PendingSet,
                  *, include_pending: bool = False) -> set[str]:
     """Reflexive-transitive closure over an Or-state's internal transitions,
     projected onto its direct substates: the closure of its one region
-    (``_successors``), which a deletion also runs for each region alone in
-    its component.  Conditions are ignored; pending transitions grant no
-    reachability."""
+    (``_successors``), which a deletion also runs for each region that
+    waits on no other.  Conditions are ignored; pending transitions grant
+    no reachability."""
     tree = WorkingTree(sc)
     if not isinstance(tree.states.get(elem), OrState):
         raise RewriteError(f"{elem!r} is not an Or-state")
@@ -955,9 +933,9 @@ def reachable_or(elem: str, start: str, sc: StateChart, pending: PendingSet,
         raise NotSubstateError(
             f"{start!r} is not a direct substate of {elem!r}")
     regions, coordinate = tree._regions(elem)
-    [moves] = tree._moves(elem, regions, coordinate,
-                          () if include_pending else pending, (0,))
-    return reached(start, _successors(moves))
+    moves = tree._moves(elem, regions, coordinate,
+                        () if include_pending else pending, (0,))
+    return reached(start, _successors(moves[0]))
 
 
 def reachable_and(elem: str, start: tuple[str, ...], sc: StateChart,
@@ -970,9 +948,9 @@ def reachable_and(elem: str, start: tuple[str, ...], sc: StateChart,
     in-state atoms hold for the current tuple fires (maximal synchronous
     step), the others stay put, and at least one region must move.  Opaque
     guards and in-state atoms about foreign states are assumed satisfiable.
-    Every region is searched as one component, coupled or not, so this
-    is the one rule that searches the product of all regions; it raises
-    TooLargeError once it reaches more than TUPLE_BUDGET tuples.
+    Every region is searched jointly, whether or not it waits on another,
+    so this is the one rule that searches the product of all regions; it
+    raises TooLargeError once it reaches more than TUPLE_BUDGET tuples.
     """
     tree = WorkingTree(sc)
     if not isinstance(tree.states.get(elem), AndState):

@@ -24,14 +24,16 @@ that ``scpl fuzz`` runs per seed, nor a command that writes a JSON
 document, leaves a reference cycle behind.  A layer-2 state deletion
 walks its subtree at most once per machine object, to find what it
 reads, and resolves a coordinate of a region by walking up from the name
-asked about, never down the subtree.  Deleting an And-state closes each
-region that no in-state atom couples to another as a plain graph, and
-searches tuples only for a component of coupled regions, never the
-product of all regions; within an instantiation no region is coupled at
-all, since layer 1 prunes every in-state atom that names a state inside
-a doomed one, so it searches no tuples.  A tuple search stops at a
-budget.  The feature checks accept a valid model and configuration
-without sorting anything.  Writing a product line spells its machine out
+asked about, never down the subtree.  Deleting an And-state builds the
+moves only of the regions its exits leave from and of those they wait
+on (an in-state atom of a move naming a state of another region),
+closes a region that waits on none as a plain graph, and searches tuples
+only for a region with the regions it waits on, never the product of all
+regions; within an instantiation no region waits on another, since
+layer 1 prunes every in-state atom that names a state inside a doomed
+one, so it searches no tuples.  A tuple search stops at a budget.  The
+feature checks accept a valid model and configuration without sorting
+anything.  Writing a product line spells its machine out
 without the generic JSON writer, so that writer runs as often for any
 machine, and an initial-marker repair looks, per hop, at the transitions
 leaving the marked substate alone.  A composition's name costs its own
@@ -264,7 +266,9 @@ def _record_closures(monkeypatch) -> list[tuple[str | None, int]]:
     working tree built or copied meanwhile (compared by identity), else
     None, and how many names it reached.  Validation walks the feature
     model with the same function, bound in other modules, and a deletion
-    closes each lone region's moves with it."""
+    closes each lone region's moves with it.  A call that starts from a
+    region index closes a deletion's regions under waiting, not over
+    moves, and is not recorded."""
     trees: list[WorkingTree] = []
     init, copy_tree = WorkingTree.__init__, WorkingTree.copy
 
@@ -282,6 +286,8 @@ def _record_closures(monkeypatch) -> list[tuple[str | None, int]]:
 
     def recording(start, successors):
         found = orig(start, successors)
+        if isinstance(start, int):
+            return found
         walked = any(successors is tree.children for tree in trees)
         calls.append((start if walked else None, len(found)))
         return found
@@ -760,18 +766,23 @@ def test_instantiate_searches_no_tuples(monkeypatch, include_pending):
     assert reads == []
 
 
-def _coupled_rings(count: int, exit_from: str = "R0S3") -> StateChart:
+def _coupled_rings(count: int, exit_from: str = "R0S3",
+                   one_way: bool = False) -> StateChart:
     """An optional And-state A of ``count`` rings of 4 substates, each on
     its own trigger, plus one chord per ring waiting for the next ring's
     first substate, which couples all of them into one component of
-    4**count tuples; entered from In and left from ``exit_from``."""
+    4**count tuples; entered from In and left from ``exit_from``.  With
+    ``one_way``, ring 0 has no chord: the component is the same, but
+    ring 0 waits on nothing, while ring 1 waits on every ring."""
     regions = []
     for i in range(count):
         names = [f"R{i}S{j}" for j in range(4)]
         ring = [Transition(f"r{i}t{j}", names[j], names[(j + 1) % 4],
                            (f"e{i}",)) for j in range(4)]
-        ring.append(Transition(f"r{i}x", names[0], names[2], (f"f{i}",),
-                               Condition((InState(f"R{(i + 1) % count}S0"),))))
+        if i or not one_way:
+            ring.append(Transition(
+                f"r{i}x", names[0], names[2], (f"f{i}",),
+                Condition((InState(f"R{(i + 1) % count}S0"),))))
         regions.append(OrState(f"R{i}", tuple(SimpleState(n) for n in names),
                                names[0], tuple(ring)))
     return StateChart(OrState(
@@ -812,6 +823,37 @@ def test_a_coupled_component_no_exit_leaves_from_is_not_searched(
     out = delete_and_state("A", sc, PendingSet({"A"}))
     assert searched == []
     assert set(MachineIndex(out).transitions) == {"comp(enter,exit)"}
+
+
+def test_a_deletion_searches_its_exit_region_with_what_it_waits_on(
+        monkeypatch):
+    # One component of 4**10 tuples, but the exit leaves from ring 0,
+    # which waits on no ring: the deletion builds ring 0's moves alone and
+    # closes them as a graph, with no tuple search.  Left from ring 1,
+    # which waits on ring 2 and so on round to ring 0, it searches all 10
+    # rings jointly and stops at the budget.
+    sc = _coupled_rings(10, one_way=True)
+    searched = _record_tuple_searches(monkeypatch)
+    built: list[list[int]] = []
+    moves = WorkingTree._moves
+
+    def recording_moves(self, *args):
+        got = moves(self, *args)
+        built.append(sorted(got))
+        return got
+
+    monkeypatch.setattr(WorkingTree, "_moves", recording_moves)
+    began = time.perf_counter()
+    out = delete_and_state("A", sc, PendingSet({"A"}))
+    assert time.perf_counter() - began < 0.5
+    assert searched == []
+    assert built == [[0]]
+    assert set(MachineIndex(out).transitions) == {"comp(enter,exit)"}
+    sc = _coupled_rings(10, exit_from="R1S3", one_way=True)
+    began = time.perf_counter()
+    with pytest.raises(TooLargeError, match="10 regions"):
+        delete_and_state("A", sc, PendingSet({"A"}))
+    assert time.perf_counter() - began < 2
 
 
 def test_reachable_and_stops_at_the_tuple_budget_on_uncoupled_regions():

@@ -19,7 +19,7 @@ from scpl import datasets
 from scpl.binding import nsc
 from scpl.model import (AndState, Condition, Guard, History, InState,
                         MachineIndex, OrState, SimpleState, StateChart,
-                        Transition, canonicalize, comp_parts)
+                        Transition, canonicalize, comp_parts, reached)
 from scpl.rewrite import (PendingSet, WorkingTree, comp, comp_name,
                           delete_and_state, delete_or_state,
                           delete_simple_state, delete_transition,
@@ -636,8 +636,8 @@ def test_reachable_and_matches_oracle(seed):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000), st.booleans(), st.data())
 def test_a_lone_region_closure_is_its_tuple_search(seed, and_state, data):
-    # A region no other region couples is closed over its moves as a
-    # plain graph; its one-region tuple search is the reference.  Each move
+    # A region that waits on no other is closed over its moves as a plain
+    # graph; its one-region tuple search is the reference.  Each move
     # keeps the requirements naming its own region and draws more of them
     # over the region's coordinates.
     sc, _ = (random_and_composite if and_state else random_or_composite)(seed)
@@ -657,7 +657,7 @@ def test_a_lone_region_closure_is_its_tuple_search(seed, and_state, data):
         for node in coords:
             start = tuple(node if i == j else default[i]
                           for i in range(len(regions)))
-            want = {tup[0] for tup in _tuple_search([j], (node,), alone)}
+            want = {tup[j] for tup in _tuple_search([j], start, alone)}
             assert _projections([[j]], alone, start)[j] == want
 
 
@@ -731,6 +731,64 @@ def test_delete_and_state_pairs_exits_by_projection_oracle(seed, data):
                 want.add(comp_name(te.name, ts.name))
     out = delete_and_state("E", StateChart(root), PendingSet({"E"}))
     assert set(MachineIndex(out).transitions) == want
+
+
+def test_delete_and_state_sweep_pairs_exits_by_the_joint_oracle():
+    # Seeds 0-1999, each composite entered into and left from a drawn
+    # substate of every region, against the search of all regions jointly.
+    # A region waits on another when an in-state atom of its moves names a
+    # state of that one; the deletion searches an exit's region with the
+    # regions it waits on, transitively, which is smaller than the
+    # region's undirected component when some region of the component is
+    # not waited on.  The pairings whose exit region is in that case are
+    # counted, so a sweep that no longer reaches it fails.
+    waiting = one_way = narrower = 0
+    for seed in range(2000):
+        _, comp_state = random_and_composite(seed, max_regions=4,
+                                             max_substates=4)
+        rng = random.Random(seed)
+        region_nodes = [[s.name for s in r.substates]
+                        for r in comp_state.regions]
+        region_of = {node: r for r, nodes in enumerate(region_nodes)
+                     for node in nodes}
+        region_moves = [
+            [(t.source, t.trigger,
+              [a for a in t.cond.atoms if isinstance(a, InState)], t.target)
+             for t in r.transitions]
+            for r in comp_state.regions]
+        waits = {r: {region_of[a.state] for _, _, atoms, _ in rows
+                     for a in atoms} - {r}
+                 for r, rows in enumerate(region_moves)}
+        linked = {r: set(waits[r]) for r in waits}
+        for r, others in waits.items():
+            for other in others:
+                linked[other].add(r)
+        differs = [reached(r, waits) != reached(r, linked) for r in waits]
+        waiting += any(waits.values())
+        one_way += any(differs)
+        entries = [T(f"in{r}", "Out", rng.choice(nodes))
+                   for r, nodes in enumerate(region_nodes)]
+        exits = [T(f"out{r}", rng.choice(nodes), "Out")
+                 for r, nodes in enumerate(region_nodes)]
+        root = OrState("Root", (SimpleState("Out"),
+                                replace(comp_state, optional=True)),
+                       "Out", tuple(entries + exits))
+        want = set()
+        for te in entries:
+            start = [nodes[0] for nodes in region_nodes]
+            start[region_of[te.target]] = te.target
+            reach = and_closure(region_nodes, region_moves, tuple(start),
+                                lambda atom, cur: atom.state in cur)
+            for r, ts in enumerate(exits):
+                if any(tup[r] == ts.source for tup in reach):
+                    want.add(comp_name(te.name, ts.name))
+            narrower += sum(differs)
+        out = delete_and_state("E", StateChart(root), PendingSet({"E"}))
+        assert set(MachineIndex(out).transitions) == want, seed
+    # 857 composites have a waiting region, 797 a region whose wait
+    # closure is narrower than its component, and 3,570 pairings leave
+    # from such a region.
+    assert waiting >= 850 and one_way >= 790 and narrower >= 3_500
 
 
 @settings(max_examples=80, deadline=None)
